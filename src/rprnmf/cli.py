@@ -56,6 +56,10 @@ from .metrics import f1_score, md, msl, rmse
 from .solver import SolverConfig, run as run_solver
 
 
+class UsageError(RprNmfError, ValueError):
+    """A command-line setting the program cannot use (exit code 2)."""
+
+
 @dataclass
 class ExperimentSpec:
     """Serialisable record of one experiment invocation."""
@@ -86,7 +90,10 @@ def _fmt(v):
 def _threads(args) -> int:
     env = os.environ.get("RPRNMF_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"RPRNMF_THREADS must be an integer, got {env!r}") from None
     return max(1, getattr(args, "threads", 1))
 
 
@@ -546,7 +553,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RaggedCsvError, NonNumericCsvError, MalformedLineError) as exc:
+    except (RaggedCsvError, NonNumericCsvError, MalformedLineError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RprNmfError as exc:

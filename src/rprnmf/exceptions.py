@@ -21,6 +21,13 @@ class NegativeEntryError(RprNmfError, ValueError):
         super().__init__(f"negative entry {value!r} at flat index {index}")
 
 
+class NonFiniteEntryError(RprNmfError, ValueError):
+    def __init__(self, index: int, value: float):
+        self.index = index
+        self.value = value
+        super().__init__(f"non-finite entry {value!r} at flat index {index}")
+
+
 class InvalidRangeError(RprNmfError, ValueError):
     pass
 

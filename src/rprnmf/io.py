@@ -184,16 +184,16 @@ def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
         raise TooSparseError(f"{len(coords)} observed entries cannot fill {folds} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(coords))
-    assignment = [[] for _ in range(folds)]
-    for pos, entry in enumerate(order):
-        assignment[pos % folds].append(tuple(coords[entry]))
+    # the entry at position p of the permutation goes to fold p % folds
+    fold_of = np.empty(len(coords), dtype=int)
+    fold_of[order] = np.arange(len(coords)) % folds
 
     reassigned = 0
     fold_bits = []
     for f in range(folds):
         bits = np.zeros_like(mm.bits)
-        for i, j in assignment[f]:
-            bits[i, j] = 1.0
+        i, j = coords[fold_of == f].T
+        bits[i, j] = 1.0
         training = mm.bits - bits
         # any row/col fully held out donates entries back to training
         for axis in (1, 0):

@@ -3,7 +3,9 @@
 Matrices are thin wrappers around row-major float64 numpy arrays.  Factor
 matrices are non-negative by construction (:func:`new_nonneg`); the plain
 :class:`DenseMatrix` constructor accepts signed values so intermediate
-quantities (gradients, residuals) can reuse the type.
+quantities (gradients, residuals) can reuse the type.  A masked data matrix
+reduces to :class:`ObservedCells`, so work on it scales with the observed
+cells rather than with N x M.
 
 ``EPS`` is the single clamping constant shared by every divisor and log
 argument in this package.
@@ -12,6 +14,7 @@ argument in this package.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import (
     DegenerateMaskError,
@@ -107,15 +110,64 @@ class MaskMatrix:
         Such masks leave a row/column of the factorisation entirely
         unconstrained, so they are refused wherever a mask feeds a solve.
         """
-        row_gap = np.where(self.bits.sum(axis=1) == 0)[0]
-        col_gap = np.where(self.bits.sum(axis=0) == 0)[0]
-        if row_gap.size or col_gap.size:
-            raise DegenerateMaskError(
-                f"mask has empty rows {row_gap.tolist()} / columns {col_gap.tolist()}"
-            )
+        rows, cols = np.divmod(np.flatnonzero(self.bits != 0), self.cols)
+        _require_coverage(np.bincount(rows, minlength=self.rows),
+                          np.bincount(cols, minlength=self.cols))
 
     def __repr__(self) -> str:
         return f"MaskMatrix({self.rows}x{self.cols}, observed={self.count})"
+
+
+def _require_coverage(row_counts: np.ndarray, col_counts: np.ndarray) -> None:
+    row_gap = np.flatnonzero(row_counts == 0)
+    col_gap = np.flatnonzero(col_counts == 0)
+    if row_gap.size or col_gap.size:
+        raise DegenerateMaskError(
+            f"mask has empty rows {row_gap.tolist()} / columns {col_gap.tolist()}"
+        )
+
+
+class ObservedCells:
+    """A data matrix reduced to the cells its mask observes.
+
+    The cells are in row-major order, the layout of CSR storage: ``rows`` and
+    ``cols`` index them, ``indptr`` is the CSR row pointer and ``v`` holds the
+    data there.  Cells of ``v`` outside the mask are never read, so they may
+    hold anything.
+    """
+
+    __slots__ = ("shape", "rows", "cols", "indptr", "v")
+
+    # cells per chunk of :meth:`model`; bounds its two gathered k-column
+    # temporaries to a few MB each
+    CHUNK = 65536
+
+    def __init__(self, v, mask):
+        va, ma = as_array(v), as_mask_array(mask)
+        if ma.shape != va.shape:
+            raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
+        n, m = self.shape = va.shape
+        flat = np.flatnonzero(ma != 0)
+        self.rows, self.cols = np.divmod(flat, m)
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=n))))
+        self.v = va.take(flat)
+
+    def require_coverage(self) -> None:
+        """:meth:`MaskMatrix.require_coverage` from the cells' own counts."""
+        _require_coverage(np.diff(self.indptr), np.bincount(self.cols, minlength=self.shape[1]))
+
+    def csr(self, values) -> sp.csr_matrix:
+        """N x M sparse matrix holding ``values`` (one per cell) at the cells."""
+        return sp.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
+
+    def model(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """W @ H at the cells only: row-wise dots of W[rows] with H[:, cols].T."""
+        ht = np.ascontiguousarray(h.T)
+        out = np.empty(self.rows.size)
+        for lo in range(0, out.size, self.CHUNK):
+            sl = slice(lo, lo + self.CHUNK)
+            out[sl] = np.einsum("ij,ij->i", w[self.rows[sl]], ht[self.cols[sl]])
+        return out
 
 
 def as_array(m) -> np.ndarray:
@@ -167,20 +219,23 @@ def random_init(rows: int, cols: int, seed: int, low: float = 0.01, high: float 
     return DenseMatrix(rng.uniform(low, high, size=(rows, cols)))
 
 
-def _check_same_shape(v: np.ndarray, wh: np.ndarray, mask: np.ndarray | None) -> None:
-    if v.shape != wh.shape:
-        raise ShapeMismatchError(f"shape {v.shape} vs {wh.shape}")
-    if mask is not None and mask.shape != v.shape:
-        raise ShapeMismatchError(f"mask shape {mask.shape} vs data shape {v.shape}")
+def _observed(v, wh, mask) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` and ``wh`` at the observed entries: all of them when unmasked."""
+    va, wa, ma = as_array(v), as_array(wh), as_mask_array(mask)
+    if va.shape != wa.shape:
+        raise ShapeMismatchError(f"shape {va.shape} vs {wa.shape}")
+    if ma is None:
+        return va, wa
+    if ma.shape != va.shape:
+        raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
+    keep = ma != 0
+    return va[keep], wa[keep]
 
 
 def frobenius_sq_diff(v, wh, mask=None) -> float:
     """Sum of squared differences, restricted to observed entries when masked."""
-    va, wa, ma = as_array(v), as_array(wh), as_mask_array(mask)
-    _check_same_shape(va, wa, ma)
+    va, wa = _observed(v, wh, mask)
     d = va - wa
-    if ma is not None:
-        d = ma * d
     return float(np.sum(d * d))
 
 
@@ -190,16 +245,10 @@ def matrix_divergence(v, wh, mask=None) -> float:
     Zero data entries contribute ``wh`` only (0*log(0/y) = 0).  Model entries
     below EPS are clamped; negative model entries are rejected outright.
     """
-    va, wa, ma = as_array(v), as_array(wh), as_mask_array(mask)
-    _check_same_shape(va, wa, ma)
-    if ma is None:
-        ma = 1.0
-        observed_neg = wa < 0
-    else:
-        observed_neg = (wa < 0) & (ma > 0)
-    if np.any(observed_neg):
+    va, wa = _observed(v, wh, mask)
+    if np.any(wa < 0):
         raise NonPositiveModelEntryError("model matrix has negative entries at observed cells")
     wc = np.maximum(wa, EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.where(va > 0, va * np.log(np.maximum(va, EPS) / wc), 0.0)
-    return float(np.sum(ma * (lg - va + wa)))
+    return float(np.sum(lg - va + wa))

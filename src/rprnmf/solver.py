@@ -25,6 +25,7 @@ from .exceptions import (
     IndexOutOfRangeError,
     InvalidConfigError,
     NegativeEntryError,
+    NonFiniteEntryError,
     PenaltyOverflowError,
     ShapeMismatchError,
 )
@@ -32,8 +33,8 @@ from .matrix import (
     EPS,
     DenseMatrix,
     MaskMatrix,
+    ObservedCells,
     as_array,
-    as_mask_array,
     frobenius_sq_diff,
     matrix_divergence,
 )
@@ -66,6 +67,8 @@ class SolverConfig:
     init_high: float = 1.0
 
     def __post_init__(self):
+        if self.mask is not None and not isinstance(self.mask, MaskMatrix):
+            self.mask = MaskMatrix(as_array(self.mask))
         if self.k < 1:
             raise InvalidConfigError(f"latent dimension must be >= 1, got {self.k}")
         if self.lambda_w < 0 or self.lambda_h < 0:
@@ -111,39 +114,48 @@ class FactorisationReport:
     wall_time_s: float
 
 
-def masked_update_terms(v, mask, w, h, measure: Measure, side: str) -> tuple[np.ndarray, np.ndarray]:
+def masked_update_terms(v, mask, w, h, measure: Measure, side: str,
+                        wh=None) -> tuple[np.ndarray, np.ndarray]:
     """Snapshot numerator/denominator of the data-fit ratio for one factor side.
 
     ``side`` is "w" (terms shaped like W) or "h" (shaped like H).  Without a
     mask these are the classic multiplicative-update terms; with one, only
-    observed entries contribute, including the plain row/column sums of the
-    divergence denominator, so fully-masked cells are inert.
+    observed cells contribute, including the plain row/column sums of the
+    divergence denominator, so unobserved cells are inert.  ``mask`` may be
+    the :class:`ObservedCells` of ``v`` already; ``wh``, if given, is W @ H
+    at those cells, so the caller's copy is used instead of a new one.
     """
-    va, wa, ha, ma = as_array(v), as_array(w), as_array(h), as_mask_array(mask)
-    n, m = va.shape
-    if wa.shape[0] != n or ha.shape[1] != m or wa.shape[1] != ha.shape[0]:
-        raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {va.shape}")
-    if ma is not None and ma.shape != va.shape:
-        raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
-    k = wa.shape[1]
-    if measure is Measure.EUCLIDEAN:
-        if ma is None:
+    wa, ha = as_array(w), as_array(h)
+    if mask is None:
+        va = as_array(v)
+        _check_factors(va.shape, wa, ha)
+        n, m = va.shape
+        k = wa.shape[1]
+        if measure is Measure.EUCLIDEAN:
             if side == "w":
                 return va @ ha.T, wa @ (ha @ ha.T)
             return wa.T @ va, (wa.T @ wa) @ ha
-        wh = wa @ ha
+        ratio = va / np.maximum(wa @ ha, EPS)
         if side == "w":
-            return (ma * va) @ ha.T, (ma * wh) @ ha.T
-        return wa.T @ (ma * va), wa.T @ (ma * wh)
-    wh = np.maximum(wa @ ha, EPS)
-    ratio = (va if ma is None else ma * va) / wh
+            return ratio @ ha.T, np.broadcast_to(ha.sum(axis=1), (n, k))
+        return wa.T @ ratio, np.broadcast_to(wa.sum(axis=0)[:, None], (k, m))
+    cells = mask if isinstance(mask, ObservedCells) else ObservedCells(v, mask)
+    _check_factors(cells.shape, wa, ha)
+    if wh is None:
+        wh = cells.model(wa, ha)
+    if measure is Measure.EUCLIDEAN:
+        num, den = cells.csr(cells.v), cells.csr(wh)
+    else:
+        num, den = cells.csr(cells.v / np.maximum(wh, EPS)), cells.csr(np.ones(wh.size))
     if side == "w":
-        num = ratio @ ha.T
-        den = np.broadcast_to(ha.sum(axis=1), (n, k)) if ma is None else ma @ ha.T
-        return num, den
-    num = wa.T @ ratio
-    den = np.broadcast_to(wa.sum(axis=0)[:, None], (k, m)) if ma is None else wa.T @ ma
-    return num, den
+        return num @ ha.T, den @ ha.T
+    return (num.T @ wa).T, (den.T @ wa).T
+
+
+def _check_factors(shape, wa, ha):
+    n, m = shape
+    if wa.shape[0] != n or ha.shape[1] != m or wa.shape[1] != ha.shape[0]:
+        raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {shape}")
 
 
 def euc_update_w_entry(v, w, h, set_w, a: int, b: int, lambda_w: float, mask=None) -> float:
@@ -204,25 +216,30 @@ def _check_entry(shape, a, b):
 def objective(v, w, h, sets, config: SolverConfig) -> float:
     """Data-fit term plus coefficient-weighted penalties of both factor sides."""
     set_w, set_h = sets
+    cells = None if config.mask is None else ObservedCells(v, config.mask)
     return _objective_value(
         as_array(v), as_array(w), as_array(h), set_w, set_h,
-        config.lambda_w, config.lambda_h, config.measure, as_mask_array(config.mask),
-    )
+        config.lambda_w, config.lambda_h, config.measure, cells,
+    )[0]
 
 
-def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, ma) -> float:
-    wh = wa @ ha
+def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
+    """Objective at (W, H), and W @ H at the observed cells (None if unmasked)."""
+    if cells is None:
+        v, wh = va, wa @ ha
+    else:
+        v, wh = cells.v, cells.model(wa, ha)
     if measure is Measure.EUCLIDEAN:
-        total = frobenius_sq_diff(va, wh, ma)
+        total = frobenius_sq_diff(v, wh)
         pen_value = euc_penalty_value
     else:
-        total = matrix_divergence(va, np.maximum(wh, EPS), ma)
+        total = matrix_divergence(v, np.maximum(wh, EPS))
         pen_value = div_penalty_value
     if set_w is not None and len(set_w) and lam_w > 0:
         total += lam_w * pen_value(wa, set_w)
     if set_h is not None and len(set_h) and lam_h > 0:
         total += lam_h * pen_value(ha, set_h)
-    return float(total)
+    return float(total), None if cells is None else wh
 
 
 class _PreparedSet:
@@ -369,16 +386,20 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
     va = as_array(v)
     if va.ndim != 2:
         raise ShapeMismatchError(f"expected 2-D data, got ndim={va.ndim}")
-    neg = np.where(va.ravel() < 0)[0]
-    if neg.size:
-        raise NegativeEntryError(int(neg[0]), float(va.ravel()[neg[0]]))
+    # min and max propagate NaN, so the two reductions catch every bad entry
+    if va.size and not (va.min() >= 0 and va.max() < np.inf):
+        flat = va.ravel()
+        neg = np.flatnonzero(flat < 0)
+        if neg.size:
+            raise NegativeEntryError(int(neg[0]), float(flat[neg[0]]))
+        i = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise NonFiniteEntryError(i, float(flat[i]))
     n, m = va.shape
     set_w, set_h = sets if sets is not None else (None, None)
-    ma = as_mask_array(config.mask)
-    if ma is not None:
-        if ma.shape != va.shape:
-            raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
-        config.mask.require_coverage()
+    cells = None
+    if config.mask is not None:
+        cells = ObservedCells(va, config.mask)
+        cells.require_coverage()
 
     rng = np.random.default_rng(config.seed)
     state = SolverState(
@@ -391,40 +412,43 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
     prep_h = _PreparedSet(set_h, m) if set_h is not None and len(set_h) else None
     measure = config.measure
 
-    def current_objective() -> float:
+    def current_objective():
         return _objective_value(
             va, state.w, state.h, set_w, set_h,
-            state.current_lambda_w, state.current_lambda_h, measure, ma,
+            state.current_lambda_w, state.current_lambda_h, measure, cells,
         )
 
-    accepted = current_objective()
+    # wh is W @ H at the observed cells for the current factors (None if
+    # unmasked): the objective computes it, the next W-side terms reuse it
+    accepted, wh = current_objective()
     state.objective_trace.append(accepted)
 
     for it in range(1, config.max_iters + 1):
         state.iteration = it
         if config.adapt_lambda:
             state.last_accepted = (state.w.copy(), state.h.copy())
-        num, den = masked_update_terms(va, ma, state.w, state.h, measure, "w")
+        num, den = masked_update_terms(va, cells, state.w, state.h, measure, "w", wh)
         _sweep(state.w, num, den, prep_w, state.current_lambda_w, measure)
-        num, den = masked_update_terms(va, ma, state.w, state.h, measure, "h")
+        num, den = masked_update_terms(va, cells, state.w, state.h, measure, "h")
         _sweep(state.h.T, num.T, den.T, prep_h, state.current_lambda_h, measure)
-        obj = current_objective()
+        obj, new_wh = current_objective()
         if config.adapt_lambda:
             if obj <= accepted * (1.0 + ACCEPT_REL_SLACK) + ACCEPT_REL_SLACK:
                 rel_change = abs(obj - accepted) / max(abs(accepted), EPS)
-                accepted = obj
+                accepted, wh = obj, new_wh
                 state.objective_trace.append(obj)
                 state.current_lambda_w *= 1.01
                 state.current_lambda_h *= 1.01
                 if rel_change < config.rel_tol:
                     break
             else:
-                state.w[:], state.h[:] = state.last_accepted
+                state.w[:], state.h[:] = state.last_accepted  # wh still matches them
                 state.current_lambda_w *= 0.5
                 state.current_lambda_h *= 0.5
                 state.rollback_iters.append(it)
                 state.objective_trace.append(accepted)
         else:
+            wh = new_wh
             prev = state.objective_trace[-1]
             state.objective_trace.append(obj)
             if abs(obj - prev) / max(abs(prev), EPS) < config.rel_tol:

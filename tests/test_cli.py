@@ -320,6 +320,14 @@ class TestThreads:
         assert code == 0
         assert len(read_rows(out)) == 1 * 2 * 2 * 2
 
+    def test_non_integer_env_var_exit_2(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "syn1.csv"
+        monkeypatch.setenv("RPRNMF_THREADS", "abc")
+        assert run_cli("syn1", "--out", out, "--groups", 1, "--reps", 1) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "RPRNMF_THREADS" in err and "'abc'" in err
+        assert not out.exists()
+
     def test_parallel_matches_sequential(self, tmp_path):
         seq, par = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["--groups", 1, "--reps", 2, "--n", 20, "--m", 20, "--k", 3,

@@ -25,6 +25,39 @@ from rprnmf.io import (
 )
 
 
+def loop_cv_folds(bits, folds, seed):
+    """Fold masks and reassignment count of make_cv_split, one cell at a time.
+
+    The reference for its vectorised fold assignment: same permutation, same
+    coverage repair.
+    """
+    coords = np.argwhere(bits > 0)
+    order = np.random.default_rng(seed).permutation(len(coords))
+    assignment = [[] for _ in range(folds)]
+    for pos, entry in enumerate(order):
+        assignment[pos % folds].append(tuple(coords[entry]))
+    reassigned = 0
+    fold_bits = []
+    for f in range(folds):
+        held = np.zeros_like(bits)
+        for i, j in assignment[f]:
+            held[i, j] = 1.0
+        training = bits - held
+        for axis in (1, 0):
+            while True:
+                gaps = np.where((training.sum(axis=axis) == 0) & (bits.sum(axis=axis) > 0))[0]
+                if gaps.size == 0:
+                    break
+                g = int(gaps[0])
+                c = int(np.argwhere((held[g, :] if axis == 1 else held[:, g]) > 0)[0][0])
+                i, j = (g, c) if axis == 1 else (c, g)
+                held[i, j] = 0.0
+                training[i, j] = 1.0
+                reassigned += 1
+        fold_bits.append(held)
+    return fold_bits, reassigned
+
+
 class TestDenseCsv:
     def test_round_trip_bit_faithful(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -160,6 +193,21 @@ class TestCvSplit:
         b = make_cv_split(MaskMatrix(bits), 3, seed=6)
         for fa, fb in zip(a.fold_masks, b.fold_masks):
             assert np.array_equal(fa.bits, fb.bits)
+
+    def test_matches_per_cell_reference(self):
+        reassigned = []
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            bits = (rng.uniform(0, 1, (15, 12)) < 0.2).astype(float)
+            folds = 3 + seed % 3
+            split = make_cv_split(MaskMatrix(bits), folds, seed=seed)
+            want, moved = loop_cv_folds(bits, folds, seed)
+            assert split.reassigned == moved
+            for got, ref in zip(split.fold_masks, want, strict=True):
+                assert np.array_equal(got.bits, ref)
+            reassigned.append(moved)
+        # sparse masks leave lonely cells, so the repair path runs too
+        assert sum(r > 0 for r in reassigned) >= 4
 
     def test_too_sparse(self):
         bits = np.zeros((3, 3))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rprnmf import (
     ConstraintSet,
@@ -23,7 +25,13 @@ from rprnmf import (
     run,
 )
 from rprnmf.constraints import generate_chain_constraints
-from rprnmf.exceptions import InvalidConfigError, NegativeEntryError, ShapeMismatchError
+from rprnmf.exceptions import (
+    InvalidConfigError,
+    NegativeEntryError,
+    NonFiniteEntryError,
+    RprNmfError,
+    ShapeMismatchError,
+)
 from rprnmf.matrix import EPS
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
 
@@ -40,6 +48,30 @@ def classic_div_step(v, w, h):
     w = w * ((v / np.maximum(w @ h, EPS)) @ h.T) / np.maximum(h.sum(axis=1), EPS)
     h = h * (w.T @ (v / np.maximum(w @ h, EPS))) / np.maximum(w.sum(axis=0)[:, None], EPS)
     return w, h
+
+
+def dense_masked_terms(v, bits, w, h, measure, side):
+    """Masked data-fit terms as dense N x M products with the 0/1 mask."""
+    wh = w @ h
+    if measure is Measure.EUCLIDEAN:
+        if side == "w":
+            return (bits * v) @ h.T, (bits * wh) @ h.T
+        return w.T @ (bits * v), w.T @ (bits * wh)
+    ratio = bits * v / np.maximum(wh, EPS)
+    if side == "w":
+        return ratio @ h.T, bits @ h.T
+    return w.T @ ratio, w.T @ bits
+
+
+def dense_masked_fit(v, bits, w, h, measure):
+    """Masked data fit summed over the dense N x M matrix, unobserved cells zeroed."""
+    wh = w @ h
+    if measure is Measure.EUCLIDEAN:
+        d = bits * (v - wh)
+        return float(np.sum(d * d))
+    wc = np.maximum(wh, EPS)
+    lg = np.where(v > 0, v * np.log(np.maximum(v, EPS) / wc), 0.0)
+    return float(np.sum(bits * (lg - v + wc)))
 
 
 def reference_ordered_sweep(fac, num, den, cset, lam, measure):
@@ -141,6 +173,32 @@ class TestUpdateTerms:
         v, w, h = random_instance(rng)
         with pytest.raises(ShapeMismatchError):
             masked_update_terms(v, np.ones((3, 3)), w, h, Measure.EUCLIDEAN, "w")
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 9), m=st.integers(1, 9), k=st.integers(1, 4),
+           density=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_observed_cells_match_dense_reference(self, n, m, k, density, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.0, 2.0, (n, m))
+        v[rng.uniform(0, 1, v.shape) < 0.2] = 0.0
+        w = rng.uniform(0.01, 1.0, (n, k))
+        h = rng.uniform(0.01, 1.0, (k, m))
+        bits = (rng.uniform(0, 1, (n, m)) < density).astype(float)
+        # unobserved cells of the second matrix differ, wildly
+        v2 = np.where(bits > 0, v, rng.uniform(0.0, 1e6, v.shape))
+        for measure in Measure:
+            config = SolverConfig(k=k, measure=measure, mask=MaskMatrix(bits))
+            fit = dense_masked_fit(v, bits, w, h, measure)
+            for data in (v, v2):
+                got = objective(data, w, h, (None, None), config)
+                assert got == pytest.approx(fit, rel=1e-12, abs=1e-300)
+            for side in ("w", "h"):
+                want = dense_masked_terms(v, bits, w, h, measure, side)
+                for data in (v, v2):
+                    got = masked_update_terms(data, MaskMatrix(bits), w, h, measure, side)
+                    for g, r in zip(got, want):
+                        assert g.shape == r.shape
+                        assert np.allclose(g, r, rtol=1e-12, atol=1e-300)
 
 
 # --------------------------------------------------------- per-entry ops
@@ -399,6 +457,32 @@ class TestRun:
         cfg = SolverConfig(k=2, measure=Measure.EUCLIDEAN)
         with pytest.raises(NegativeEntryError):
             run(np.array([[1.0, -0.5], [0.2, 0.1]]), (None, None), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        v = np.array([[1.0, 0.5], [0.2, 0.1]])
+        v[1, 0] = bad
+        # hidden by the mask, but still rejected: V must be finite everywhere
+        bits = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for mask in (None, MaskMatrix(bits)):
+            cfg = SolverConfig(k=1, measure=Measure.DIVERGENCE, mask=mask)
+            with pytest.raises(RprNmfError) as info:
+                run(v, (None, None), cfg)
+            expected = NegativeEntryError if bad < 0 else NonFiniteEntryError
+            assert type(info.value) is expected and info.value.index == 2
+
+    def test_array_mask_coerced(self):
+        rng = np.random.default_rng(21)
+        v = rng.uniform(0.1, 1, (5, 4))
+        bits = np.ones((5, 4))
+        bits[0, 0] = bits[3, 2] = 0.0
+        cfg = SolverConfig(k=2, measure=Measure.EUCLIDEAN, max_iters=5, seed=3, mask=bits)
+        assert isinstance(cfg.mask, MaskMatrix)
+        ref = run(v, (None, None), SolverConfig(k=2, measure=Measure.EUCLIDEAN, max_iters=5,
+                                                seed=3, mask=MaskMatrix(bits)))
+        assert run(v, (None, None), cfg).objective_trace == ref.objective_trace
+        with pytest.raises(ShapeMismatchError):
+            SolverConfig(k=2, measure=Measure.EUCLIDEAN, mask=0.5 * bits)
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
