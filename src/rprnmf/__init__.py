@@ -18,7 +18,6 @@ from .constraints import (
     euclidean_sq,
     generate_chain_constraints,
     generate_chain_plan,
-    is_satisfied,
     read_constraints,
     symmetric_divergence,
     write_constraints,
@@ -29,10 +28,7 @@ from .matrix import (
     DenseMatrix,
     MaskMatrix,
     frobenius_sq_diff,
-    matmul,
     matrix_divergence,
-    new_nonneg,
-    random_init,
 )
 from .metrics import (
     ClusterAssignment,
@@ -44,21 +40,10 @@ from .metrics import (
     nmi,
     rmse,
 )
-from .penalties import (
-    EucPenaltyGrad,
-    div_penalty_grad,
-    div_penalty_value,
-    euc_penalty_grad,
-    euc_penalty_value,
-)
+from .penalties import div_penalty_value, euc_penalty_value
 from .solver import (
     FactorisationReport,
     SolverConfig,
-    SolverState,
-    div_update_h_entry,
-    div_update_w_entry,
-    euc_update_h_entry,
-    euc_update_w_entry,
     masked_update_terms,
     objective,
     run,
@@ -70,42 +55,30 @@ __all__ = [
     "ConstraintSet",
     "ConstraintTriple",
     "DenseMatrix",
-    "EucPenaltyGrad",
     "FactorisationReport",
     "MaskMatrix",
     "Measure",
     "RprNmfError",
     "SolverConfig",
-    "SolverState",
     "Target",
     "clustering_accuracy",
     "constraints_to_label_matrix",
     "constraints_to_weight_matrix",
     "csr",
-    "div_penalty_grad",
     "div_penalty_value",
-    "div_update_h_entry",
-    "div_update_w_entry",
-    "euc_penalty_grad",
     "euc_penalty_value",
-    "euc_update_h_entry",
-    "euc_update_w_entry",
     "euclidean_sq",
     "f1_score",
     "frobenius_sq_diff",
     "generate_chain_constraints",
     "generate_chain_plan",
-    "is_satisfied",
     "kmeans",
     "masked_update_terms",
-    "matmul",
     "matrix_divergence",
     "md",
     "msl",
-    "new_nonneg",
     "nmi",
     "objective",
-    "random_init",
     "read_constraints",
     "rmse",
     "run",

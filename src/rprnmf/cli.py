@@ -130,12 +130,6 @@ def _chain_plan(n_triples: int, per_chain: int = 5) -> list[int]:
     return plan
 
 
-def _generate_chains_plan(ground_truth, target, plan, measure, seed):
-    """Disjoint chains with the planned triples-per-chain sizes, as one set."""
-    # chain_len counts distances: t triples need t+1 distances
-    return generate_chain_plan(ground_truth, target, [t + 1 for t in plan], measure, seed)
-
-
 # ---------------------------------------------------------------- factorize
 
 
@@ -179,8 +173,9 @@ def _syn_run(task: dict) -> dict:
     v = DenseMatrix(w0 @ h0)
     measure = _measure(task["measure"])
     plan = _chain_plan(task["n_constraints"], task["triples_per_chain"])
-    set_h = _generate_chains_plan(
-        DenseMatrix(h0), Target.H_COLS, plan, measure,
+    # chain_len counts distances: t triples need t+1 distances
+    set_h = generate_chain_plan(
+        DenseMatrix(h0), Target.H_COLS, [t + 1 for t in plan], measure,
         seed=[task["seed"], task["group"], task["rep"], 2],
     )
     config = SolverConfig(

@@ -26,7 +26,7 @@ from .solver import FactorisationReport, SolverConfig
 log = logging.getLogger(__name__)
 
 REPORT_SCHEMA = "rprnmf-report/1"
-_METRIC_KEYS = ("msl", "md", "csr", "rmse", "f1", "acc", "nmi")
+_METRIC_KEYS = ("msl", "md", "csr", "rmse", "f1")
 
 
 def write_dense_csv(path, m) -> None:

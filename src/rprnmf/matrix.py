@@ -1,9 +1,8 @@
 """Dense matrix and mask types plus the elementwise/product primitives.
 
-Matrices are thin wrappers around row-major float64 numpy arrays.  Factor
-matrices are non-negative by construction (:func:`new_nonneg`); the plain
-:class:`DenseMatrix` constructor accepts signed values so intermediate
-quantities (gradients, residuals) can reuse the type.  A masked data matrix
+Matrices are thin wrappers around row-major float64 numpy arrays.  The
+:class:`DenseMatrix` constructor accepts signed values; non-negativity of
+data is checked where it matters, by the solver.  A masked data matrix
 reduces to :class:`ObservedCells`, so work on it scales with the observed
 cells rather than with N x M.
 
@@ -18,9 +17,6 @@ import scipy.sparse as sp
 
 from .exceptions import (
     DegenerateMaskError,
-    EmptyMaskError,
-    InvalidRangeError,
-    NegativeEntryError,
     NonPositiveModelEntryError,
     ShapeMismatchError,
 )
@@ -183,40 +179,6 @@ def as_mask_array(mask) -> np.ndarray | None:
     if isinstance(mask, MaskMatrix):
         return mask.bits
     return np.asarray(mask, dtype=float)
-
-
-def new_nonneg(rows: int, cols: int, data) -> DenseMatrix:
-    """Construct a non-negative ``rows`` x ``cols`` matrix from flat row-major data."""
-    flat = np.asarray(data, dtype=float).ravel()
-    if flat.size != rows * cols:
-        raise ShapeMismatchError(
-            f"need {rows * cols} entries for a {rows}x{cols} matrix, got {flat.size}"
-        )
-    neg = np.where(flat < 0)[0]
-    if neg.size:
-        i = int(neg[0])
-        raise NegativeEntryError(i, float(flat[i]))
-    return DenseMatrix(flat.reshape(rows, cols))
-
-
-def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Matrix product a @ b."""
-    aa, bb = as_array(a), as_array(b)
-    if aa.shape[1] != bb.shape[0]:
-        raise ShapeMismatchError(f"cannot multiply {aa.shape} by {bb.shape}")
-    return DenseMatrix(aa @ bb)
-
-
-def random_init(rows: int, cols: int, seed: int, low: float = 0.01, high: float = 1.0) -> DenseMatrix:
-    """Seeded i.i.d. uniform matrix on [low, high).
-
-    The default range starts above zero so multiplicative updates never see
-    an exactly-zero factor entry at iteration 0.
-    """
-    if not (0 < low < high):
-        raise InvalidRangeError(f"need 0 < low < high, got low={low}, high={high}")
-    rng = np.random.default_rng(seed)
-    return DenseMatrix(rng.uniform(low, high, size=(rows, cols)))
 
 
 def _observed(v, wh, mask) -> tuple[np.ndarray, np.ndarray]:

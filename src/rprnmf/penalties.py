@@ -1,38 +1,21 @@
-"""Constraint penalty terms and their gradient decompositions.
+"""Constraint penalty values.
 
 Euclidean objective: each triple adds exp(E(q,r)) + exp(-E(q,s)), pulling
 (q, r) together and pushing (q, s) apart.  Divergence objective: each triple
 adds the hinge max(0, SD(q,r) - SD(q,s)), inert once the constraint holds.
 
-Gradients are returned in the shape the multiplicative updates consume: the
-Euclidean gradient splits into non-negative (positive_part, negative_part)
-with derivative 2*(pos - neg); the divergence gradient is a single signed
-value whose half is the derivative at hinge-active points.
+The multiplicative updates that descend these penalties live in
+``solver._sweep``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
-
 import numpy as np
 
-from .constraints import (
-    ConstraintSet,
-    Measure,
-    _pair_distances,
-    constrained_vectors,
-    symmetric_divergence,
-)
-from .exceptions import IndexOutOfRangeError, PenaltyOverflowError
-from .matrix import EPS
+from .constraints import ConstraintSet, Measure, _pair_distances, constrained_vectors
+from .exceptions import PenaltyOverflowError
 
 MAX_EXP = 700.0
-
-
-class EucPenaltyGrad(NamedTuple):
-    positive_part: float
-    negative_part: float
 
 
 def _vectors(factor, cset: ConstraintSet) -> np.ndarray:
@@ -59,46 +42,6 @@ def euc_penalty_value(factor, cset: ConstraintSet) -> float:
     return float(np.sum(_checked_exp(e1) + np.exp(-e2)))
 
 
-def euc_penalty_grad(factor, cset: ConstraintSet, a: int, b: int) -> EucPenaltyGrad:
-    """Positive/negative gradient parts at entry (a, b) of the constrained factor.
-
-    ``a`` indexes the constrained axis (0-based), ``b`` the latent axis.  Both
-    parts are sums of exponential-weighted non-negative entries, and
-    2*(positive_part - negative_part) is the derivative of
-    :func:`euc_penalty_value` with respect to that entry.
-    """
-    vec = _vectors(factor, cset)
-    n, dim = vec.shape
-    if not (0 <= a < n) or not (0 <= b < dim):
-        raise IndexOutOfRangeError(f"entry ({a}, {b}) outside {vec.shape}")
-    pos = neg = 0.0
-    for t in cset.triples:
-        q, r, s = t.q - 1, t.r - 1, t.s - 1
-        if a not in (q, r, s):
-            continue
-        e1 = math.exp(_checked_dist(vec[q], vec[r]))
-        e2 = math.exp(-_checked_dist(vec[q], vec[s], check=False))
-        wq, wr, ws = vec[q, b], vec[r, b], vec[s, b]
-        if a == q:
-            pos += e1 * wq + e2 * ws
-            neg += e1 * wr + e2 * wq
-        elif a == r:
-            pos += e1 * wr
-            neg += e1 * wq
-        else:
-            pos += e2 * wq
-            neg += e2 * ws
-    return EucPenaltyGrad(pos, neg)
-
-
-def _checked_dist(x: np.ndarray, y: np.ndarray, check: bool = True) -> float:
-    d = x - y
-    e = float(np.dot(d, d))
-    if check and e > MAX_EXP:
-        raise PenaltyOverflowError(e)
-    return e
-
-
 def div_penalty_value(factor, cset: ConstraintSet) -> float:
     """Sum over triples of the hinge max(0, SD(q,r) - SD(q,s))."""
     if len(cset) == 0:
@@ -108,40 +51,3 @@ def div_penalty_value(factor, cset: ConstraintSet) -> float:
     d1 = _pair_distances(vec, q, r, Measure.DIVERGENCE)
     d2 = _pair_distances(vec, q, s, Measure.DIVERGENCE)
     return float(np.sum(np.maximum(0.0, d1 - d2)))
-
-
-def g_kernel(x: float, y: float) -> float:
-    """log(x/y) + (x - y)/x with both arguments clamped at EPS."""
-    x = max(x, EPS)
-    y = max(y, EPS)
-    return math.log(x / y) + (x - y) / x
-
-
-def div_penalty_grad(factor, cset: ConstraintSet, a: int, b: int) -> float:
-    """Signed hinge-gradient accumulator P at entry (a, b).
-
-    Satisfied triples (strict SD(q,r) < SD(q,s) on the current factor) are
-    skipped entirely; for the rest the q-anchored contribution is
-    g(q,r) - g(q,s), the r-anchored one +g(r,q) and the s-anchored one
-    -g(s,q), all evaluated on the latent-b entries.  P/2 is the derivative of
-    :func:`div_penalty_value` wherever the hinge is strictly active.
-    """
-    vec = _vectors(factor, cset)
-    n, dim = vec.shape
-    if not (0 <= a < n) or not (0 <= b < dim):
-        raise IndexOutOfRangeError(f"entry ({a}, {b}) outside {vec.shape}")
-    p = 0.0
-    for t in cset.triples:
-        q, r, s = t.q - 1, t.r - 1, t.s - 1
-        if a not in (q, r, s):
-            continue
-        if symmetric_divergence(vec[q], vec[r]) < symmetric_divergence(vec[q], vec[s]):
-            continue
-        wq, wr, ws = float(vec[q, b]), float(vec[r, b]), float(vec[s, b])
-        if a == q:
-            p += g_kernel(wq, wr) - g_kernel(wq, ws)
-        elif a == r:
-            p += g_kernel(wr, wq)
-        else:
-            p -= g_kernel(ws, wq)
-    return p

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import ConstraintSet, Measure, _pair_distances, csr as csr_of
 from .exceptions import (
-    IndexOutOfRangeError,
     InvalidConfigError,
     NegativeEntryError,
     NonFiniteEntryError,
@@ -38,13 +37,7 @@ from .matrix import (
     frobenius_sq_diff,
     matrix_divergence,
 )
-from .penalties import (
-    MAX_EXP,
-    div_penalty_grad,
-    div_penalty_value,
-    euc_penalty_grad,
-    euc_penalty_value,
-)
+from .penalties import MAX_EXP, div_penalty_value, euc_penalty_value
 
 # Objective comparisons tolerate this much relative float noise before a
 # divergence-mode iteration is treated as an increase and rolled back.
@@ -84,20 +77,6 @@ class SolverConfig:
     def adapt_lambda(self) -> bool:
         """Coefficient adaptation runs for the divergence objective only."""
         return self.measure is Measure.DIVERGENCE
-
-
-@dataclass
-class SolverState:
-    """Mutable per-run state: live factors, trace and coefficient schedule."""
-
-    w: np.ndarray
-    h: np.ndarray
-    iteration: int = 0
-    objective_trace: list[float] = field(default_factory=list)
-    current_lambda_w: float = 0.0
-    current_lambda_h: float = 0.0
-    last_accepted: tuple[np.ndarray, np.ndarray] | None = None
-    rollback_iters: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -156,61 +135,6 @@ def _check_factors(shape, wa, ha):
     n, m = shape
     if wa.shape[0] != n or ha.shape[1] != m or wa.shape[1] != ha.shape[0]:
         raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {shape}")
-
-
-def euc_update_w_entry(v, w, h, set_w, a: int, b: int, lambda_w: float, mask=None) -> float:
-    """New value for W[a, b] under the Euclidean rule, factors as given."""
-    num, den = masked_update_terms(v, mask, w, h, Measure.EUCLIDEAN, "w")
-    wa = as_array(w)
-    _check_entry(wa.shape, a, b)
-    cpos = cneg = 0.0
-    if set_w is not None and len(set_w) and lambda_w > 0:
-        cpos, cneg = euc_penalty_grad(wa, set_w, a, b)
-    return float(wa[a, b] * (num[a, b] + lambda_w * cneg) / max(den[a, b] + lambda_w * cpos, EPS))
-
-
-def euc_update_h_entry(v, w, h, set_h, a: int, b: int, lambda_h: float, mask=None) -> float:
-    """New value for H[b, a]: ``a`` is the constrained column, ``b`` the latent row."""
-    num, den = masked_update_terms(v, mask, w, h, Measure.EUCLIDEAN, "h")
-    ha = as_array(h)
-    _check_entry((ha.shape[1], ha.shape[0]), a, b)
-    cpos = cneg = 0.0
-    if set_h is not None and len(set_h) and lambda_h > 0:
-        cpos, cneg = euc_penalty_grad(ha, set_h, a, b)
-    return float(ha[b, a] * (num[b, a] + lambda_h * cneg) / max(den[b, a] + lambda_h * cpos, EPS))
-
-
-def div_update_w_entry(v, w, h, set_w, a: int, b: int, lambda_w: float, mask=None) -> float:
-    """New value for W[a, b] under the divergence rule with negative-denominator fallback."""
-    num, den = masked_update_terms(v, mask, w, h, Measure.DIVERGENCE, "w")
-    wa = as_array(w)
-    _check_entry(wa.shape, a, b)
-    plain = float(den[a, b])
-    if set_w is not None and len(set_w) and lambda_w > 0:
-        p = div_penalty_grad(wa, set_w, a, b)
-        penalised = 0.5 * lambda_w * p + plain
-        if penalised >= 0:
-            return float(wa[a, b] * num[a, b] / max(penalised, EPS))
-    return float(wa[a, b] * num[a, b] / max(plain, EPS))
-
-
-def div_update_h_entry(v, w, h, set_h, a: int, b: int, lambda_h: float, mask=None) -> float:
-    """Mirror of :func:`div_update_w_entry` for H[b, a]."""
-    num, den = masked_update_terms(v, mask, w, h, Measure.DIVERGENCE, "h")
-    ha = as_array(h)
-    _check_entry((ha.shape[1], ha.shape[0]), a, b)
-    plain = float(den[b, a])
-    if set_h is not None and len(set_h) and lambda_h > 0:
-        p = div_penalty_grad(ha, set_h, a, b)
-        penalised = 0.5 * lambda_h * p + plain
-        if penalised >= 0:
-            return float(ha[b, a] * num[b, a] / max(penalised, EPS))
-    return float(ha[b, a] * num[b, a] / max(plain, EPS))
-
-
-def _check_entry(shape, a, b):
-    if not (0 <= a < shape[0]) or not (0 <= b < shape[1]):
-        raise IndexOutOfRangeError(f"entry ({a}, {b}) outside factor of shape {shape}")
 
 
 def objective(v, w, h, sets, config: SolverConfig) -> float:
@@ -402,68 +326,62 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
         cells.require_coverage()
 
     rng = np.random.default_rng(config.seed)
-    state = SolverState(
-        w=rng.uniform(config.init_low, config.init_high, size=(n, config.k)),
-        h=rng.uniform(config.init_low, config.init_high, size=(config.k, m)),
-        current_lambda_w=config.lambda_w,
-        current_lambda_h=config.lambda_h,
-    )
+    w = rng.uniform(config.init_low, config.init_high, size=(n, config.k))
+    h = rng.uniform(config.init_low, config.init_high, size=(config.k, m))
+    lam_w, lam_h = config.lambda_w, config.lambda_h
     prep_w = _PreparedSet(set_w, n) if set_w is not None and len(set_w) else None
     prep_h = _PreparedSet(set_h, m) if set_h is not None and len(set_h) else None
     measure = config.measure
 
     def current_objective():
-        return _objective_value(
-            va, state.w, state.h, set_w, set_h,
-            state.current_lambda_w, state.current_lambda_h, measure, cells,
-        )
+        return _objective_value(va, w, h, set_w, set_h, lam_w, lam_h, measure, cells)
 
     # wh is W @ H at the observed cells for the current factors (None if
     # unmasked): the objective computes it, the next W-side terms reuse it
     accepted, wh = current_objective()
-    state.objective_trace.append(accepted)
+    trace = [accepted]
+    rollback_iters = []
 
     for it in range(1, config.max_iters + 1):
-        state.iteration = it
         if config.adapt_lambda:
-            state.last_accepted = (state.w.copy(), state.h.copy())
-        num, den = masked_update_terms(va, cells, state.w, state.h, measure, "w", wh)
-        _sweep(state.w, num, den, prep_w, state.current_lambda_w, measure)
-        num, den = masked_update_terms(va, cells, state.w, state.h, measure, "h")
-        _sweep(state.h.T, num.T, den.T, prep_h, state.current_lambda_h, measure)
+            last_accepted = (w.copy(), h.copy())
+        num, den = masked_update_terms(va, cells, w, h, measure, "w", wh)
+        _sweep(w, num, den, prep_w, lam_w, measure)
+        num, den = masked_update_terms(va, cells, w, h, measure, "h")
+        _sweep(h.T, num.T, den.T, prep_h, lam_h, measure)
         obj, new_wh = current_objective()
         if config.adapt_lambda:
             if obj <= accepted * (1.0 + ACCEPT_REL_SLACK) + ACCEPT_REL_SLACK:
                 rel_change = abs(obj - accepted) / max(abs(accepted), EPS)
                 accepted, wh = obj, new_wh
-                state.objective_trace.append(obj)
-                state.current_lambda_w *= 1.01
-                state.current_lambda_h *= 1.01
+                trace.append(obj)
+                lam_w *= 1.01
+                lam_h *= 1.01
                 if rel_change < config.rel_tol:
                     break
             else:
-                state.w[:], state.h[:] = state.last_accepted  # wh still matches them
-                state.current_lambda_w *= 0.5
-                state.current_lambda_h *= 0.5
-                state.rollback_iters.append(it)
-                state.objective_trace.append(accepted)
+                w[:], h[:] = last_accepted  # wh still matches them
+                lam_w *= 0.5
+                lam_h *= 0.5
+                rollback_iters.append(it)
+                trace.append(accepted)
         else:
             wh = new_wh
-            prev = state.objective_trace[-1]
-            state.objective_trace.append(obj)
+            prev = trace[-1]
+            trace.append(obj)
             if abs(obj - prev) / max(abs(prev), EPS) < config.rel_tol:
                 break
 
     final_csr = None
     if (set_w is not None and len(set_w)) or (set_h is not None and len(set_h)):
-        final_csr = csr_of(set_w, state.w, set_h, state.h, measure)
+        final_csr = csr_of(set_w, w, set_h, h, measure)
     return FactorisationReport(
-        w=DenseMatrix(state.w),
-        h=DenseMatrix(state.h),
-        iterations=len(state.objective_trace) - 1,
-        final_objective=state.objective_trace[-1],
-        objective_trace=state.objective_trace,
+        w=DenseMatrix(w),
+        h=DenseMatrix(h),
+        iterations=len(trace) - 1,
+        final_objective=trace[-1],
+        objective_trace=trace,
         csr=final_csr,
-        rollback_iters=state.rollback_iters,
+        rollback_iters=rollback_iters,
         wall_time_s=time.perf_counter() - t_start,
     )

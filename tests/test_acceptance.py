@@ -24,9 +24,7 @@ from rprnmf import (
     Target,
     constraints_to_label_matrix,
     constraints_to_weight_matrix,
-    div_penalty_grad,
     div_penalty_value,
-    euc_penalty_grad,
     euc_penalty_value,
     f1_score,
     nmi,
@@ -37,6 +35,8 @@ from rprnmf import (
 from rprnmf.cli import main as cli_main
 from rprnmf.matrix import EPS
 from rprnmf.metrics import clustering_accuracy
+
+from oracles import div_penalty_grad, euc_penalty_grad
 
 THREADS = str(min(2, os.cpu_count() or 1))
 

@@ -14,19 +14,22 @@ from rprnmf import (
     csr,
     euclidean_sq,
     generate_chain_constraints,
-    is_satisfied,
     read_constraints,
     symmetric_divergence,
     write_constraints,
 )
+from rprnmf import constraints
 from rprnmf.constraints import InvalidTripleError, satisfaction_flags
 from rprnmf.exceptions import (
     CycleDetectedError,
     InsufficientIndicesError,
+    InvalidRangeError,
     LengthMismatchError,
     MalformedLineError,
     NoConstraintsError,
 )
+
+from oracles import is_satisfied
 
 
 def kl(x, y):
@@ -204,6 +207,19 @@ class TestChainGeneration:
         gt = DenseMatrix(np.random.default_rng(10).uniform(0, 1, (3, 10)))
         with pytest.raises(InsufficientIndicesError):
             generate_chain_constraints(gt, Target.H_COLS, 5, 2, Measure.EUCLIDEAN, seed=0)
+
+    def test_long_chain_rejected_before_any_search(self, monkeypatch):
+        def no_search(dist):
+            raise AssertionError("ordering search ran")
+
+        monkeypatch.setattr(constraints, "_increasing_ordering", no_search)
+        gt = DenseMatrix(np.random.default_rng(12).uniform(0, 1, (4, 60)))
+        too_long = constraints.MAX_CHAIN_LEN + 1
+        # the valid first chain is not searched either: every length is checked first
+        with pytest.raises(InvalidRangeError, match="chain_len"):
+            constraints.generate_chain_plan(gt, Target.H_COLS, [3, too_long], Measure.EUCLIDEAN, 0)
+        with pytest.raises(InvalidRangeError, match="chain_len"):
+            generate_chain_constraints(gt, Target.H_COLS, too_long, 1, Measure.DIVERGENCE, seed=0)
 
     def test_generated_set_has_full_csr_on_ground_truth(self):
         gt = DenseMatrix(np.random.default_rng(11).uniform(0, 1, (8, 70)))

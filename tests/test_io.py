@@ -245,7 +245,7 @@ class TestReport:
         path = tmp_path / "r.json"
         write_report(path, report, cfg, {"msl": 0.5})
         raw = json.loads(path.read_text())
-        for key in ("rmse", "f1", "acc", "nmi", "md"):
+        for key in ("rmse", "f1", "md"):
             assert raw[key] is None
 
     def test_trace_length_contract(self, tmp_path):

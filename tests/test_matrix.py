@@ -3,47 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from rprnmf import DenseMatrix, MaskMatrix, frobenius_sq_diff, matmul, matrix_divergence, new_nonneg, random_init
-from rprnmf.exceptions import (
-    InvalidRangeError,
-    NegativeEntryError,
-    NonPositiveModelEntryError,
-    ShapeMismatchError,
-)
-
-
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
+from rprnmf import DenseMatrix, MaskMatrix, frobenius_sq_diff, matrix_divergence
+from rprnmf.exceptions import NonPositiveModelEntryError, ShapeMismatchError
 
 
 class TestConstruction:
     def test_zero_matrix_is_valid(self):
-        m = new_nonneg(1, 1, [0.0])
+        m = DenseMatrix([[0.0]])
         assert m.rows == 1 and m.cols == 1
         assert m[0, 0] == 0.0
 
     def test_direct_construction(self):
-        m = new_nonneg(2, 2, [1, 2, 3, 4])
+        m = DenseMatrix([[1, 2], [3, 4]])
         assert m[1, 0] == 3.0
         assert list(m.data) == [1.0, 2.0, 3.0, 4.0]
 
-    def test_negative_entry_rejected_with_index(self):
-        with pytest.raises(NegativeEntryError) as exc:
-            new_nonneg(1, 2, [1, -1])
-        assert exc.value.index == 1
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            new_nonneg(2, 2, [1, 2, 3])
+    def test_not_a_nonempty_2d_array_rejected(self):
+        for bad in ([1.0, 2.0], [[[1.0]]], np.zeros((0, 3))):
+            with pytest.raises(ShapeMismatchError):
+                DenseMatrix(bad)
 
     def test_general_constructor_permits_signed(self):
         m = DenseMatrix([[1.0, -2.0]])
@@ -52,52 +30,6 @@ class TestConstruction:
     def test_mask_rejects_non_binary(self):
         with pytest.raises(ShapeMismatchError):
             MaskMatrix([[0.0, 0.5]])
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = DenseMatrix([[1, 2], [3, 4]])
-        eye = DenseMatrix(np.eye(2))
-        assert np.array_equal(matmul(eye, a).a, a.a)
-
-    def test_direct_arithmetic(self):
-        out = matmul(DenseMatrix([[1, 2]]), DenseMatrix([[3], [4]]))
-        assert out[0, 0] == pytest.approx(11.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            matmul(DenseMatrix([[1, 2]]), DenseMatrix([[1, 2]]))
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            n, k, m = rng.integers(1, 8, size=3)
-            a = rng.uniform(-1e3, 1e3, (n, k))
-            b = rng.uniform(-1e3, 1e3, (k, m))
-            got = matmul(DenseMatrix(a), DenseMatrix(b)).a
-            want = naive_matmul(a, b)
-            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-class TestRandomInit:
-    def test_same_seed_bitwise_equal(self):
-        a = random_init(3, 4, seed=7)
-        b = random_init(3, 4, seed=7)
-        assert np.array_equal(a.a, b.a)
-
-    def test_range(self):
-        m = random_init(2, 2, seed=7, low=0.1, high=1.0)
-        assert np.all(m.a >= 0.1) and np.all(m.a < 1.0)
-
-    def test_empirical_mean(self):
-        m = random_init(100, 100, seed=3, low=0.2, high=0.8)
-        assert abs(m.a.mean() - 0.5) < 0.02
-
-    def test_invalid_range(self):
-        with pytest.raises(InvalidRangeError):
-            random_init(2, 2, seed=0, low=0.0, high=1.0)
-        with pytest.raises(InvalidRangeError):
-            random_init(2, 2, seed=0, low=1.0, high=0.5)
 
 
 class TestFrobenius:

@@ -9,14 +9,13 @@ from rprnmf import (
     Measure,
     Target,
     csr,
-    div_penalty_grad,
     div_penalty_value,
-    euc_penalty_grad,
     euc_penalty_value,
     symmetric_divergence,
 )
 from rprnmf.exceptions import IndexOutOfRangeError, PenaltyOverflowError
-from rprnmf.penalties import g_kernel
+
+from oracles import div_penalty_grad, euc_penalty_grad, g_kernel
 
 
 def random_set(rng, dim, count, target=Target.W_ROWS):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +5,12 @@ from hypothesis import strategies as st
 
 from rprnmf import (
     ConstraintSet,
-    ConstraintTriple,
     DenseMatrix,
     MaskMatrix,
     Measure,
     Target,
     div_penalty_value,
-    div_update_h_entry,
-    div_update_w_entry,
     euc_penalty_value,
-    euc_update_h_entry,
-    euc_update_w_entry,
     frobenius_sq_diff,
     masked_update_terms,
     matrix_divergence,
@@ -34,6 +27,8 @@ from rprnmf.exceptions import (
 )
 from rprnmf.matrix import EPS
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
+
+from oracles import div_penalty_grad, reference_ordered_sweep
 
 # ---------------------------------------------------------------- oracles
 
@@ -64,73 +59,20 @@ def dense_masked_terms(v, bits, w, h, measure, side):
 
 
 def dense_masked_fit(v, bits, w, h, measure):
-    """Masked data fit summed over the dense N x M matrix, unobserved cells zeroed."""
+    """Masked data fit summed over the dense N x M matrix, unobserved cells zeroed.
+
+    Also returns the summed size of the parts each cell's term is formed
+    from.  A few ulps of difference in a cell's model (W @ H by BLAS here, by
+    row dots in the package) move the fit by about 1e-16 of that size, which
+    can exceed 1e-12 of the fit itself when the parts cancel to near zero.
+    """
     wh = w @ h
     if measure is Measure.EUCLIDEAN:
         d = bits * (v - wh)
-        return float(np.sum(d * d))
+        return float(np.sum(d * d)), float(np.sum(bits * (v * v + wh * wh)))
     wc = np.maximum(wh, EPS)
     lg = np.where(v > 0, v * np.log(np.maximum(v, EPS) / wc), 0.0)
-    return float(np.sum(bits * (lg - v + wc)))
-
-
-def reference_ordered_sweep(fac, num, den, cset, lam, measure):
-    """Literal sequential reference: latent columns outer, every index inner,
-    penalties recomputed fresh from the live factor at every entry."""
-    nvec, kdim = fac.shape
-    q0, r0, s0 = cset.index_arrays()
-
-    def dist(x, y):
-        if measure is Measure.EUCLIDEAN:
-            d = x - y
-            return float(np.dot(d, d))
-        xc, yc = np.maximum(x, EPS), np.maximum(y, EPS)
-        return float(0.5 * np.sum((xc - yc) * np.log(xc / yc)))
-
-    def g(x, y):
-        x, y = max(x, EPS), max(y, EPS)
-        return math.log(x / y) + (x - y) / x
-
-    for k in range(kdim):
-        for a in range(nvec):
-            old = fac[a, k]
-            if measure is Measure.EUCLIDEAN:
-                cpos = cneg = 0.0
-                for l in range(len(q0)):
-                    if a not in (q0[l], r0[l], s0[l]):
-                        continue
-                    e1 = math.exp(dist(fac[q0[l]], fac[r0[l]]))
-                    e2 = math.exp(-dist(fac[q0[l]], fac[s0[l]]))
-                    wq, wr, ws = fac[q0[l], k], fac[r0[l], k], fac[s0[l], k]
-                    if a == q0[l]:
-                        cpos += e1 * wq + e2 * ws
-                        cneg += e1 * wr + e2 * wq
-                    elif a == r0[l]:
-                        cpos += e1 * wr
-                        cneg += e1 * wq
-                    else:
-                        cpos += e2 * wq
-                        cneg += e2 * ws
-                fac[a, k] = old * (num[a, k] + lam * cneg) / max(den[a, k] + lam * cpos, EPS)
-            else:
-                p = 0.0
-                for l in range(len(q0)):
-                    if a not in (q0[l], r0[l], s0[l]):
-                        continue
-                    if dist(fac[q0[l]], fac[r0[l]]) < dist(fac[q0[l]], fac[s0[l]]):
-                        continue
-                    wq, wr, ws = fac[q0[l], k], fac[r0[l], k], fac[s0[l], k]
-                    if a == q0[l]:
-                        p += g(wq, wr) - g(wq, ws)
-                    elif a == r0[l]:
-                        p += g(wr, wq)
-                    else:
-                        p -= g(ws, wq)
-                pen = 0.5 * lam * p + den[a, k]
-                if pen < 0:
-                    fac[a, k] = old * num[a, k] / max(den[a, k], EPS)
-                else:
-                    fac[a, k] = old * num[a, k] / max(pen, EPS)
+    return float(np.sum(bits * (lg - v + wc))), float(np.sum(bits * (np.abs(lg) + v + wc)))
 
 
 def random_instance(rng, n=12, m=9, k=4):
@@ -188,10 +130,10 @@ class TestUpdateTerms:
         v2 = np.where(bits > 0, v, rng.uniform(0.0, 1e6, v.shape))
         for measure in Measure:
             config = SolverConfig(k=k, measure=measure, mask=MaskMatrix(bits))
-            fit = dense_masked_fit(v, bits, w, h, measure)
+            fit, size = dense_masked_fit(v, bits, w, h, measure)
             for data in (v, v2):
                 got = objective(data, w, h, (None, None), config)
-                assert got == pytest.approx(fit, rel=1e-12, abs=1e-300)
+                assert got == pytest.approx(fit, rel=1e-12, abs=max(1e-12 * size, 1e-300))
             for side in ("w", "h"):
                 want = dense_masked_terms(v, bits, w, h, measure, side)
                 for data in (v, v2):
@@ -204,26 +146,37 @@ class TestUpdateTerms:
 # --------------------------------------------------------- per-entry ops
 
 
+def sweep_side(v, w, h, cset, lam, measure, side):
+    """One sweep of one side, as run() does it: terms at the sweep start, H
+    swept through its transposed view.  Updates ``w`` or ``h`` in place."""
+    num, den = masked_update_terms(v, None, w, h, measure, side)
+    if side == "w":
+        prep = _PreparedSet(cset, w.shape[0]) if cset is not None else None
+        _sweep(w, num, den, prep, lam, measure)
+    else:
+        prep = _PreparedSet(cset, h.shape[1]) if cset is not None else None
+        _sweep(h.T, num.T, den.T, prep, lam, measure)
+
+
 class TestEntryUpdates:
     def test_euc_single_entry_exact_step(self):
-        v = DenseMatrix([[1.0]])
-        w = DenseMatrix([[0.5]])
-        h = DenseMatrix([[1.0]])
-        assert euc_update_w_entry(v, w, h, None, 0, 0, 0.0) == pytest.approx(1.0)
+        w = np.array([[0.5]])
+        sweep_side(np.array([[1.0]]), w, np.array([[1.0]]), None, 0.0, Measure.EUCLIDEAN, "w")
+        assert w[0, 0] == pytest.approx(1.0)
 
     def test_div_single_entry_exact_step(self):
-        v = DenseMatrix([[1.0]])
-        w = DenseMatrix([[0.5]])
-        h = DenseMatrix([[1.0]])
-        assert div_update_w_entry(v, w, h, None, 0, 0, 0.0) == pytest.approx(1.0)
+        w = np.array([[0.5]])
+        sweep_side(np.array([[1.0]]), w, np.array([[1.0]]), None, 0.0, Measure.DIVERGENCE, "w")
+        assert w[0, 0] == pytest.approx(1.0)
 
     def test_untouched_entry_equals_classic(self):
         rng = np.random.default_rng(3)
         v, w, h = random_instance(rng)
         cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
         wc, _ = classic_euc_step(v, w.copy(), h.copy())
-        got = euc_update_w_entry(v, w, h, cset, 5, 1, lambda_w=2.0)
-        assert got == pytest.approx(wc[5, 1], rel=1e-12)
+        sweep_side(v, w, h, cset, 2.0, Measure.EUCLIDEAN, "w")
+        assert w[5, 1] == pytest.approx(wc[5, 1], rel=1e-12)
+        assert np.allclose(w[3:], wc[3:], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("measure", list(Measure))
     def test_full_sweep_matches_classic_at_lambda_zero(self, measure):
@@ -233,59 +186,54 @@ class TestEntryUpdates:
         h = rng.uniform(0.05, 1.5, (3, 4))
         if measure is Measure.EUCLIDEAN:
             wc = w * (v @ h.T) / np.maximum(w @ (h @ h.T), EPS)
-            new = np.array([[euc_update_w_entry(v, w, h, None, a, b, 0.0)
-                             for b in range(3)] for a in range(5)])
         else:
             wc = w * ((v / np.maximum(w @ h, EPS)) @ h.T) / np.maximum(h.sum(axis=1), EPS)
-            new = np.array([[div_update_w_entry(v, w, h, None, a, b, 0.0)
-                             for b in range(3)] for a in range(5)])
-        assert np.max(np.abs(new - wc)) <= 1e-12
+        # a constraint set with a zero coefficient is inert too
+        for cset in (None, ConstraintSet(Target.W_ROWS, [(1, 2, 3), (3, 4, 5)])):
+            new = w.copy()
+            sweep_side(v, new, h, cset, 0.0, measure, "w")
+            assert np.max(np.abs(new - wc)) <= 1e-12
 
     @pytest.mark.parametrize("measure", list(Measure))
     def test_h_update_transpose_duality(self, measure):
         rng = np.random.default_rng(5)
         v, w, h = random_instance(rng, 7, 6, 3)
         triples = [(1, 2, 3), (4, 5, 6)]
-        set_h = ConstraintSet(Target.H_COLS, triples)
-        set_w = ConstraintSet(Target.W_ROWS, triples)
-        for a in range(6):
-            for b in range(3):
-                if measure is Measure.EUCLIDEAN:
-                    direct = euc_update_h_entry(v, w, h, set_h, a, b, 0.7)
-                    dual = euc_update_w_entry(v.T, h.T, w.T, set_w, a, b, 0.7)
-                else:
-                    direct = div_update_h_entry(v, w, h, set_h, a, b, 0.7)
-                    dual = div_update_w_entry(v.T, h.T, w.T, set_w, a, b, 0.7)
-                assert direct == pytest.approx(dual, rel=1e-12)
+        direct = h.copy()
+        sweep_side(v, w, direct, ConstraintSet(Target.H_COLS, triples), 0.7, measure, "h")
+        dual = h.T.copy()
+        sweep_side(v.T, dual, w.T, ConstraintSet(Target.W_ROWS, triples), 0.7, measure, "w")
+        assert np.allclose(direct.T, dual, rtol=1e-12, atol=0)
 
     def test_zero_column_denominator_floored(self):
         # an all-zero latent column in W floors the H-update denominator at EPS
-        # instead of dividing by zero; the numerator is zero too, so the entry
-        # lands at zero rather than blowing up
-        v = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
+        # instead of dividing by zero; the numerator is zero too, so the entries
+        # land at zero rather than blowing up
+        v = np.array([[1.0, 2.0], [3.0, 4.0]])
         w = np.array([[0.5, 0.0], [0.25, 0.0]])
         h = np.array([[1.0, 1.0], [1.0, 1.0]])
-        got = euc_update_h_entry(v, w, h, None, 0, 1, 0.0)
-        assert math.isfinite(got)
-        assert got == 0.0
+        sweep_side(v, w, h, None, 0.0, Measure.EUCLIDEAN, "h")
+        assert np.all(np.isfinite(h))
+        assert np.array_equal(h[1], [0.0, 0.0])
 
     def test_div_fallback_drops_penalty(self):
-        # force 0.5*lam*P + sum(H) < 0 through a strongly negative P
-        v = DenseMatrix([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        w = np.array([[1.0], [0.2], [5.0]])
+        # force 0.5*lam*P + sum(H) < 0 through a strongly negative P at the
+        # s-anchored row; s is the lowest index, so the sweep updates it first,
+        # from the factor as given
+        v = np.ones((3, 2))
         h = np.array([[0.1, 0.1]])
-        cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])  # SD(1,2) vs SD(1,3): violated or not
-        # make it violated: rows 1 and 2 far apart, rows 1 and 3 close
-        w = np.array([[1.0], [0.01], [1.05]])
+        cset = ConstraintSet(Target.W_ROWS, [(2, 3, 1)])
+        # violated: q (row 2) is far from r (row 3) and close to s (row 1)
+        w = np.array([[1.05], [1.0], [0.01]])
         lam = 1e4
-        from rprnmf import div_penalty_grad
-        p = div_penalty_grad(DenseMatrix(w), cset, 2, 0)  # s-anchored: negative
+        p = div_penalty_grad(w, cset, 0, 0)
         assert p < 0
         plain_den = h.sum(axis=1)[0]
         assert 0.5 * lam * p + plain_den < 0
-        got = div_update_w_entry(v, w, h, cset, 2, 0, lam)
-        num = ((v.a / np.maximum(w @ h, EPS)) @ h.T)[2, 0]
-        assert got == pytest.approx(w[2, 0] * num / plain_den, rel=1e-12)
+        num = ((v / np.maximum(w @ h, EPS)) @ h.T)[0, 0]
+        want = w[0, 0] * num / plain_den
+        sweep_side(v, w, h, cset, lam, Measure.DIVERGENCE, "w")
+        assert w[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------ full sweep
@@ -303,6 +251,27 @@ class TestOrderedSweep:
             _sweep(fast, num, den, _PreparedSet(cset, 12), 0.7, measure)
             slow = w.copy()
             reference_ordered_sweep(slow, np.asarray(num), np.asarray(den), cset, 0.7, measure)
+            assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 9), m=st.integers(3, 9), k=st.integers(1, 4),
+           n_triples=st.integers(1, 8), lam=st.floats(0.05, 2.0),
+           side=st.sampled_from(["w", "h"]), seed=st.integers(0, 2**32 - 1))
+    def test_sweep_matches_reference_property(self, n, m, k, n_triples, lam, side, seed):
+        rng = np.random.default_rng(seed)
+        v, w, h = random_instance(rng, n, m, k)
+        # W is swept as is, H through its transposed view, the way run() does
+        if side == "w":
+            start, dim, target, orient = w, n, Target.W_ROWS, (lambda a: a)
+        else:
+            start, dim, target, orient = h, m, Target.H_COLS, (lambda a: a.T)
+        cset = ConstraintSet(target, [tuple(rng.choice(dim, 3, replace=False) + 1)
+                                      for _ in range(n_triples)])
+        for measure in Measure:
+            num, den = masked_update_terms(v, None, w, h, measure, side)
+            fast, slow = start.copy(), start.copy()
+            _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset, dim), lam, measure)
+            reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, lam, measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
 
     def test_sweep_preserves_nonnegativity(self):
@@ -491,6 +460,9 @@ class TestRun:
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, lambda_w=-1.0)
         with pytest.raises(InvalidConfigError):
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, max_iters=0)
+        for low, high in ((0.0, 1.0), (1.0, 0.5)):
+            with pytest.raises(InvalidConfigError):
+                SolverConfig(k=2, measure=Measure.EUCLIDEAN, init_low=low, init_high=high)
 
     def test_adapt_lambda_follows_measure(self):
         assert not SolverConfig(k=2, measure=Measure.EUCLIDEAN).adapt_lambda
