@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .constraints import (
+    MAX_CHAIN_LEN,
     ConstraintSet,
     ConstraintTriple,
     Measure,
@@ -198,6 +199,12 @@ def _syn_run(task: dict) -> dict:
 
 
 def _syn1_tasks(args) -> list[dict]:
+    # a chain of t triples orders t + 1 distances
+    if not 0 <= args.triples_per_group <= MAX_CHAIN_LEN - 1:
+        raise UsageError(
+            f"--triples-per-group must be between 0 and {MAX_CHAIN_LEN - 1}, "
+            f"got {args.triples_per_group}"
+        )
     groups = [int(g) for g in args.groups.split(",")] if "," in str(args.groups) else list(
         range(1, int(args.groups) + 1))
     tasks = []

@@ -328,6 +328,15 @@ class TestThreads:
         assert err.count("\n") == 1 and "RPRNMF_THREADS" in err and "'abc'" in err
         assert not out.exists()
 
+    def test_triples_per_group_out_of_range_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "syn1.csv"
+        for tpg in (12, -1):
+            assert run_cli("syn1", "--out", out, "--groups", 1, "--reps", 1,
+                           "--triples-per-group", tpg) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--triples-per-group" in err and "11" in err
+        assert not out.exists()
+
     def test_parallel_matches_sequential(self, tmp_path):
         seq, par = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["--groups", 1, "--reps", 2, "--n", 20, "--m", 20, "--k", 3,
