@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -104,6 +105,46 @@ def _run_tasks(worker, tasks, threads):
         return [worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _check_args(args) -> None:
+    """Reject flag values no command can use, naming the flag (exit code 2).
+
+    Runs before the command does any work, so a long experiment cannot fail
+    at its end for want of a writable ``--out``.
+    """
+    for dest in ("k", "max_iters", "reps", "n", "m", "n_constraints"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{dest.replace('_', '-')} must be >= 1, got {value}")
+    for dest in ("rel_tol", "lambda_w", "lambda_h"):
+        value = getattr(args, dest, None)
+        if value is not None and not 0 <= value < math.inf:
+            raise UsageError(f"--{dest.replace('_', '-')} must be a finite number >= 0, got {value}")
+    measures = getattr(args, "measures", None)
+    if measures is not None and not set(measures.split(",")) <= {"euc", "div"}:
+        raise UsageError(f"--measures must be a comma list of euc and div, got {measures!r}")
+    out = getattr(args, "out", None)
+    if out:
+        parent = os.path.dirname(os.path.abspath(out))
+        if os.path.isdir(out):
+            raise UsageError(f"--out {out} is a directory")
+        if not os.path.isdir(parent):
+            raise UsageError(f"--out {out}: directory {parent} does not exist")
+        if not os.access(parent, os.W_OK) or (os.path.exists(out) and not os.access(out, os.W_OK)):
+            raise UsageError(f"--out {out} is not writable")
+
+
+def _number_list(flag: str, text: str, kind=int, low=1) -> list:
+    """The comma list of finite ``kind`` values >= ``low`` given to ``flag``."""
+    try:
+        values = [kind(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(low <= x < math.inf for x in values):
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{flag} must be a comma list of {noun} >= {low}, got {text!r}")
+    return values
 
 
 def _measure(name: str) -> Measure:
@@ -205,8 +246,9 @@ def _syn1_tasks(args) -> list[dict]:
             f"--triples-per-group must be between 0 and {MAX_CHAIN_LEN - 1}, "
             f"got {args.triples_per_group}"
         )
-    groups = [int(g) for g in args.groups.split(",")] if "," in str(args.groups) else list(
-        range(1, int(args.groups) + 1))
+    groups = _number_list("--groups", args.groups)
+    if len(groups) == 1 and "," not in args.groups:
+        groups = list(range(1, groups[0] + 1))
     tasks = []
     for g in groups:
         for rep in range(args.reps):
@@ -240,7 +282,8 @@ def cmd_syn1(args) -> int:
 
 
 def cmd_syn2(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    # each size holds at least one chain triple, which takes 3 columns
+    sizes = _number_list("--sizes", args.sizes, low=3)
     tasks = []
     for size in sizes:
         k = max(1, size // 5)
@@ -299,7 +342,8 @@ def default_lambda_grid() -> list[float]:
 
 
 def cmd_param_sweep(args) -> int:
-    grid = [float(x) for x in args.lambdas.split(",")] if args.lambdas else default_lambda_grid()
+    grid = (_number_list("--lambdas", args.lambdas, float, 0) if args.lambdas
+            else default_lambda_grid())
     tasks = []
     for gi, lam in enumerate(grid):
         for rep in range(args.reps):
@@ -368,6 +412,8 @@ def _cv_task(task: dict) -> dict:
 
 def cmd_crossvalidate(args) -> int:
     table = read_ratings(args.ratings, args.format)
+    if not table.ratings.size:
+        raise UsageError(f"--ratings {args.ratings}: no ratings in the file")
     v, observed = ratings_to_matrix(table)
     set_w = set_h = None
     if args.constraints:
@@ -548,6 +594,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)

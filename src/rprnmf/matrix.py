@@ -57,9 +57,6 @@ class DenseMatrix:
         """Entries in row-major order (flat view)."""
         return self.a.ravel()
 
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.a)
-
     def __getitem__(self, key):
         return self.a[key]
 
@@ -95,10 +92,6 @@ class MaskMatrix:
 
     def copy(self) -> "MaskMatrix":
         return MaskMatrix(self.bits)
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "MaskMatrix":
-        return cls(np.ones((rows, cols)))
 
     def require_coverage(self) -> None:
         """Reject masks with an all-zero row or column.

@@ -6,6 +6,21 @@ unconstrained case collapses exactly to the classic multiplicative rules),
 while penalty terms are re-evaluated from the freshest entries, walking
 latent columns outermost and constrained indices innermost.
 
+Within one latent column that pinned order is a sparse triangular
+dependency, so the sweep is level-scheduled the way sparse triangular solves
+are (Anderson & Saad 1989; Saltz 1990).  A constrained vector's level is
+1 + the highest level of the earlier vectors it shares a triple with.
+Vectors on one level share no triple and read exactly what the sequential
+walk reads, so a level is one numpy step: gathers of the column, the exp or
+hinge-log terms, ``np.bincount`` sums per vector, and conflict-free
+scatter-adds into the pair distances.  Levels narrower than
+``WIDTH_CROSSOVER`` are walked one vector at a time instead.  On 5000
+triples over 3706 vectors, k = 20 (21 levels of 472 down to 38 vectors, then
+a walk of 15), one H sweep took 32-40 ms (Euclidean) and 36-51 ms
+(divergence), against 370 ms and 563 ms for the vector-by-vector walk, on a
+2-core VM with BLAS on one thread.  Syn-1's chain sets (levels of at most
+about 21 vectors) are walked whole, as before.
+
 The divergence solver adapts its penalty coefficients: an iteration that
 increases the objective is rolled back and both coefficients are halved,
 otherwise they grow by 1%.  The Euclidean solver keeps its coefficients
@@ -17,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,10 +182,67 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
     return float(total), None if cells is None else wh
 
 
-class _PreparedSet:
-    """Constraint indices flattened for the inner sweep loop (all 0-based)."""
+# Levels at least this wide take one numpy step; narrower ones are walked.
+# Measured on levels of one triple per vector (where a walk is cheapest), k =
+# 20, 2-core VM: a level step cost 18-22 us (Euclidean) and 24-28 us
+# (divergence) at widths 4 to 40, a walk 1.0 and 1.4 us per vector, so they
+# met at a width of 20.  A level between walks also makes each walk copy its
+# slice of the column and distances in and out; on Syn-1's 70-vector chain
+# set one 20-wide level made the sweep 14% slower, which moves the crossover
+# to 24.
+WIDTH_CROSSOVER = 24
 
-    __slots__ = ("q", "r", "s", "touched", "adj", "n", "q_arr", "r_arr", "s_arr")
+
+class _Level(NamedTuple):
+    """Index arrays of one level step; index ``dim`` gathers the column's zero slot."""
+
+    vec: np.ndarray       # the level's vectors, ascending
+    pos: np.ndarray       # per (vector, triple) entry: its vector's place in ``vec``
+    tri: np.ndarray       # per entry: its triple
+    euc: np.ndarray       # (4, entries): Euclidean e1/e2 partners of cpos and cneg
+    div: np.ndarray       # (3, entries): x, y, z of the hinge log(x/y) + (x - y)/z
+    sign: np.ndarray      # per entry: +1, or -1 for an s-anchored hinge term
+    upd_pos: np.ndarray   # per distance the level changes: the vector's place
+    upd_slot: np.ndarray  # its slot in [d1; d2]
+    upd_other: np.ndarray # the vector at the pair's other end
+
+
+class _Walk(NamedTuple):
+    """A run of narrow levels, walked one vector at a time."""
+
+    walk: list            # (vector, [(triple, role), ...]) in ``touched`` order
+    vec: np.ndarray       # the walked vectors, in the same order
+    tris: np.ndarray      # every triple they are in: the distances the walk reads
+    nodes: np.ndarray     # every vector of those triples: the entries it reads
+
+
+def _walk(run: list, qrs: np.ndarray) -> _Walk:
+    run.sort()
+    tris = np.unique([l for _, links in run for l, _ in links])
+    return _Walk(walk=run, vec=np.array([a for a, _ in run]), tris=tris,
+                 nodes=np.unique(qrs[:3, tris]))
+
+
+# per role (q, r, s): which of (q, r, s, zero slot) each gather row reads
+_EUC_ROWS = np.array([[0, 1, 3], [2, 3, 0], [1, 0, 3], [0, 3, 2]])
+_DIV_ROWS = np.array([[2, 1, 2], [1, 0, 0], [0, 1, 2]])
+_DIV_SIGN = np.array([1.0, 1.0, -1.0])
+
+
+class _PreparedSet:
+    """Constraint indices and the level plan of the constrained sweep (0-based).
+
+    A touched vector's level is 1 + the highest level of the earlier vectors
+    (in ``touched`` order) that share a triple with it.  Vectors on one level
+    share no triple, and each sits above its earlier neighbours and below its
+    later ones, so sweeping level by level reads exactly the values the
+    sequential walk reads.  ``steps`` is that walk: a :class:`_Level` for each
+    level of at least ``WIDTH_CROSSOVER`` vectors, and a :class:`_Walk` for
+    each run of narrower levels between them.  Role 0/1/2 means a vector is
+    its triple's q/r/s.
+    """
+
+    __slots__ = ("q", "r", "s", "touched", "n", "q_arr", "r_arr", "s_arr", "steps")
 
     def __init__(self, cset: ConstraintSet, dim: int):
         cset.check_bounds(dim)
@@ -178,14 +251,87 @@ class _PreparedSet:
         self.q = q_arr.tolist()
         self.r = r_arr.tolist()
         self.s = s_arr.tolist()
-        self.n = len(cset)
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for l in range(self.n):
-            adj.setdefault(self.q[l], []).append((l, 0))
-            adj.setdefault(self.r[l], []).append((l, 1))
-            adj.setdefault(self.s[l], []).append((l, 2))
-        self.touched = sorted(adj)
-        self.adj = adj
+        n = self.n = len(cset)
+
+        # longest chain of earlier neighbours, by relaxing over each triple's
+        # three (earlier, later) pairs; triple indices are pairwise distinct,
+        # so this settles after (deepest level + 2) passes
+        lo = np.concatenate([np.minimum(q_arr, r_arr), np.minimum(q_arr, s_arr),
+                             np.minimum(r_arr, s_arr)])
+        hi = np.concatenate([np.maximum(q_arr, r_arr), np.maximum(q_arr, s_arr),
+                             np.maximum(r_arr, s_arr)])
+        level = np.zeros(dim, dtype=np.int64)
+        while True:
+            deeper = np.zeros(dim, dtype=np.int64)
+            np.maximum.at(deeper, hi, level[lo] + 1)
+            if np.array_equal(deeper, level):
+                break
+            level = deeper
+
+        # one entry per (vector, triple, role), ordered by level, vector, triple
+        ent_vec = np.concatenate([q_arr, r_arr, s_arr])
+        ent_tri = np.tile(np.arange(n), 3)
+        ent_role = np.repeat(np.arange(3), n)
+        order = np.lexsort((ent_tri, ent_vec, level[ent_vec]))
+        ent_vec, ent_tri, ent_role = ent_vec[order], ent_tri[order], ent_role[order]
+        ent_level = level[ent_vec]
+        starts = np.diff(ent_vec, prepend=-1) != 0
+        first = np.append(np.flatnonzero(starts), ent_vec.size)  # vector -> its entries
+        vecs = ent_vec[first[:-1]]
+        self.touched = np.sort(vecs).tolist()
+        vec_idx = np.cumsum(starts) - 1  # entry -> its vector's index in vecs
+        ent_bounds = np.flatnonzero(np.diff(ent_level, prepend=-1)).tolist() + [ent_vec.size]
+        vec_bounds = np.searchsorted(first, ent_bounds).tolist()
+
+        qrs = np.stack([q_arr, r_arr, s_arr, np.full(n, dim)])
+        ends = qrs[:, ent_tri]  # (q, r, s, zero slot) of each entry's triple
+        cols = np.arange(ent_vec.size)
+        euc = ends[_EUC_ROWS[:, ent_role], cols]
+        div = ends[_DIV_ROWS[:, ent_role], cols]
+        sign = _DIV_SIGN[ent_role]
+        # the pair distance the entry changes and the vector at the pair's
+        # other end: the q entry changes d1 and d2, r only d1, s only d2
+        other = np.where(ent_role == 0, ends[1:3], ends[0])
+
+        steps: list = []
+        run: list = []  # the narrow levels since the last wide one
+        for lv in range(len(ent_bounds) - 1):
+            e0, e1 = ent_bounds[lv], ent_bounds[lv + 1]
+            v0, v1 = vec_bounds[lv], vec_bounds[lv + 1]
+            if v1 - v0 < WIDTH_CROSSOVER:
+                links = list(zip(ent_tri[e0:e1].tolist(), ent_role[e0:e1].tolist()))
+                cuts = (first[v0:v1 + 1] - e0).tolist()
+                run += [(a, links[b:c]) for a, b, c in zip(vecs[v0:v1].tolist(), cuts, cuts[1:])]
+                continue
+            if run:
+                steps.append(_walk(run, qrs))
+                run = []
+            pos, tri, role = vec_idx[e0:e1] - v0, ent_tri[e0:e1], ent_role[e0:e1]
+            on_d1, on_d2 = role != 2, role != 1
+            steps.append(_Level(
+                vec=vecs[v0:v1], pos=pos, tri=tri,
+                euc=euc[:, e0:e1], div=div[:, e0:e1], sign=sign[e0:e1],
+                upd_pos=np.concatenate([pos[on_d1], pos[on_d2]]),
+                upd_slot=np.concatenate([tri[on_d1], n + tri[on_d2]]),
+                upd_other=np.concatenate([other[0, e0:e1][on_d1], other[1, e0:e1][on_d2]]),
+            ))
+        if run:
+            steps.append(_walk(run, qrs))
+        self.steps = steps
+
+
+def _prepare(cset: ConstraintSet | None, dim: int, lam: float) -> _PreparedSet | None:
+    """The sweep plan of a non-empty set with a positive coefficient, else None.
+
+    Coefficients only scale, so a side that starts at 0 stays unpenalised and
+    needs no plan; its set's bounds are still checked before any iteration.
+    """
+    if cset is None or not len(cset):
+        return None
+    if lam == 0:
+        cset.check_bounds(dim)
+        return None
+    return _PreparedSet(cset, dim)
 
 
 def _sd_term(x: float, y: float) -> float:
@@ -200,8 +346,11 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
 
     ``num``/``den`` are the sweep-start data-fit terms in the same
     orientation.  Unconstrained entries are applied in one vectorised step;
-    constrained entries walk the pinned order with distance caches kept
-    incrementally up to date, so penalties always see the freshest values.
+    constrained entries follow ``prep.steps``, latent column by latent column,
+    with the pair distances d1 = dis(q, r) and d2 = dis(q, s) kept up to date,
+    so penalties always see the freshest values.  A wide level is one numpy
+    step on ``colz``/``dd``; a walk updates one vector at a time on Python
+    list copies of them, and hands back only what it changed.
     """
     if prep is None or lam == 0.0 or prep.n == 0:
         fac *= num / np.maximum(den, EPS)
@@ -213,89 +362,150 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
     untouched[prep.touched] = False
     fac[untouched, :] = plain[untouched, :]
 
-    d1 = _pair_distances(fac, prep.q_arr, prep.r_arr, measure).tolist()
-    d2 = _pair_distances(fac, prep.q_arr, prep.s_arr, measure).tolist()
-    qs, rs, ss, adj = prep.q, prep.r, prep.s, prep.adj
+    n = prep.n
+    dd = np.concatenate([_pair_distances(fac, prep.q_arr, prep.r_arr, measure),
+                         _pair_distances(fac, prep.q_arr, prep.s_arr, measure)])
+    d1, d2 = dd[:n].tolist(), dd[n:].tolist()
+    # with a level in the plan, colz and dd hold the column and distances
+    # between steps, and each walk copies in what it reads and back what it
+    # changed; a plan of one walk works on the lists alone
+    synced = len(prep.steps) > 1 or isinstance(prep.steps[0], _Level)
+    qs, rs, ss = prep.q, prep.r, prep.s
     euclid = measure is Measure.EUCLIDEAN
     exp = math.exp
     log = math.log
+    colz = np.zeros(nvec + 1)  # the current latent column, then a zero slot
+    col = colz.tolist()
+    # each step's data-fit terms, one row per latent column (lists for walks)
+    fit = []
+    for step in prep.steps:
+        nk, dk = num[step.vec].T, den[step.vec].T
+        fit.append((nk, dk) if isinstance(step, _Level) else (nk.tolist(), dk.tolist()))
 
     for k in range(kdim):
-        col = fac[:, k].tolist()
-        nk = num[:, k].tolist()
-        dk = den[:, k].tolist()
-        for a in prep.touched:
-            old = col[a]
-            if euclid:
-                cpos = cneg = 0.0
-                for l, role in adj[a]:
-                    e = d1[l]
-                    if e > MAX_EXP:
-                        raise PenaltyOverflowError(e)
-                    e1 = exp(e)
-                    e2 = exp(-d2[l])
-                    wq = col[qs[l]]
-                    if role == 0:
-                        cpos += e1 * wq + e2 * col[ss[l]]
-                        cneg += e1 * col[rs[l]] + e2 * wq
-                    elif role == 1:
-                        cpos += e1 * old
-                        cneg += e1 * wq
-                    else:
-                        cpos += e2 * wq
-                        cneg += e2 * old
-                new = old * (nk[a] + lam * cneg) / max(dk[a] + lam * cpos, EPS)
-            else:
-                p = 0.0
-                for l, role in adj[a]:
-                    if d1[l] < d2[l]:
-                        continue
-                    wq = col[qs[l]]
-                    wq = wq if wq > EPS else EPS
-                    if role == 0:
-                        wr = col[rs[l]]
-                        wr = wr if wr > EPS else EPS
-                        ws = col[ss[l]]
-                        ws = ws if ws > EPS else EPS
-                        p += log(ws / wr) + (ws - wr) / wq
-                    elif role == 1:
-                        wr = col[rs[l]]
-                        wr = wr if wr > EPS else EPS
-                        p += log(wr / wq) + (wr - wq) / wr
-                    else:
-                        ws = col[ss[l]]
-                        ws = ws if ws > EPS else EPS
-                        p -= log(ws / wq) + (ws - wq) / ws
-                pen_den = 0.5 * lam * p + dk[a]
-                if pen_den < 0:
-                    new = old * nk[a] / max(dk[a], EPS)
+        if synced:
+            colz[:nvec] = fac[:, k]
+        else:
+            col = fac[:, k].tolist()
+        for step, (nk, dk) in zip(prep.steps, fit):
+            if isinstance(step, _Level):
+                old = colz[step.vec]
+                nk_v = nk[k]
+                dk_v = dk[k]
+                width = step.vec.size
+                if euclid:
+                    e = dd[step.tri]
+                    if e.max() > MAX_EXP:
+                        raise PenaltyOverflowError(float(e[np.argmax(e > MAX_EXP)]))
+                    e1 = np.exp(e)
+                    e2 = np.exp(-dd[n + step.tri])
+                    g = colz[step.euc]
+                    cpos = np.bincount(step.pos, e1 * g[0] + e2 * g[1], width)
+                    cneg = np.bincount(step.pos, e1 * g[2] + e2 * g[3], width)
+                    new = old * (nk_v + lam * cneg) / np.maximum(dk_v + lam * cpos, EPS)
                 else:
-                    new = old * nk[a] / max(pen_den, EPS)
-            col[a] = new
-            if new != old:
-                for l, role in adj[a]:
-                    if role == 0:
-                        other_r = col[rs[l]]
-                        other_s = col[ss[l]]
-                        if euclid:
-                            d1[l] += (other_r - new) ** 2 - (other_r - old) ** 2
-                            d2[l] += (other_s - new) ** 2 - (other_s - old) ** 2
+                    x, y, z = np.maximum(colz[step.div], EPS)
+                    t = (np.log(x / y) + (x - y) / z) * step.sign
+                    active = dd[step.tri] >= dd[n + step.tri]
+                    p = np.bincount(step.pos, np.where(active, t, 0.0), width)
+                    pen_den = 0.5 * lam * p + dk_v
+                    new = np.where(pen_den < 0, old * nk_v / np.maximum(dk_v, EPS),
+                                   old * nk_v / np.maximum(pen_den, EPS))
+                colz[step.vec] = new
+                other = colz[step.upd_other]
+                now, was = new[step.upd_pos], old[step.upd_pos]
+                if euclid:
+                    dd[step.upd_slot] += (other - now) ** 2 - (other - was) ** 2
+                else:
+                    co = np.maximum(other, EPS)
+                    cn = np.maximum(now, EPS)
+                    cw = np.maximum(was, EPS)
+                    dd[step.upd_slot] += (0.5 * (co - cn) * np.log(co / cn)
+                                          - 0.5 * (co - cw) * np.log(co / cw))
+                continue
+            if synced:
+                for a, x in zip(step.nodes.tolist(), colz[step.nodes].tolist()):
+                    col[a] = x
+                tris = step.tris.tolist()
+                for l, x, y in zip(tris, dd[step.tris].tolist(), dd[n + step.tris].tolist()):
+                    d1[l] = x
+                    d2[l] = y
+            for (a, links), nka, dka in zip(step.walk, nk[k], dk[k]):
+                old = col[a]
+                if euclid:
+                    cpos = cneg = 0.0
+                    for l, role in links:
+                        e = d1[l]
+                        if e > MAX_EXP:
+                            raise PenaltyOverflowError(e)
+                        e1 = exp(e)
+                        e2 = exp(-d2[l])
+                        wq = col[qs[l]]
+                        if role == 0:
+                            cpos += e1 * wq + e2 * col[ss[l]]
+                            cneg += e1 * col[rs[l]] + e2 * wq
+                        elif role == 1:
+                            cpos += e1 * old
+                            cneg += e1 * wq
                         else:
-                            d1[l] += _sd_term(other_r, new) - _sd_term(other_r, old)
-                            d2[l] += _sd_term(other_s, new) - _sd_term(other_s, old)
-                    elif role == 1:
-                        other = col[qs[l]]
-                        if euclid:
-                            d1[l] += (other - new) ** 2 - (other - old) ** 2
+                            cpos += e2 * wq
+                            cneg += e2 * old
+                    new = old * (nka + lam * cneg) / max(dka + lam * cpos, EPS)
+                else:
+                    p = 0.0
+                    for l, role in links:
+                        if d1[l] < d2[l]:
+                            continue
+                        wq = col[qs[l]]
+                        wq = wq if wq > EPS else EPS
+                        if role == 0:
+                            wr = col[rs[l]]
+                            wr = wr if wr > EPS else EPS
+                            ws = col[ss[l]]
+                            ws = ws if ws > EPS else EPS
+                            p += log(ws / wr) + (ws - wr) / wq
+                        elif role == 1:
+                            wr = col[rs[l]]
+                            wr = wr if wr > EPS else EPS
+                            p += log(wr / wq) + (wr - wq) / wr
                         else:
-                            d1[l] += _sd_term(other, new) - _sd_term(other, old)
+                            ws = col[ss[l]]
+                            ws = ws if ws > EPS else EPS
+                            p -= log(ws / wq) + (ws - wq) / ws
+                    pen_den = 0.5 * lam * p + dka
+                    if pen_den < 0:
+                        new = old * nka / max(dka, EPS)
                     else:
-                        other = col[qs[l]]
-                        if euclid:
-                            d2[l] += (other - new) ** 2 - (other - old) ** 2
+                        new = old * nka / max(pen_den, EPS)
+                col[a] = new
+                if new != old:
+                    for l, role in links:
+                        if role == 0:
+                            other_r = col[rs[l]]
+                            other_s = col[ss[l]]
+                            if euclid:
+                                d1[l] += (other_r - new) ** 2 - (other_r - old) ** 2
+                                d2[l] += (other_s - new) ** 2 - (other_s - old) ** 2
+                            else:
+                                d1[l] += _sd_term(other_r, new) - _sd_term(other_r, old)
+                                d2[l] += _sd_term(other_s, new) - _sd_term(other_s, old)
+                        elif role == 1:
+                            other = col[qs[l]]
+                            if euclid:
+                                d1[l] += (other - new) ** 2 - (other - old) ** 2
+                            else:
+                                d1[l] += _sd_term(other, new) - _sd_term(other, old)
                         else:
-                            d2[l] += _sd_term(other, new) - _sd_term(other, old)
-        fac[:, k] = col
+                            other = col[qs[l]]
+                            if euclid:
+                                d2[l] += (other - new) ** 2 - (other - old) ** 2
+                            else:
+                                d2[l] += _sd_term(other, new) - _sd_term(other, old)
+            if synced:
+                colz[step.vec] = [col[a] for a, _ in step.walk]
+                dd[step.tris] = [d1[l] for l in tris]
+                dd[n + step.tris] = [d2[l] for l in tris]
+        fac[:, k] = colz[:nvec] if synced else col
 
 
 def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: SolverConfig) -> FactorisationReport:
@@ -329,8 +539,8 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
     w = rng.uniform(config.init_low, config.init_high, size=(n, config.k))
     h = rng.uniform(config.init_low, config.init_high, size=(config.k, m))
     lam_w, lam_h = config.lambda_w, config.lambda_h
-    prep_w = _PreparedSet(set_w, n) if set_w is not None and len(set_w) else None
-    prep_h = _PreparedSet(set_h, m) if set_h is not None and len(set_h) else None
+    prep_w = _prepare(set_w, n, lam_w)
+    prep_h = _prepare(set_h, m, lam_h)
     measure = config.measure
 
     def current_objective():

@@ -347,3 +347,57 @@ class TestThreads:
         for r1, r2 in zip(rows_s, rows_p):
             r1.pop("wall_time_s"), r2.pop("wall_time_s")
             assert r1 == r2
+
+
+class TestUsageErrors:
+    """Flag values no command can use fail with exit code 2 before any task runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_tasks(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a task ran")
+        monkeypatch.setattr("rprnmf.cli._run_tasks", refuse)
+        monkeypatch.setattr("rprnmf.cli.run_solver", refuse)
+
+    def _exit_2_naming(self, capsys, name, *argv):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err
+        return err
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.csv"
+        err = self._exit_2_naming(capsys, "--out", "syn1", "--out", out, "--groups", 1, "--reps", 1)
+        assert str(out) in err
+        assert not out.parent.exists()
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        self._exit_2_naming(capsys, "--out", "syn2", "--out", tmp_path, "--sizes", 20)
+
+    @pytest.mark.parametrize("argv", [
+        ("syn1", "--groups", "0"), ("syn1", "--groups", "1,0"), ("syn1", "--groups", "x"),
+        ("syn2", "--sizes", "0"), ("syn2", "--sizes", "20,2"), ("syn2", "--sizes", ""),
+        ("param-sweep", "--lambdas", "0.4,-1"), ("param-sweep", "--lambdas", "nan"),
+        ("syn1", "--reps", "0"), ("syn2", "--measures", "euc,foo"),
+    ])
+    def test_empty_or_bad_sizes(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        self._exit_2_naming(capsys, argv[1], argv[0], "--out", out, *argv[1:])
+        assert not out.exists()
+
+    def test_empty_ratings_file(self, tmp_path, capsys):
+        ratings = tmp_path / "empty.dat"
+        ratings.write_text("# no ratings\n")
+        self._exit_2_naming(capsys, str(ratings), "crossvalidate", "--ratings", ratings,
+                            "--out", tmp_path / "cv.csv")
+
+    @pytest.mark.parametrize("command", ["factorize", "crossvalidate"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", 0), ("--max-iters", 0), ("--rel-tol", -1), ("--lambda-w", -1),
+        ("--lambda-h", -1), ("--lambda-h", "inf"),
+    ])
+    def test_solver_flag_out_of_range(self, tmp_path, capsys, command, flag, value):
+        # the input files do not exist: the flag is refused before any is read
+        inputs = (("--matrix", tmp_path / "v.csv") if command == "factorize"
+                  else ("--ratings", tmp_path / "r.dat", "--out", tmp_path / "cv.csv"))
+        self._exit_2_naming(capsys, flag, command, *inputs, flag, value)

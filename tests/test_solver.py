@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,13 @@ from rprnmf.exceptions import (
     InvalidConfigError,
     NegativeEntryError,
     NonFiniteEntryError,
+    PenaltyOverflowError,
     RprNmfError,
     ShapeMismatchError,
 )
 from rprnmf.matrix import EPS
-from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
+from rprnmf import solver
+from rprnmf.solver import SolverConfig, _Level, _PreparedSet, _sweep, _Walk
 
 from oracles import div_penalty_grad, reference_ordered_sweep
 
@@ -269,10 +273,78 @@ class TestOrderedSweep:
                                       for _ in range(n_triples)])
         for measure in Measure:
             num, den = masked_update_terms(v, None, w, h, measure, side)
-            fast, slow = start.copy(), start.copy()
-            _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset, dim), lam, measure)
+            slow = start.copy()
             reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, lam, measure)
+            # every level a numpy step, then every level walked
+            for crossover in (1, dim + 1):
+                with mock.patch.object(solver, "WIDTH_CROSSOVER", crossover):
+                    prep = _PreparedSet(cset, dim)
+                fast = start.copy()
+                _sweep(orient(fast), orient(num), orient(den), prep, lam, measure)
+                assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
+
+    @pytest.mark.parametrize("side", ["w", "h"])
+    def test_mixed_plan_matches_reference(self, side):
+        """300 vectors and 400 triples: wide levels as numpy steps, the narrow tail walked."""
+        rng = np.random.default_rng(11)
+        v, w, h = random_instance(rng, 300, 300, 2)
+        if side == "w":
+            start, target, orient = w, Target.W_ROWS, (lambda a: a)
+        else:
+            start, target, orient = h, Target.H_COLS, (lambda a: a.T)
+        cset = ConstraintSet(target, [tuple(rng.choice(300, 3, replace=False) + 1)
+                                      for _ in range(400)])
+        prep = _PreparedSet(cset, 300)
+        kinds = [type(step) for step in prep.steps]
+        assert _Level in kinds and _Walk in kinds
+        for measure in Measure:
+            num, den = masked_update_terms(v, None, w, h, measure, side)
+            fast, slow = start.copy(), start.copy()
+            _sweep(orient(fast), orient(num), orient(den), prep, 0.7, measure)
+            reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, 0.7, measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
+
+    @pytest.mark.parametrize("crossover", [1, solver.WIDTH_CROSSOVER])
+    def test_level_plan_invariants(self, crossover):
+        rng = np.random.default_rng(12)
+        dim = 200
+        triples = [tuple(rng.choice(dim, 3, replace=False) + 1) for _ in range(300)]
+        with mock.patch.object(solver, "WIDTH_CROSSOVER", crossover):
+            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim)
+        # a vector's place in the sweep: (step, place within a walk)
+        place = {}
+        for i, step in enumerate(prep.steps):
+            if isinstance(step, _Level):
+                assert step.vec.size >= crossover
+                assert len(set(step.tri.tolist())) == step.tri.size  # no triple twice
+                members = [(a, (i, 0)) for a in step.vec.tolist()]
+            else:
+                members = [(a, (i, j)) for j, (a, _) in enumerate(step.walk)]
+            for a, key in members:
+                assert a not in place
+                place[a] = key
+        assert sorted(place) == prep.touched == sorted({x - 1 for t in triples for x in t})
+        # each vector comes after every earlier neighbour and before every later one
+        for t in triples:
+            keys = [place[x - 1] for x in sorted(t)]
+            assert keys[0] < keys[1] < keys[2]
+        if crossover == 1:
+            # and the level is exactly 1 + the highest level of its earlier neighbours
+            below = {a: -1 for a in place}
+            for t in triples:
+                lo, mid, hi = sorted(x - 1 for x in t)
+                below[mid] = max(below[mid], place[lo][0])
+                below[hi] = max(below[hi], place[lo][0], place[mid][0])
+            assert all(place[a][0] == below[a] + 1 for a in place)
+
+    def test_overflow_raised_on_level_step(self):
+        w = np.array([[0.0], [30.0], [1.0]])
+        num = den = np.ones_like(w)
+        with mock.patch.object(solver, "WIDTH_CROSSOVER", 1):
+            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)
+        assert all(isinstance(step, _Level) for step in prep.steps)
+        with pytest.raises(PenaltyOverflowError):
+            _sweep(w, num, den, prep, 1.0, Measure.EUCLIDEAN)
 
     def test_sweep_preserves_nonnegativity(self):
         rng = np.random.default_rng(7)
