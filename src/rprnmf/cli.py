@@ -240,15 +240,20 @@ def _syn_run(task: dict) -> dict:
 
 
 def _syn1_tasks(args) -> list[dict]:
-    # a chain of t triples orders t + 1 distances
-    if not 0 <= args.triples_per_group <= MAX_CHAIN_LEN - 1:
+    # a chain of t triples orders t + 1 distances between t + 2 columns
+    per_group = args.triples_per_group
+    if not 1 <= per_group <= MAX_CHAIN_LEN - 1:
         raise UsageError(
-            f"--triples-per-group must be between 0 and {MAX_CHAIN_LEN - 1}, "
-            f"got {args.triples_per_group}"
+            f"--triples-per-group must be between 1 and {MAX_CHAIN_LEN - 1}, got {per_group}"
         )
     groups = _number_list("--groups", args.groups)
     if len(groups) == 1 and "," not in args.groups:
         groups = list(range(1, groups[0] + 1))
+    if max(groups) * (per_group + 2) > args.m:
+        raise UsageError(
+            f"--groups {max(groups)} with --triples-per-group {per_group} needs "
+            f"--m >= {max(groups) * (per_group + 2)}, got {args.m}"
+        )
     tasks = []
     for g in groups:
         for rep in range(args.reps):
@@ -344,6 +349,13 @@ def default_lambda_grid() -> list[float]:
 def cmd_param_sweep(args) -> int:
     grid = (_number_list("--lambdas", args.lambdas, float, 0) if args.lambdas
             else default_lambda_grid())
+    # each side holds n_constraints disjoint triples of 3 indices
+    n_constraints = args.n_constraints or max(1, args.n // 10)
+    if 3 * n_constraints > min(args.n, args.m):
+        raise UsageError(
+            f"--n-constraints {n_constraints} needs --n and --m >= {3 * n_constraints}, "
+            f"got --n {args.n} --m {args.m}"
+        )
     tasks = []
     for gi, lam in enumerate(grid):
         for rep in range(args.reps):
@@ -351,7 +363,7 @@ def cmd_param_sweep(args) -> int:
                 tasks.append({
                     "seed": args.seed, "grid_index": gi, "rep": rep, "measure": meas,
                     "lam": lam, "n": args.n, "m": args.m, "k": args.k,
-                    "n_constraints": args.n_constraints or max(1, args.n // 10),
+                    "n_constraints": n_constraints,
                     "max_iters": args.max_iters, "rel_tol": args.rel_tol,
                 })
     rows = _run_tasks(_sweep_run, tasks, _threads(args))

@@ -79,25 +79,26 @@ class ConstraintSet:
                 kept.append(t)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "triples", tuple(kept))
+        # 0-based (q, r, s) rows; not a field, so equality and hash ignore it
+        idx = np.array([(t.q, t.r, t.s) for t in kept], dtype=int).reshape(-1, 3) - 1
+        idx.flags.writeable = False
+        object.__setattr__(self, "_idx", idx)
 
     def __len__(self) -> int:
         return len(self.triples)
 
     def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """0-based (q, r, s) index vectors."""
-        q = np.array([t.q - 1 for t in self.triples], dtype=int)
-        r = np.array([t.r - 1 for t in self.triples], dtype=int)
-        s = np.array([t.s - 1 for t in self.triples], dtype=int)
+        """0-based (q, r, s) index vectors (read-only)."""
+        q, r, s = self._idx.T
         return q, r, s
 
     def max_index(self) -> int:
-        return max((max(t.q, t.r, t.s) for t in self.triples), default=0)
+        return int(self._idx.max()) + 1 if len(self) else 0
 
     def check_bounds(self, dim: int) -> None:
-        if self.max_index() > dim:
-            raise IndexOutOfRangeError(
-                f"constraint index {self.max_index()} exceeds dimension {dim}"
-            )
+        top = self.max_index()
+        if top > dim:
+            raise IndexOutOfRangeError(f"constraint index {top} exceeds dimension {dim}")
 
 
 def euclidean_sq(x, y) -> float:

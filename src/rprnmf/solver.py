@@ -14,7 +14,9 @@ Vectors on one level share no triple and read exactly what the sequential
 walk reads, so a level is one numpy step: gathers of the column, the exp or
 hinge-log terms, ``np.bincount`` sums per vector, and conflict-free
 scatter-adds into the pair distances.  Levels narrower than
-``WIDTH_CROSSOVER`` are walked one vector at a time instead.  On 5000
+``WIDTH_CROSSOVER`` are walked one vector at a time instead, on Python list
+copies of the entries and distances they read, through the same gather
+tables as a level step.  On 5000
 triples over 3706 vectors, k = 20 (21 levels of 472 down to 38 vectors, then
 a walk of 15), one H sweep took 32-40 ms (Euclidean) and 36-51 ms
 (divergence), against 370 ms and 563 ms for the vector-by-vector walk, on a
@@ -208,19 +210,22 @@ class _Level(NamedTuple):
 
 
 class _Walk(NamedTuple):
-    """A run of narrow levels, walked one vector at a time."""
+    """A run of narrow levels, walked one vector at a time on local copies.
 
-    walk: list            # (vector, [(triple, role), ...]) in ``touched`` order
-    vec: np.ndarray       # the walked vectors, in the same order
-    tris: np.ndarray      # every triple they are in: the distances the walk reads
-    nodes: np.ndarray     # every vector of those triples: the entries it reads
+    Every index is local: into ``nodes`` for column entries (the zero slot
+    is last) and into ``slots`` for distances.  Each link of a vector lists
+    its triple's d1 and d2 slots and then its gather operands, as in
+    :class:`_Level`: ``euc`` the four partners of cpos and cneg, ``div`` x,
+    y, z and the sign of its hinge term.
+    """
 
-
-def _walk(run: list, qrs: np.ndarray) -> _Walk:
-    run.sort()
-    tris = np.unique([l for _, links in run for l, _ in links])
-    return _Walk(walk=run, vec=np.array([a for a, _ in run]), tris=tris,
-                 nodes=np.unique(qrs[:3, tris]))
+    vec: np.ndarray   # the walked vectors, ascending
+    nodes: np.ndarray # every vector of their triples, then the zero slot
+    slots: np.ndarray # the d1 and then the d2 slots of those triples in [d1; d2]
+    pos: list         # per vector: its place in ``nodes``
+    euc: list         # per vector: (d1, d2, g0, g1, g2, g3) per triple
+    div: list         # per vector: (d1, d2, x, y, z, sign) per triple
+    upd: list         # per vector: (slot, other end) per distance it changes
 
 
 # per role (q, r, s): which of (q, r, s, zero slot) each gather row reads
@@ -242,15 +247,12 @@ class _PreparedSet:
     its triple's q/r/s.
     """
 
-    __slots__ = ("q", "r", "s", "touched", "n", "q_arr", "r_arr", "s_arr", "steps")
+    __slots__ = ("touched", "n", "q_arr", "r_arr", "s_arr", "steps")
 
     def __init__(self, cset: ConstraintSet, dim: int):
         cset.check_bounds(dim)
         q_arr, r_arr, s_arr = cset.index_arrays()
         self.q_arr, self.r_arr, self.s_arr = q_arr, r_arr, s_arr
-        self.q = q_arr.tolist()
-        self.r = r_arr.tolist()
-        self.s = s_arr.tolist()
         n = self.n = len(cset)
 
         # longest chain of earlier neighbours, by relaxing over each triple's
@@ -293,19 +295,40 @@ class _PreparedSet:
         # other end: the q entry changes d1 and d2, r only d1, s only d2
         other = np.where(ent_role == 0, ends[1:3], ends[0])
 
+        def walk(e0: int, e1: int, v0: int, v1: int) -> _Walk:
+            tris, at = np.unique(ent_tri[e0:e1], return_inverse=True)
+            nodes = np.append(np.unique(qrs[:3, tris]), dim)  # the zero slot last
+            s1, s2 = at.tolist(), (at + tris.size).tolist()
+
+            def local(a):
+                return np.searchsorted(nodes, a).tolist()
+
+            euc_links = list(zip(s1, s2, *local(euc[:, e0:e1])))
+            div_links = list(zip(s1, s2, *local(div[:, e0:e1]), sign[e0:e1].tolist()))
+            o1, o2 = local(other[:, e0:e1])
+            pairs = [[(a, x)] * (role != 2) + [(b, y)] * (role != 1) for a, b, x, y, role
+                     in zip(s1, s2, o1, o2, ent_role[e0:e1].tolist())]
+            order = np.argsort(vecs[v0:v1])  # walked in touched order
+            cuts = (first[v0:v1 + 1] - e0).tolist()
+            cuts = [(cuts[i], cuts[i + 1]) for i in order.tolist()]  # vector -> its links
+            vec = vecs[v0:v1][order]
+            return _Walk(
+                vec=vec, nodes=nodes, slots=np.concatenate([tris, n + tris]), pos=local(vec),
+                euc=[euc_links[b:c] for b, c in cuts], div=[div_links[b:c] for b, c in cuts],
+                upd=[[p for ps in pairs[b:c] for p in ps] for b, c in cuts],
+            )
+
         steps: list = []
-        run: list = []  # the narrow levels since the last wide one
+        run = None  # (first entry, first vector) of the narrow levels since the last wide one
         for lv in range(len(ent_bounds) - 1):
             e0, e1 = ent_bounds[lv], ent_bounds[lv + 1]
             v0, v1 = vec_bounds[lv], vec_bounds[lv + 1]
             if v1 - v0 < WIDTH_CROSSOVER:
-                links = list(zip(ent_tri[e0:e1].tolist(), ent_role[e0:e1].tolist()))
-                cuts = (first[v0:v1 + 1] - e0).tolist()
-                run += [(a, links[b:c]) for a, b, c in zip(vecs[v0:v1].tolist(), cuts, cuts[1:])]
+                run = run or (e0, v0)
                 continue
             if run:
-                steps.append(_walk(run, qrs))
-                run = []
+                steps.append(walk(run[0], e0, run[1], v0))
+                run = None
             pos, tri, role = vec_idx[e0:e1] - v0, ent_tri[e0:e1], ent_role[e0:e1]
             on_d1, on_d2 = role != 2, role != 1
             steps.append(_Level(
@@ -316,7 +339,7 @@ class _PreparedSet:
                 upd_other=np.concatenate([other[0, e0:e1][on_d1], other[1, e0:e1][on_d2]]),
             ))
         if run:
-            steps.append(_walk(run, qrs))
+            steps.append(walk(run[0], ent_vec.size, run[1], vecs.size))
         self.steps = steps
 
 
@@ -334,12 +357,6 @@ def _prepare(cset: ConstraintSet | None, dim: int, lam: float) -> _PreparedSet |
     return _PreparedSet(cset, dim)
 
 
-def _sd_term(x: float, y: float) -> float:
-    cx = x if x > EPS else EPS
-    cy = y if y > EPS else EPS
-    return 0.5 * (cx - cy) * math.log(cx / cy)
-
-
 def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
            prep: _PreparedSet | None, lam: float, measure: Measure) -> None:
     """One full in-place sweep of ``fac`` (vectors x latent orientation).
@@ -348,9 +365,10 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
     orientation.  Unconstrained entries are applied in one vectorised step;
     constrained entries follow ``prep.steps``, latent column by latent column,
     with the pair distances d1 = dis(q, r) and d2 = dis(q, s) kept up to date,
-    so penalties always see the freshest values.  A wide level is one numpy
-    step on ``colz``/``dd``; a walk updates one vector at a time on Python
-    list copies of them, and hands back only what it changed.
+    so penalties always see the freshest values.  Between steps the current
+    column lives in ``colz`` and the distances in ``dd``.  A wide level is
+    one numpy step on them; a walk gathers its ``nodes`` and ``slots`` into
+    Python lists, updates one vector at a time, and scatters both back.
     """
     if prep is None or lam == 0.0 or prep.n == 0:
         fac *= num / np.maximum(den, EPS)
@@ -365,17 +383,10 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
     n = prep.n
     dd = np.concatenate([_pair_distances(fac, prep.q_arr, prep.r_arr, measure),
                          _pair_distances(fac, prep.q_arr, prep.s_arr, measure)])
-    d1, d2 = dd[:n].tolist(), dd[n:].tolist()
-    # with a level in the plan, colz and dd hold the column and distances
-    # between steps, and each walk copies in what it reads and back what it
-    # changed; a plan of one walk works on the lists alone
-    synced = len(prep.steps) > 1 or isinstance(prep.steps[0], _Level)
-    qs, rs, ss = prep.q, prep.r, prep.s
     euclid = measure is Measure.EUCLIDEAN
     exp = math.exp
     log = math.log
     colz = np.zeros(nvec + 1)  # the current latent column, then a zero slot
-    col = colz.tolist()
     # each step's data-fit terms, one row per latent column (lists for walks)
     fit = []
     for step in prep.steps:
@@ -383,10 +394,7 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
         fit.append((nk, dk) if isinstance(step, _Level) else (nk.tolist(), dk.tolist()))
 
     for k in range(kdim):
-        if synced:
-            colz[:nvec] = fac[:, k]
-        else:
-            col = fac[:, k].tolist()
+        colz[:nvec] = fac[:, k]
         for step, (nk, dk) in zip(prep.steps, fit):
             if isinstance(step, _Level):
                 old = colz[step.vec]
@@ -423,89 +431,54 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
                     dd[step.upd_slot] += (0.5 * (co - cn) * np.log(co / cn)
                                           - 0.5 * (co - cw) * np.log(co / cw))
                 continue
-            if synced:
-                for a, x in zip(step.nodes.tolist(), colz[step.nodes].tolist()):
-                    col[a] = x
-                tris = step.tris.tolist()
-                for l, x, y in zip(tris, dd[step.tris].tolist(), dd[n + step.tris].tolist()):
-                    d1[l] = x
-                    d2[l] = y
-            for (a, links), nka, dka in zip(step.walk, nk[k], dk[k]):
-                old = col[a]
+            c = colz[step.nodes].tolist()
+            d = dd[step.slots].tolist()
+            links = step.euc if euclid else step.div
+            for a, links_a, upd, nka, dka in zip(step.pos, links, step.upd, nk[k], dk[k]):
+                old = c[a]
                 if euclid:
                     cpos = cneg = 0.0
-                    for l, role in links:
-                        e = d1[l]
+                    for s1, s2, g0, g1, g2, g3 in links_a:
+                        e = d[s1]
                         if e > MAX_EXP:
                             raise PenaltyOverflowError(e)
                         e1 = exp(e)
-                        e2 = exp(-d2[l])
-                        wq = col[qs[l]]
-                        if role == 0:
-                            cpos += e1 * wq + e2 * col[ss[l]]
-                            cneg += e1 * col[rs[l]] + e2 * wq
-                        elif role == 1:
-                            cpos += e1 * old
-                            cneg += e1 * wq
-                        else:
-                            cpos += e2 * wq
-                            cneg += e2 * old
+                        e2 = exp(-d[s2])
+                        cpos += e1 * c[g0] + e2 * c[g1]
+                        cneg += e1 * c[g2] + e2 * c[g3]
                     new = old * (nka + lam * cneg) / max(dka + lam * cpos, EPS)
                 else:
                     p = 0.0
-                    for l, role in links:
-                        if d1[l] < d2[l]:
+                    for s1, s2, x, y, z, sign in links_a:
+                        if d[s1] < d[s2]:
                             continue
-                        wq = col[qs[l]]
-                        wq = wq if wq > EPS else EPS
-                        if role == 0:
-                            wr = col[rs[l]]
-                            wr = wr if wr > EPS else EPS
-                            ws = col[ss[l]]
-                            ws = ws if ws > EPS else EPS
-                            p += log(ws / wr) + (ws - wr) / wq
-                        elif role == 1:
-                            wr = col[rs[l]]
-                            wr = wr if wr > EPS else EPS
-                            p += log(wr / wq) + (wr - wq) / wr
-                        else:
-                            ws = col[ss[l]]
-                            ws = ws if ws > EPS else EPS
-                            p -= log(ws / wq) + (ws - wq) / ws
+                        x, y, z = c[x], c[y], c[z]
+                        x = x if x > EPS else EPS
+                        y = y if y > EPS else EPS
+                        z = z if z > EPS else EPS
+                        p += sign * (log(x / y) + (x - y) / z)
                     pen_den = 0.5 * lam * p + dka
                     if pen_den < 0:
                         new = old * nka / max(dka, EPS)
                     else:
                         new = old * nka / max(pen_den, EPS)
-                col[a] = new
-                if new != old:
-                    for l, role in links:
-                        if role == 0:
-                            other_r = col[rs[l]]
-                            other_s = col[ss[l]]
-                            if euclid:
-                                d1[l] += (other_r - new) ** 2 - (other_r - old) ** 2
-                                d2[l] += (other_s - new) ** 2 - (other_s - old) ** 2
-                            else:
-                                d1[l] += _sd_term(other_r, new) - _sd_term(other_r, old)
-                                d2[l] += _sd_term(other_s, new) - _sd_term(other_s, old)
-                        elif role == 1:
-                            other = col[qs[l]]
-                            if euclid:
-                                d1[l] += (other - new) ** 2 - (other - old) ** 2
-                            else:
-                                d1[l] += _sd_term(other, new) - _sd_term(other, old)
-                        else:
-                            other = col[qs[l]]
-                            if euclid:
-                                d2[l] += (other - new) ** 2 - (other - old) ** 2
-                            else:
-                                d2[l] += _sd_term(other, new) - _sd_term(other, old)
-            if synced:
-                colz[step.vec] = [col[a] for a, _ in step.walk]
-                dd[step.tris] = [d1[l] for l in tris]
-                dd[n + step.tris] = [d2[l] for l in tris]
-        fac[:, k] = colz[:nvec] if synced else col
+                c[a] = new
+                if new == old:
+                    continue
+                if euclid:
+                    for slot, o in upd:
+                        other = c[o]
+                        d[slot] += (other - new) ** 2 - (other - old) ** 2
+                else:
+                    cn = new if new > EPS else EPS
+                    cw = old if old > EPS else EPS
+                    for slot, o in upd:
+                        co = c[o]
+                        co = co if co > EPS else EPS
+                        d[slot] += 0.5 * (co - cn) * log(co / cn) - 0.5 * (co - cw) * log(co / cw)
+            colz[step.nodes] = c
+            dd[step.slots] = d
+        fac[:, k] = colz[:nvec]
 
 
 def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: SolverConfig) -> FactorisationReport:

@@ -173,6 +173,7 @@ def test_criterion_3_monotonicity():
 # ------------------------------------------------------------- criterion 4
 
 
+@pytest.mark.slow
 def test_criterion_4_synthetic_experiment_1(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "syn1.csv"
@@ -209,6 +210,7 @@ def test_criterion_4_synthetic_experiment_1(tmp_path):
 # ------------------------------------------------------------- criterion 5
 
 
+@pytest.mark.slow
 def test_criterion_5_parameter_insensitivity(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "grid.csv"

@@ -330,7 +330,7 @@ class TestThreads:
 
     def test_triples_per_group_out_of_range_exit_2(self, tmp_path, capsys):
         out = tmp_path / "syn1.csv"
-        for tpg in (12, -1):
+        for tpg in (12, -1, 0):
             assert run_cli("syn1", "--out", out, "--groups", 1, "--reps", 1,
                            "--triples-per-group", tpg) == 2
             err = capsys.readouterr().err
@@ -379,6 +379,8 @@ class TestUsageErrors:
         ("syn2", "--sizes", "0"), ("syn2", "--sizes", "20,2"), ("syn2", "--sizes", ""),
         ("param-sweep", "--lambdas", "0.4,-1"), ("param-sweep", "--lambdas", "nan"),
         ("syn1", "--reps", "0"), ("syn2", "--measures", "euc,foo"),
+        ("syn1", "--m", "5"), ("param-sweep", "--n-constraints", "60", "--m", "100"),
+        ("param-sweep", "--n", "20", "--m", "5"),
     ])
     def test_empty_or_bad_sizes(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

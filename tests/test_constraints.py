@@ -22,6 +22,7 @@ from rprnmf import constraints
 from rprnmf.constraints import InvalidTripleError, satisfaction_flags
 from rprnmf.exceptions import (
     CycleDetectedError,
+    IndexOutOfRangeError,
     InsufficientIndicesError,
     InvalidRangeError,
     LengthMismatchError,
@@ -95,6 +96,18 @@ class TestTriples:
         assert len(s) == 2
         assert s.triples[0] == ConstraintTriple(1, 2, 3)
         assert s.triples[1] == ConstraintTriple(4, 5, 6)
+
+    def test_set_identity_and_index_arrays(self):
+        a = ConstraintSet(Target.H_COLS, [(2, 7, 3), (4, 5, 6), (2, 7, 3)])
+        b = ConstraintSet(Target.H_COLS, [ConstraintTriple(2, 7, 3), (4, 5, 6)])
+        assert a == b and hash(a) == hash(b)
+        assert a != ConstraintSet(Target.W_ROWS, a.triples)
+        assert a != ConstraintSet(Target.H_COLS, [(4, 5, 6), (2, 7, 3)])
+        assert [x.tolist() for x in a.index_arrays()] == [[1, 3], [6, 4], [2, 5]]
+        assert a.max_index() == 7 and ConstraintSet(Target.H_COLS, []).max_index() == 0
+        a.check_bounds(7)
+        with pytest.raises(IndexOutOfRangeError, match="index 7 exceeds dimension 6"):
+            a.check_bounds(6)
 
 
 class TestSatisfaction:
