@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .constraints import (
     Target,
     constraints_to_label_matrix,
     constraints_to_weight_matrix,
-    generate_chain_constraints,
     generate_chain_plan,
     read_constraints,
     write_constraints,
@@ -62,33 +60,6 @@ class UsageError(RprNmfError, ValueError):
     """A command-line setting the program cannot use (exit code 2)."""
 
 
-@dataclass
-class ExperimentSpec:
-    """Serialisable record of one experiment invocation."""
-
-    kind: str
-    params: dict
-
-    def digest(self) -> str:
-        blob = json.dumps({"kind": self.kind, "params": self.params}, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
-def _write_rows(path, fieldnames, rows, spec: ExperimentSpec) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
-        fh.write(f"# experiment={spec.digest()} tool=rprnmf/{__version__}\n")
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return v
-
-
 def _threads(args) -> int:
     env = os.environ.get("RPRNMF_THREADS")
     if env:
@@ -107,20 +78,47 @@ def _run_tasks(worker, tasks, threads):
         return list(pool.map(worker, tasks))
 
 
+def _experiment(args, kind: str, worker, tasks, fields) -> int:
+    """Run ``tasks`` through ``worker`` and write the ``fields`` of each row to ``--out``.
+
+    The CSV has a header row, floats at 17 significant digits and a trailing
+    comment with the tool version and the digest of the command and its flags.
+    """
+    rows = _run_tasks(worker, tasks, _threads(args))
+    params = {k: v for k, v in vars(args).items() if k != "func"}
+    blob = json.dumps({"kind": kind, "params": params}, sort_keys=True)
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([format(row[f], ".17g") if isinstance(row[f], float) else row[f]
+                             for f in fields])
+        fh.write(f"# experiment={digest} tool=rprnmf/{__version__}\n")
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return 0
+
+
 def _check_args(args) -> None:
     """Reject flag values no command can use, naming the flag (exit code 2).
 
     Runs before the command does any work, so a long experiment cannot fail
     at its end for want of a writable ``--out``.
     """
-    for dest in ("k", "max_iters", "reps", "n", "m", "n_constraints"):
+    lowest = {"k": 1, "max_iters": 1, "reps": 1, "n": 1, "m": 1, "n_constraints": 1,
+              "per_class": 2, "folds": 2}
+    for dest, low in lowest.items():
         value = getattr(args, dest, None)
-        if value is not None and value < 1:
-            raise UsageError(f"--{dest.replace('_', '-')} must be >= 1, got {value}")
+        if value is not None and value < low:
+            raise UsageError(f"--{dest.replace('_', '-')} must be >= {low}, got {value}")
     for dest in ("rel_tol", "lambda_w", "lambda_h"):
         value = getattr(args, dest, None)
         if value is not None and not 0 <= value < math.inf:
             raise UsageError(f"--{dest.replace('_', '-')} must be a finite number >= 0, got {value}")
+    for dest in ("mins", "maxs"):
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{dest} must be a finite number, got {value}")
     measures = getattr(args, "measures", None)
     if measures is not None and not set(measures.split(",")) <= {"euc", "div"}:
         raise UsageError(f"--measures must be a comma list of euc and div, got {measures!r}")
@@ -162,14 +160,8 @@ def _err_metric(measure: Measure, v, w, h, mask=None) -> float:
 
 def _chain_plan(n_triples: int, per_chain: int = 5) -> list[int]:
     """Split a triple budget into chain sizes (triples per chain)."""
-    plan = []
-    left = n_triples
-    while left > per_chain:
-        plan.append(per_chain)
-        left -= per_chain
-    if left:
-        plan.append(left)
-    return plan
+    full, left = divmod(n_triples, per_chain)
+    return [per_chain] * full + ([left] if left else [])
 
 
 # ---------------------------------------------------------------- factorize
@@ -203,43 +195,56 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- syn1
+# ------------------------------------------------------ synthetic experiments
 
 
-def _syn_run(task: dict) -> dict:
-    """One synthetic factorisation: build V = W0 @ H0, constrain H, solve."""
-    rng = np.random.default_rng([task["seed"], task["group"], task["rep"], 1])
-    n, m, k = task["n"], task["m"], task["k"]
-    w0 = rng.uniform(0.0, 1.0, size=(n, k))
-    h0 = rng.uniform(0.0, 1.0, size=(k, m))
+def _synthetic_run(task: dict) -> dict:
+    """One synthetic factorisation: V = W0 @ H0, chains drawn on W0 and H0, solve.
+
+    ``chains_w`` and ``chains_h`` are (chain lengths, seed) pairs; no lengths
+    leaves that side unconstrained.  Returns ``row`` plus error, CSR and wall time.
+    """
+    config = task["config"]
+    rng = np.random.default_rng(task["data_seed"])
+    w0 = rng.uniform(0.0, 1.0, size=(task["n"], config.k))
+    h0 = rng.uniform(0.0, 1.0, size=(config.k, task["m"]))
     v = DenseMatrix(w0 @ h0)
-    measure = _measure(task["measure"])
-    plan = _chain_plan(task["n_constraints"], task["triples_per_chain"])
-    # chain_len counts distances: t triples need t+1 distances
-    set_h = generate_chain_plan(
-        DenseMatrix(h0), Target.H_COLS, [t + 1 for t in plan], measure,
-        seed=[task["seed"], task["group"], task["rep"], 2],
-    )
-    config = SolverConfig(
-        k=k, measure=measure, lambda_h=task["lambda_h"],
-        max_iters=task["max_iters"], rel_tol=task["rel_tol"],
-        seed=_derive_seed(task["seed"], task["group"], task["rep"], 3),
-    )
-    report = run_solver(v, (None, set_h), config)
-    return {
-        "algorithm": "rprnmf" if task["lambda_h"] > 0 else "nmf",
-        "measure": task["measure"],
-        "n": n,
-        "m": m,
-        "n_constraints": len(set_h),
-        "repetition": task["rep"],
-        "msl_or_md": _err_metric(measure, v, report.w, report.h),
-        "csr": report.csr,
-        "wall_time_s": report.wall_time_s,
-    }
+    sets = []
+    for factor, target, (lens, seed) in ((w0, Target.W_ROWS, task["chains_w"]),
+                                         (h0, Target.H_COLS, task["chains_h"])):
+        sets.append(generate_chain_plan(DenseMatrix(factor), target, lens, config.measure, seed)
+                    if lens else None)
+    report = run_solver(v, tuple(sets), config)
+    return dict(task["row"], msl_or_md=_err_metric(config.measure, v, report.w, report.h),
+                csr=report.csr, wall_time_s=report.wall_time_s)
 
 
-def _syn1_tasks(args) -> list[dict]:
+def _syn_tasks(args, shapes) -> list[dict]:
+    """syn1/syn2 tasks: chains on H only, each rep, measure and lambda_h in (0, --lambda-h).
+
+    ``shapes`` holds one (group, n, m, k, triples, triples per chain) per group.
+    """
+    tasks = []
+    for group, n, m, k, n_constraints, per_chain in shapes:
+        # chain_len counts distances: t triples need t+1 distances
+        lens = [t + 1 for t in _chain_plan(n_constraints, per_chain)]
+        for rep in range(args.reps):
+            for meas in args.measures.split(","):
+                for lam in (0.0, args.lambda_h):
+                    config = SolverConfig(
+                        k=k, measure=_measure(meas), lambda_h=lam, max_iters=args.max_iters,
+                        rel_tol=args.rel_tol, seed=_derive_seed(args.seed, group, rep, 3),
+                    )
+                    tasks.append({
+                        "config": config, "n": n, "m": m, "data_seed": [args.seed, group, rep, 1],
+                        "chains_w": ([], None), "chains_h": (lens, [args.seed, group, rep, 2]),
+                        "row": {"algorithm": "rprnmf" if lam > 0 else "nmf", "measure": meas,
+                                "n": n, "m": m, "n_constraints": n_constraints, "repetition": rep},
+                    })
+    return tasks
+
+
+def cmd_syn1(args) -> int:
     # a chain of t triples orders t + 1 distances between t + 2 columns
     per_group = args.triples_per_group
     if not 1 <= per_group <= MAX_CHAIN_LEN - 1:
@@ -254,92 +259,19 @@ def _syn1_tasks(args) -> list[dict]:
             f"--groups {max(groups)} with --triples-per-group {per_group} needs "
             f"--m >= {max(groups) * (per_group + 2)}, got {args.m}"
         )
-    tasks = []
-    for g in groups:
-        for rep in range(args.reps):
-            for meas in args.measures.split(","):
-                for lam in (0.0, args.lambda_h):
-                    tasks.append({
-                        "seed": args.seed, "group": g, "rep": rep, "measure": meas,
-                        "n": args.n, "m": args.m, "k": args.k,
-                        "n_constraints": g * args.triples_per_group,
-                        "triples_per_chain": args.triples_per_group,
-                        "lambda_h": lam, "max_iters": args.max_iters,
-                        "rel_tol": args.rel_tol,
-                    })
-    return tasks
-
-
-def cmd_syn1(args) -> int:
-    tasks = _syn1_tasks(args)
-    rows = _run_tasks(_syn_run, tasks, _threads(args))
-    for row in rows:
-        row.pop("n", None)
-        row.pop("m", None)
-    spec = ExperimentSpec("syn1", {k: v for k, v in vars(args).items() if k != "func"})
-    fields = ["algorithm", "measure", "n_constraints", "repetition", "msl_or_md", "csr", "wall_time_s"]
-    _write_rows(args.out, fields, rows, spec)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
-
-
-# ------------------------------------------------------------------- syn2
+    shapes = [(g, args.n, args.m, args.k, g * per_group, per_group) for g in groups]
+    return _experiment(args, "syn1", _synthetic_run, _syn_tasks(args, shapes),
+                       ["algorithm", "measure", "n_constraints", "repetition", "msl_or_md",
+                        "csr", "wall_time_s"])
 
 
 def cmd_syn2(args) -> int:
     # each size holds at least one chain triple, which takes 3 columns
     sizes = _number_list("--sizes", args.sizes, low=3)
-    tasks = []
-    for size in sizes:
-        k = max(1, size // 5)
-        for rep in range(args.reps):
-            for meas in args.measures.split(","):
-                for lam in (0.0, args.lambda_h):
-                    tasks.append({
-                        "seed": args.seed, "group": size, "rep": rep, "measure": meas,
-                        "n": size, "m": size, "k": k,
-                        "n_constraints": k, "triples_per_chain": 5,
-                        "lambda_h": lam, "max_iters": args.max_iters,
-                        "rel_tol": args.rel_tol,
-                    })
-    rows = _run_tasks(_syn_run, tasks, _threads(args))
-    spec = ExperimentSpec("syn2", {k: v for k, v in vars(args).items() if k != "func"})
-    fields = ["algorithm", "measure", "n", "m", "n_constraints", "repetition",
-              "msl_or_md", "csr", "wall_time_s"]
-    _write_rows(args.out, fields, rows, spec)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
-
-
-# ------------------------------------------------------------- param-sweep
-
-
-def _sweep_run(task: dict) -> dict:
-    rng = np.random.default_rng([task["seed"], task["grid_index"], task["rep"], 1])
-    n, m, k = task["n"], task["m"], task["k"]
-    w0 = rng.uniform(0.0, 1.0, size=(n, k))
-    h0 = rng.uniform(0.0, 1.0, size=(k, m))
-    v = DenseMatrix(w0 @ h0)
-    measure = _measure(task["measure"])
-    # independent triples (single-triple chains): the coefficient sweep varies
-    # penalty strength, so the constraints themselves carry no chain coupling
-    set_w = generate_chain_constraints(DenseMatrix(w0), Target.W_ROWS, 2, task["n_constraints"],
-                                       measure, seed=[task["seed"], task["rep"], 2])
-    set_h = generate_chain_constraints(DenseMatrix(h0), Target.H_COLS, 2, task["n_constraints"],
-                                       measure, seed=[task["seed"], task["rep"], 3])
-    config = SolverConfig(
-        k=k, measure=measure, lambda_w=task["lam"], lambda_h=task["lam"],
-        max_iters=task["max_iters"], rel_tol=task["rel_tol"],
-        seed=_derive_seed(task["seed"], task["rep"], 4),
-    )
-    report = run_solver(v, (set_w, set_h), config)
-    return {
-        "lambda": task["lam"],
-        "measure": task["measure"],
-        "repetition": task["rep"],
-        "msl_or_md": _err_metric(measure, v, report.w, report.h),
-        "csr": report.csr,
-    }
+    shapes = [(size, size, size, max(1, size // 5), max(1, size // 5), 5) for size in sizes]
+    return _experiment(args, "syn2", _synthetic_run, _syn_tasks(args, shapes),
+                       ["algorithm", "measure", "n", "m", "n_constraints", "repetition",
+                        "msl_or_md", "csr", "wall_time_s"])
 
 
 def default_lambda_grid() -> list[float]:
@@ -356,21 +288,27 @@ def cmd_param_sweep(args) -> int:
             f"--n-constraints {n_constraints} needs --n and --m >= {3 * n_constraints}, "
             f"got --n {args.n} --m {args.m}"
         )
+    # independent triples (single-triple chains): the coefficient sweep varies
+    # penalty strength, so the constraints themselves carry no chain coupling
+    lens = [2] * n_constraints
     tasks = []
     for gi, lam in enumerate(grid):
         for rep in range(args.reps):
             for meas in args.measures.split(","):
+                config = SolverConfig(
+                    k=args.k, measure=_measure(meas), lambda_w=lam, lambda_h=lam,
+                    max_iters=args.max_iters, rel_tol=args.rel_tol,
+                    seed=_derive_seed(args.seed, rep, 4),
+                )
                 tasks.append({
-                    "seed": args.seed, "grid_index": gi, "rep": rep, "measure": meas,
-                    "lam": lam, "n": args.n, "m": args.m, "k": args.k,
-                    "n_constraints": n_constraints,
-                    "max_iters": args.max_iters, "rel_tol": args.rel_tol,
+                    "config": config, "n": args.n, "m": args.m,
+                    "data_seed": [args.seed, gi, rep, 1],
+                    "chains_w": (lens, [args.seed, rep, 2]),
+                    "chains_h": (lens, [args.seed, rep, 3]),
+                    "row": {"lambda": lam, "measure": meas, "repetition": rep},
                 })
-    rows = _run_tasks(_sweep_run, tasks, _threads(args))
-    spec = ExperimentSpec("param-sweep", {k: v for k, v in vars(args).items() if k != "func"})
-    _write_rows(args.out, ["lambda", "measure", "repetition", "msl_or_md", "csr"], rows, spec)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _experiment(args, "param-sweep", _synthetic_run, tasks,
+                       ["lambda", "measure", "repetition", "msl_or_md", "csr"])
 
 
 # ----------------------------------------------------------------- convert
@@ -445,12 +383,8 @@ def cmd_crossvalidate(args) -> int:
                 "k": args.k, "max_iters": args.max_iters, "rel_tol": args.rel_tol,
                 "seed": args.seed,
             })
-    rows = _run_tasks(_cv_task, tasks, _threads(args))
-    spec = ExperimentSpec("crossvalidate", {k: v for k, v in vars(args).items() if k != "func"})
-    _write_rows(args.out, ["fold", "algorithm", "measure", "msl_or_md", "csr", "rmse", "f1"],
-                rows, spec)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _experiment(args, "crossvalidate", _cv_task, tasks,
+                       ["fold", "algorithm", "measure", "msl_or_md", "csr", "rmse", "f1"])
 
 
 # ---------------------------------------------------- extract-constraints

@@ -120,12 +120,6 @@ def symmetric_divergence(x, y) -> float:
     return float(0.5 * np.sum((xc - yc) * np.log(xc / yc)))
 
 
-def distance(measure: Measure, x, y) -> float:
-    if measure is Measure.EUCLIDEAN:
-        return euclidean_sq(x, y)
-    return symmetric_divergence(x, y)
-
-
 def constrained_vectors(target: Target, m) -> np.ndarray:
     """The constrained family as an (n_vectors, dim) array: W rows or H columns."""
     a = as_array(m)
@@ -221,6 +215,12 @@ def _increasing_ordering(dist: np.ndarray) -> list[int] | None:
     return best
 
 
+# chain sampling: index sets drawn per chain before giving up, and the number
+# of orderable draws compared for the widest margin
+MAX_RESAMPLES = 100
+CANDIDATE_DRAWS = 6
+
+
 def generate_chain_constraints(
     ground_truth,
     target: Target,
@@ -228,7 +228,6 @@ def generate_chain_constraints(
     n_chains: int,
     measure: Measure,
     seed,
-    max_resamples: int = 100,
 ) -> ConstraintSet:
     """Sample disjoint constraint chains already satisfied by ``ground_truth``.
 
@@ -237,13 +236,12 @@ def generate_chain_constraints(
     a chain are drawn without replacement from the unused pool, then reordered
     so the consecutive distances strictly increase under the ground-truth
     vectors; a chain with no such ordering is resampled (up to
-    ``max_resamples`` times).  ``chain_len`` above ``MAX_CHAIN_LEN`` is
+    ``MAX_RESAMPLES`` times).  ``chain_len`` above ``MAX_CHAIN_LEN`` is
     refused with InvalidRangeError before any search runs.
     """
     if n_chains < 1:
         raise InvalidRangeError(f"n_chains must be >= 1, got {n_chains}")
-    return generate_chain_plan(ground_truth, target, [chain_len] * n_chains,
-                               measure, seed, max_resamples)
+    return generate_chain_plan(ground_truth, target, [chain_len] * n_chains, measure, seed)
 
 
 def generate_chain_plan(
@@ -252,12 +250,10 @@ def generate_chain_plan(
     chain_lens,
     measure: Measure,
     seed,
-    max_resamples: int = 100,
-    candidate_draws: int = 6,
 ) -> ConstraintSet:
     """Like :func:`generate_chain_constraints` with one length per chain.
 
-    For each chain, ``candidate_draws`` index sets are sampled from the unused
+    For each chain, ``CANDIDATE_DRAWS`` index sets are sampled from the unused
     pool and the orderable one with the widest minimum margin is kept, so the
     emitted inequalities are not knife-edge artefacts of a single draw.
     """
@@ -281,19 +277,17 @@ def generate_chain_plan(
     triples: list[ConstraintTriple] = []
     for chain_len in chain_lens:
         per_chain = chain_len + 1
+        iu, ju = np.triu_indices(per_chain, 1)
         ordered = None
         ordered_gap = -np.inf
         attempts = 0
-        while attempts < max_resamples and (ordered is None or attempts < candidate_draws):
+        while attempts < MAX_RESAMPLES and (ordered is None or attempts < CANDIDATE_DRAWS):
             attempts += 1
             picked = rng.choice(len(pool), size=per_chain, replace=False)
             cand = [pool[i] for i in sorted(picked.tolist())]
             sub = np.array(cand)
             dist = np.zeros((per_chain, per_chain))
-            for i in range(per_chain):
-                for j in range(i + 1, per_chain):
-                    d = distance(measure, vectors[sub[i]], vectors[sub[j]])
-                    dist[i, j] = dist[j, i] = d
+            dist[iu, ju] = dist[ju, iu] = _pair_distances(vectors, sub[iu], sub[ju], measure)
             order = _increasing_ordering(dist)
             if order is None:
                 continue
@@ -305,7 +299,7 @@ def generate_chain_plan(
                 ordered = [cand[i] for i in order]
         if ordered is None:
             raise InsufficientIndicesError(
-                f"no satisfiable ordering found in {max_resamples} resamples"
+                f"no satisfiable ordering found in {MAX_RESAMPLES} resamples"
             )
         for v in ordered:
             pool.remove(v)

@@ -20,7 +20,7 @@ from .exceptions import (
     RaggedCsvError,
     TooSparseError,
 )
-from .matrix import DenseMatrix, MaskMatrix, as_array
+from .matrix import DenseMatrix, MaskMatrix, as_array, as_mask_array
 from .solver import FactorisationReport, SolverConfig
 
 log = logging.getLogger(__name__)
@@ -174,44 +174,41 @@ def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
 
     Entries whose removal would leave a training row or column empty are
     pulled out of their fold entirely (they train in every fold); the move
-    count is logged and reported on the split.
+    count is logged and reported on the split.  Rows are repaired first, then
+    columns, each by moving back its first held entry in row-major order.
     """
     if folds < 2:
         raise InvalidRangeError(f"need at least 2 folds, got {folds}")
-    mm = mask if isinstance(mask, MaskMatrix) else MaskMatrix(as_array(mask))
-    coords = np.argwhere(mm.bits > 0)
-    if len(coords) < folds:
-        raise TooSparseError(f"{len(coords)} observed entries cannot fill {folds} folds")
+    observed = MaskMatrix(as_mask_array(mask))
+    n, m = observed.bits.shape
+    cells = np.flatnonzero(observed.bits)
+    if len(cells) < folds:
+        raise TooSparseError(f"{len(cells)} observed entries cannot fill {folds} folds")
+    rows, cols = np.divmod(cells, m)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(coords))
+    order = rng.permutation(len(cells))
     # the entry at position p of the permutation goes to fold p % folds
-    fold_of = np.empty(len(coords), dtype=int)
-    fold_of[order] = np.arange(len(coords)) % folds
+    fold_of = np.empty(len(cells), dtype=int)
+    fold_of[order] = np.arange(len(cells)) % folds
 
     reassigned = 0
-    fold_bits = []
+    fold_masks = []
     for f in range(folds):
-        bits = np.zeros_like(mm.bits)
-        i, j = coords[fold_of == f].T
-        bits[i, j] = 1.0
-        training = mm.bits - bits
-        # any row/col fully held out donates entries back to training
-        for axis in (1, 0):
-            while True:
-                gaps = np.where((training.sum(axis=axis) == 0) & (mm.bits.sum(axis=axis) > 0))[0]
-                if gaps.size == 0:
-                    break
-                g = int(gaps[0])
-                cells = np.argwhere((bits[g, :] if axis == 1 else bits[:, g]) > 0)
-                c = int(cells[0][0])
-                i, j = (g, c) if axis == 1 else (c, g)
-                bits[i, j] = 0.0
-                training[i, j] = 1.0
-                reassigned += 1
-        fold_bits.append(bits)
+        held = fold_of == f
+        # a row (then column) with no training entry has all its entries held:
+        # the first of them, in row-major order, goes back to training
+        for axis in (rows, cols):
+            training = np.bincount(axis[~held], minlength=m if axis is cols else n)
+            gaps = np.flatnonzero(training[axis] == 0)
+            _, first = np.unique(axis[gaps], return_index=True)
+            held[gaps[first]] = False
+            reassigned += first.size
+        bits = np.zeros((n, m))
+        bits.ravel()[cells[held]] = 1.0
+        fold_masks.append(MaskMatrix(bits))
     if reassigned:
         log.info("make_cv_split: %d entries moved to always-train for coverage", reassigned)
-    return CvSplit(mm.copy(), [MaskMatrix(b) for b in fold_bits], reassigned)
+    return CvSplit(observed, fold_masks, reassigned)
 
 
 def _config_echo(config: SolverConfig | None) -> dict | None:

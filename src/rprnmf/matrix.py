@@ -90,30 +90,8 @@ class MaskMatrix:
         """Number of observed entries."""
         return int(self.bits.sum())
 
-    def copy(self) -> "MaskMatrix":
-        return MaskMatrix(self.bits)
-
-    def require_coverage(self) -> None:
-        """Reject masks with an all-zero row or column.
-
-        Such masks leave a row/column of the factorisation entirely
-        unconstrained, so they are refused wherever a mask feeds a solve.
-        """
-        rows, cols = np.divmod(np.flatnonzero(self.bits != 0), self.cols)
-        _require_coverage(np.bincount(rows, minlength=self.rows),
-                          np.bincount(cols, minlength=self.cols))
-
     def __repr__(self) -> str:
         return f"MaskMatrix({self.rows}x{self.cols}, observed={self.count})"
-
-
-def _require_coverage(row_counts: np.ndarray, col_counts: np.ndarray) -> None:
-    row_gap = np.flatnonzero(row_counts == 0)
-    col_gap = np.flatnonzero(col_counts == 0)
-    if row_gap.size or col_gap.size:
-        raise DegenerateMaskError(
-            f"mask has empty rows {row_gap.tolist()} / columns {col_gap.tolist()}"
-        )
 
 
 class ObservedCells:
@@ -142,8 +120,17 @@ class ObservedCells:
         self.v = va.take(flat)
 
     def require_coverage(self) -> None:
-        """:meth:`MaskMatrix.require_coverage` from the cells' own counts."""
-        _require_coverage(np.diff(self.indptr), np.bincount(self.cols, minlength=self.shape[1]))
+        """Reject masks with an all-zero row or column.
+
+        Such masks leave a row/column of the factorisation entirely
+        unconstrained, so they are refused wherever a mask feeds a solve.
+        """
+        row_gap = np.flatnonzero(np.diff(self.indptr) == 0)
+        col_gap = np.flatnonzero(np.bincount(self.cols, minlength=self.shape[1]) == 0)
+        if row_gap.size or col_gap.size:
+            raise DegenerateMaskError(
+                f"mask has empty rows {row_gap.tolist()} / columns {col_gap.tolist()}"
+            )
 
     def csr(self, values) -> sp.csr_matrix:
         """N x M sparse matrix holding ``values`` (one per cell) at the cells."""

@@ -61,6 +61,9 @@ from .penalties import MAX_EXP, div_penalty_value, euc_penalty_value
 # divergence-mode iteration is treated as an increase and rolled back.
 ACCEPT_REL_SLACK = 1e-12
 
+# run() draws the starting W, then H, uniformly on [INIT_LOW, INIT_HIGH) from the seed
+INIT_LOW, INIT_HIGH = 0.01, 1.0
+
 
 @dataclass
 class SolverConfig:
@@ -74,8 +77,6 @@ class SolverConfig:
     rel_tol: float = 1e-6
     seed: int = 0
     mask: MaskMatrix | None = None
-    init_low: float = 0.01
-    init_high: float = 1.0
 
     def __post_init__(self):
         if self.mask is not None and not isinstance(self.mask, MaskMatrix):
@@ -88,8 +89,6 @@ class SolverConfig:
             raise InvalidConfigError("max_iters must be >= 1")
         if self.rel_tol < 0:
             raise InvalidConfigError("rel_tol must be non-negative")
-        if not (0 < self.init_low < self.init_high):
-            raise InvalidConfigError("need 0 < init_low < init_high")
 
     @property
     def adapt_lambda(self) -> bool:
@@ -509,8 +508,8 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
         cells.require_coverage()
 
     rng = np.random.default_rng(config.seed)
-    w = rng.uniform(config.init_low, config.init_high, size=(n, config.k))
-    h = rng.uniform(config.init_low, config.init_high, size=(config.k, m))
+    w = rng.uniform(INIT_LOW, INIT_HIGH, size=(n, config.k))
+    h = rng.uniform(INIT_LOW, INIT_HIGH, size=(config.k, m))
     lam_w, lam_h = config.lambda_w, config.lambda_h
     prep_w = _prepare(set_w, n, lam_w)
     prep_h = _prepare(set_h, m, lam_h)

@@ -19,7 +19,7 @@ from rprnmf.constraints import (
     Measure,
     Target,
     constrained_vectors,
-    distance,
+    euclidean_sq,
     symmetric_divergence,
 )
 from rprnmf.exceptions import IndexOutOfRangeError, PenaltyOverflowError
@@ -110,6 +110,10 @@ def div_penalty_grad(factor, cset: ConstraintSet, a: int, b: int) -> float:
         else:
             p -= g_kernel(ws, wq)
     return p
+
+
+def distance(measure: Measure, x, y) -> float:
+    return euclidean_sq(x, y) if measure is Measure.EUCLIDEAN else symmetric_divergence(x, y)
 
 
 def is_satisfied(triple: ConstraintTriple, vectors, measure: Measure) -> bool:

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from rprnmf import DenseMatrix, Measure, csr, read_constraints
+from rprnmf import (DenseMatrix, Measure, SolverConfig, Target, csr, generate_chain_plan, md,
+                    msl, read_constraints, run)
 from rprnmf.cli import _chain_plan, main
 from rprnmf.io import read_dense_csv, write_dense_csv
 
@@ -170,6 +171,63 @@ class TestParamSweep:
         rows = read_rows(out)
         assert len(rows) == 2 * 2 * 2  # lambdas x measures x reps
         assert {r["lambda"] for r in rows} == {"0.5", "2"}
+
+
+def derive_seed(*parts):
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+class TestSeedWiring:
+    """One row of each synthetic experiment, recomputed from the seeds that feed each draw.
+
+    The data W0/H0, the chains on each side and the solver start each come
+    from their own seed; a row must be the one solve those seeds define.
+    """
+
+    @pytest.mark.parametrize("argv, pick, solve", [
+        # syn1 group 2, rep 1: chains on H only
+        (("syn1", "--groups", 2, "--reps", 2, "--n", 20, "--m", 20, "--k", 3,
+          "--triples-per-group", 2, "--measures", "div", "--max-iters", 10, "--seed", 5),
+         {"n_constraints": "4", "repetition": "1", "algorithm": "rprnmf"},
+         dict(data_seed=[5, 2, 1, 1], n=20, m=20, k=3, measure=Measure.DIVERGENCE,
+              chains_w=([], None), chains_h=([3, 3], [5, 2, 1, 2]), lam_w=0.0, lam_h=1.0,
+              seed=derive_seed(5, 2, 1, 3))),
+        # syn2 size 25, rep 1: k = 5 triples in one chain of 6 distances
+        (("syn2", "--sizes", "20,25", "--reps", 2, "--measures", "euc", "--max-iters", 10,
+          "--seed", 6),
+         {"n": "25", "repetition": "1", "algorithm": "rprnmf"},
+         dict(data_seed=[6, 25, 1, 1], n=25, m=25, k=5, measure=Measure.EUCLIDEAN,
+              chains_w=([], None), chains_h=([6], [6, 25, 1, 2]), lam_w=0.0, lam_h=1.0,
+              seed=derive_seed(6, 25, 1, 3))),
+        # param-sweep grid index 1, rep 1: n/10 single-triple chains on each side
+        (("param-sweep", "--lambdas", "0.5,2.0", "--reps", 2, "--n", 20, "--m", 20, "--k", 3,
+          "--measures", "div", "--max-iters", 10, "--seed", 7),
+         {"lambda": "2", "repetition": "1"},
+         dict(data_seed=[7, 1, 1, 1], n=20, m=20, k=3, measure=Measure.DIVERGENCE,
+              chains_w=([2, 2], [7, 1, 2]), chains_h=([2, 2], [7, 1, 3]), lam_w=2.0, lam_h=2.0,
+              seed=derive_seed(7, 1, 4))),
+    ])
+    def test_row_is_the_seeded_solve(self, tmp_path, argv, pick, solve):
+        out = tmp_path / "rows.csv"
+        assert run_cli(argv[0], "--out", out, *argv[1:]) == 0
+        [row] = [r for r in read_rows(out) if pick.items() <= r.items()]
+        rng = np.random.default_rng(solve["data_seed"])
+        w0 = rng.uniform(0.0, 1.0, size=(solve["n"], solve["k"]))
+        h0 = rng.uniform(0.0, 1.0, size=(solve["k"], solve["m"]))
+        v = DenseMatrix(w0 @ h0)
+        measure = solve["measure"]
+        sets = []
+        for factor, target, (lens, seed) in ((w0, Target.W_ROWS, solve["chains_w"]),
+                                             (h0, Target.H_COLS, solve["chains_h"])):
+            sets.append(generate_chain_plan(DenseMatrix(factor), target, lens, measure, seed)
+                        if lens else None)
+        config = SolverConfig(k=solve["k"], measure=measure, lambda_w=solve["lam_w"],
+                              lambda_h=solve["lam_h"], max_iters=10, rel_tol=1e-9,
+                              seed=solve["seed"])
+        report = run(v, tuple(sets), config)
+        err = (msl if measure is Measure.EUCLIDEAN else md)(v, report.w, report.h)
+        assert float(row["msl_or_md"]) == err
+        assert float(row["csr"]) == report.csr
 
 
 class TestConvert:
@@ -381,6 +439,11 @@ class TestUsageErrors:
         ("syn1", "--reps", "0"), ("syn2", "--measures", "euc,foo"),
         ("syn1", "--m", "5"), ("param-sweep", "--n-constraints", "60", "--m", "100"),
         ("param-sweep", "--n", "20", "--m", "5"),
+        ("extract-constraints", "--per-class", "1", "--labels", "absent-labels.txt"),
+        ("extract-constraints", "--per-class", "-1", "--labels", "absent-labels.txt"),
+        ("crossvalidate", "--folds", "1", "--ratings", "absent-ratings.dat"),
+        ("convert", "--mins", "nan", "--constraints", "absent-c.txt", "--to", "weights"),
+        ("convert", "--maxs", "inf", "--constraints", "absent-c.txt", "--to", "weights"),
     ])
     def test_empty_or_bad_sizes(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -536,9 +536,6 @@ class TestRun:
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, lambda_w=-1.0)
         with pytest.raises(InvalidConfigError):
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, max_iters=0)
-        for low, high in ((0.0, 1.0), (1.0, 0.5)):
-            with pytest.raises(InvalidConfigError):
-                SolverConfig(k=2, measure=Measure.EUCLIDEAN, init_low=low, init_high=high)
 
     def test_adapt_lambda_follows_measure(self):
         assert not SolverConfig(k=2, measure=Measure.EUCLIDEAN).adapt_lambda
