@@ -197,10 +197,10 @@ def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
         held = fold_of == f
         # a row (then column) with no training entry has all its entries held:
         # the first of them, in row-major order, goes back to training
-        for axis in (rows, cols):
-            training = np.bincount(axis[~held], minlength=m if axis is cols else n)
-            gaps = np.flatnonzero(training[axis] == 0)
-            _, first = np.unique(axis[gaps], return_index=True)
+        for line, count in ((rows, n), (cols, m)):
+            training = np.bincount(line[~held], minlength=count)
+            gaps = np.flatnonzero(training[line] == 0)
+            _, first = np.unique(line[gaps], return_index=True)
             held[gaps[first]] = False
             reassigned += first.size
         bits = np.zeros((n, m))
