@@ -51,7 +51,7 @@ from .io import (
     write_report,
     zeros_as_missing,
 )
-from .matrix import DenseMatrix, MaskMatrix
+from .matrix import DenseMatrix
 from .metrics import f1_score, md, msl, rmse
 from .solver import SolverConfig, run as run_solver
 
@@ -82,10 +82,11 @@ def _experiment(args, kind: str, worker, tasks, fields) -> int:
     """Run ``tasks`` through ``worker`` and write the ``fields`` of each row to ``--out``.
 
     The CSV has a header row, floats at 17 significant digits and a trailing
-    comment with the tool version and the digest of the command and its flags.
+    comment with the tool version and the digest of the command and its flags,
+    ``--out`` and ``--threads`` aside, since they change no row.
     """
     rows = _run_tasks(worker, tasks, _threads(args))
-    params = {k: v for k, v in vars(args).items() if k != "func"}
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "threads")}
     blob = json.dumps({"kind": kind, "params": params}, sort_keys=True)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -337,9 +338,7 @@ def cmd_convert(args) -> int:
 
 
 def _cv_task(task: dict) -> dict:
-    v = DenseMatrix(task["v"])
-    training = MaskMatrix(task["training"])
-    heldout = MaskMatrix(task["heldout"])
+    v, training, heldout = task["v"], task["training"], task["heldout"]
     measure = _measure(task["measure"])
     config = SolverConfig(
         k=task["k"], measure=measure, lambda_w=task["lam_w"], lambda_h=task["lam_h"],
@@ -376,8 +375,8 @@ def cmd_crossvalidate(args) -> int:
     for fold in range(split.n_folds):
         for lam_w, lam_h in lambdas:
             tasks.append({
-                "v": v.a, "training": split.training_mask(fold).bits,
-                "heldout": split.fold_masks[fold].bits,
+                "v": v, "training": split.training_mask(fold),
+                "heldout": split.fold_masks[fold],
                 "set_w": set_w, "set_h": set_h, "fold": fold,
                 "lam_w": lam_w, "lam_h": lam_h, "measure": args.measure,
                 "k": args.k, "max_iters": args.max_iters, "rel_tol": args.rel_tol,

@@ -347,30 +347,26 @@ def constraints_to_weight_matrix(m: int, cset: ConstraintSet, mins: float, maxs:
         nodes.add(n2)
         edges.setdefault(n1, set()).add(n2)
 
+    # depth-first from each node in sorted order, children in sorted order;
+    # an explicit stack, so a long chain cannot exhaust the recursion limit
     depth: dict[tuple[int, int], int] = {}
-    on_stack: set[tuple[int, int]] = set()
-
-    def node_depth(node, stack):
-        if node in depth:
-            return depth[node]
-        if node in on_stack:
-            cycle_from = stack.index(node)
-            cyc = stack[cycle_from:] + [node]
-            raise CycleDetectedError(list(zip(cyc[:-1], cyc[1:])))
-        out = edges.get(node)
-        if not out:
-            depth[node] = 1
-            return 1
-        on_stack.add(node)
-        stack.append(node)
-        d = 1 + max(node_depth(child, stack) for child in sorted(out))
-        stack.pop()
-        on_stack.discard(node)
-        depth[node] = d
-        return d
-
-    for node in sorted(nodes):
-        node_depth(node, [])
+    for root in sorted(nodes):
+        if root in depth:
+            continue
+        # the path being expanded, in order, each node with its children still to visit
+        path = {root: iter(sorted(edges.get(root, ())))}
+        while path:
+            node, children = next(reversed(path.items()))
+            child = next(children, None)
+            if child is None:
+                del path[node]
+                depth[node] = 1 + max((depth[c] for c in edges.get(node, ())), default=0)
+            elif child in path:
+                cyc = list(path)
+                cyc = cyc[cyc.index(child):] + [child]
+                raise CycleDetectedError(list(zip(cyc[:-1], cyc[1:])))
+            elif child not in depth:
+                path[child] = iter(sorted(edges.get(child, ())))
 
     max_depth = max(depth.values(), default=1)
     step = (maxs - mins) / (max_depth - 1) if max_depth > 1 else 0.0

@@ -20,7 +20,7 @@ from .exceptions import (
     RaggedCsvError,
     TooSparseError,
 )
-from .matrix import DenseMatrix, MaskMatrix, as_array, as_mask_array
+from .matrix import DenseMatrix, MaskMatrix, as_array, as_mask
 from .solver import FactorisationReport, SolverConfig
 
 log = logging.getLogger(__name__)
@@ -79,7 +79,8 @@ def zeros_as_missing(m) -> MaskMatrix:
 
 @dataclass
 class RatingsTable:
-    """Sparse ratings with densified contiguous 1-based user/item ids."""
+    """Sparse ratings with densified contiguous 1-based user/item ids, one per
+    (user, item) pair in ascending order, which :func:`ratings_to_matrix` relies on."""
 
     users: np.ndarray
     items: np.ndarray
@@ -108,8 +109,7 @@ def read_ratings(path, fmt: str = "ml1m") -> RatingsTable:
     if fmt not in ("ml1m", "csv"):
         raise InvalidRangeError(f"unknown ratings format {fmt!r}")
     sep = "::" if fmt == "ml1m" else ","
-    entries: dict[tuple[int, int], tuple[float, float | None]] = {}
-    dupes = 0
+    rows: list[tuple[int, int, float, float | None]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -119,38 +119,34 @@ def read_ratings(path, fmt: str = "ml1m") -> RatingsTable:
             if len(parts) not in (3, 4):
                 raise MalformedLineError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
             try:
-                user = int(parts[0])
-                item = int(parts[1])
-                rating = float(parts[2])
-                ts = float(parts[3]) if len(parts) == 4 else None
+                rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
+                             float(parts[3]) if len(parts) == 4 else None))
             except ValueError as exc:
                 raise MalformedLineError(lineno, str(exc)) from exc
-            key = (user, item)
-            if key in entries:
-                dupes += 1
-            entries[key] = (rating, ts)
+    # stamps is an object array when some line has no timestamp
+    users, items, ratings, stamps = (np.array([row[c] for row in rows]) for c in range(4))
+    user_ids, users = np.unique(users, return_inverse=True)
+    item_ids, items = np.unique(items, return_inverse=True)
+    # the first of each key in reverse line order is its last line
+    key = users * item_ids.size + items
+    _, first = np.unique(key[::-1], return_index=True)
+    keep = key.size - 1 - first
+    dupes = key.size - keep.size
     if dupes:
         log.warning("read_ratings: %d duplicate (user, item) pairs dropped (last wins)", dupes)
-    user_ids = sorted({u for u, _ in entries})
-    item_ids = sorted({i for _, i in entries})
-    u_dense = {u: i + 1 for i, u in enumerate(user_ids)}
-    i_dense = {it: i + 1 for i, it in enumerate(item_ids)}
-    keys = sorted(entries)
-    users = np.array([u_dense[u] for u, _ in keys], dtype=int)
-    items = np.array([i_dense[i] for _, i in keys], dtype=int)
-    ratings = np.array([entries[k][0] for k in keys])
-    has_ts = all(entries[k][1] is not None for k in keys)
-    timestamps = np.array([entries[k][1] for k in keys]) if has_ts and keys else None
-    return RatingsTable(users, items, ratings, timestamps, user_ids, item_ids, dupes)
+    stamps = stamps[keep]
+    timestamps = stamps.astype(float) if keep.size and None not in stamps else None
+    return RatingsTable(users[keep] + 1, items[keep] + 1, ratings[keep], timestamps,
+                        user_ids.tolist(), item_ids.tolist(), dupes)
 
 
 def ratings_to_matrix(table: RatingsTable) -> tuple[DenseMatrix, MaskMatrix]:
     """Dense matrix with zeros at unobserved cells, plus the observation mask."""
-    v = np.zeros((table.n_users, table.n_items))
-    bits = np.zeros_like(v)
-    v[table.users - 1, table.items - 1] = table.ratings
-    bits[table.users - 1, table.items - 1] = 1.0
-    return DenseMatrix(v), MaskMatrix(bits)
+    shape = (table.n_users, table.n_items)
+    cells = (table.users - 1, table.items - 1)
+    v = np.zeros(shape)
+    v[cells] = table.ratings
+    return DenseMatrix(v), MaskMatrix.from_flat(shape, np.ravel_multi_index(cells, shape))
 
 
 @dataclass
@@ -166,7 +162,8 @@ class CvSplit:
         return len(self.fold_masks)
 
     def training_mask(self, fold: int) -> MaskMatrix:
-        return MaskMatrix(self.observed.bits - self.fold_masks[fold].bits)
+        return MaskMatrix.from_flat(self.observed.shape, np.setdiff1d(
+            self.observed.flat, self.fold_masks[fold].flat, assume_unique=True))
 
 
 def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
@@ -179,9 +176,9 @@ def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
     """
     if folds < 2:
         raise InvalidRangeError(f"need at least 2 folds, got {folds}")
-    observed = MaskMatrix(as_mask_array(mask))
-    n, m = observed.bits.shape
-    cells = np.flatnonzero(observed.bits)
+    observed = as_mask(mask)
+    n, m = observed.shape
+    cells = observed.flat
     if len(cells) < folds:
         raise TooSparseError(f"{len(cells)} observed entries cannot fill {folds} folds")
     rows, cols = np.divmod(cells, m)
@@ -203,9 +200,7 @@ def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
             _, first = np.unique(line[gaps], return_index=True)
             held[gaps[first]] = False
             reassigned += first.size
-        bits = np.zeros((n, m))
-        bits.ravel()[cells[held]] = 1.0
-        fold_masks.append(MaskMatrix(bits))
+        fold_masks.append(MaskMatrix.from_flat((n, m), cells[held]))
     if reassigned:
         log.info("make_cv_split: %d entries moved to always-train for coverage", reassigned)
     return CvSplit(observed, fold_masks, reassigned)

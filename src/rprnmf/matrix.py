@@ -65,33 +65,50 @@ class DenseMatrix:
 
 
 class MaskMatrix:
-    """Binary indicator of observed entries (1 = observed)."""
+    """Indicator of observed entries: a shape and the observed cells.
 
-    __slots__ = ("bits",)
+    ``flat`` holds the observed cells' row-major flat indices, ascending, as a
+    read-only array.  ``MaskMatrix(array)`` checks a dense 0/1 array given
+    from outside; :meth:`from_flat` wraps indices the package built itself.
+    """
+
+    __slots__ = ("shape", "flat")
 
     def __init__(self, array):
-        b = np.array(array, dtype=float, order="C")
+        b = np.asarray(array, dtype=float)
         if b.ndim != 2:
             raise ShapeMismatchError(f"expected a 2-D mask, got ndim={b.ndim}")
         if not np.isin(b, (0.0, 1.0)).all():
             raise ShapeMismatchError("mask entries must be 0 or 1")
-        self.bits = b
+        self.shape, self.flat = b.shape, np.flatnonzero(b)
+        self.flat.flags.writeable = False
+
+    @classmethod
+    def from_flat(cls, shape, flat) -> MaskMatrix:
+        """Unchecked mask of ``shape`` at the ascending flat indices ``flat``, made read-only."""
+        mask = cls.__new__(cls)
+        mask.shape, mask.flat = tuple(shape), np.asarray(flat, dtype=np.intp)
+        mask.flat.flags.writeable = False
+        return mask
+
+    def __reduce__(self):
+        return MaskMatrix.from_flat, (self.shape, self.flat)
 
     @property
-    def rows(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.bits.shape[1]
+    def bits(self) -> np.ndarray:
+        """The dense N x M 0/1 float array, built anew on each read."""
+        b = np.zeros(self.shape)
+        b.ravel()[self.flat] = 1.0
+        return b
 
     @property
     def count(self) -> int:
         """Number of observed entries."""
-        return int(self.bits.sum())
+        return self.flat.size
 
     def __repr__(self) -> str:
-        return f"MaskMatrix({self.rows}x{self.cols}, observed={self.count})"
+        n, m = self.shape
+        return f"MaskMatrix({n}x{m}, observed={self.count})"
 
 
 class ObservedCells:
@@ -110,14 +127,13 @@ class ObservedCells:
     CHUNK = 65536
 
     def __init__(self, v, mask):
-        va, ma = as_array(v), as_mask_array(mask)
+        va, ma = as_array(v), as_mask(mask)
         if ma.shape != va.shape:
             raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
         n, m = self.shape = va.shape
-        flat = np.flatnonzero(ma != 0)
-        self.rows, self.cols = np.divmod(flat, m)
+        self.rows, self.cols = np.divmod(ma.flat, m)
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=n))))
-        self.v = va.take(flat)
+        self.v = va.take(ma.flat)
 
     def require_coverage(self) -> None:
         """Reject masks with an all-zero row or column.
@@ -153,25 +169,22 @@ def as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def as_mask_array(mask) -> np.ndarray | None:
-    if mask is None:
-        return None
-    if isinstance(mask, MaskMatrix):
-        return mask.bits
-    return np.asarray(mask, dtype=float)
+def as_mask(mask) -> MaskMatrix:
+    """Accept a MaskMatrix, or a 0/1 DenseMatrix or array-like (checked); return the MaskMatrix."""
+    return mask if isinstance(mask, MaskMatrix) else MaskMatrix(as_array(mask))
 
 
 def _observed(v, wh, mask) -> tuple[np.ndarray, np.ndarray]:
-    """``v`` and ``wh`` at the observed entries: all of them when unmasked."""
-    va, wa, ma = as_array(v), as_array(wh), as_mask_array(mask)
+    """``v`` and ``wh`` at the observed entries (row-major): all of them when unmasked."""
+    va, wa = as_array(v), as_array(wh)
     if va.shape != wa.shape:
         raise ShapeMismatchError(f"shape {va.shape} vs {wa.shape}")
-    if ma is None:
+    if mask is None:
         return va, wa
+    ma = as_mask(mask)
     if ma.shape != va.shape:
         raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
-    keep = ma != 0
-    return va[keep], wa[keep]
+    return va.take(ma.flat), wa.take(ma.flat)
 
 
 def frobenius_sq_diff(v, wh, mask=None) -> float:

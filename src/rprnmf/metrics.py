@@ -19,7 +19,7 @@ from .exceptions import (
     NoObservedRatingsError,
     TooFewPointsError,
 )
-from .matrix import as_array, as_mask_array, frobenius_sq_diff, matrix_divergence
+from .matrix import as_array, as_mask, frobenius_sq_diff, matrix_divergence
 
 
 @dataclass
@@ -56,11 +56,10 @@ def md(v, w, h, mask=None) -> float:
 
 def rmse(v, wh, mask) -> float:
     """Root mean squared error over the masked (held-out) entries."""
-    ma = as_mask_array(mask)
-    count = float(ma.sum())
-    if count == 0:
+    ma = as_mask(mask)
+    if ma.count == 0:
         raise EmptyMaskError("mask selects no entries")
-    return float(np.sqrt(frobenius_sq_diff(v, wh, ma) / count))
+    return float(np.sqrt(frobenius_sq_diff(v, wh, ma) / ma.count))
 
 
 def f1_score(v_true, predicted, observed_mask, heldout_mask) -> F1Result:
@@ -70,26 +69,23 @@ def f1_score(v_true, predicted, observed_mask, heldout_mask) -> F1Result:
     items rated strictly above it count as recommended.  The same threshold
     binarises the true held-out ratings and the model's predictions.
     """
-    v = as_array(v_true)
-    p = as_array(predicted)
-    om = as_mask_array(observed_mask)
-    hm = as_mask_array(heldout_mask)
+    v, p = as_array(v_true), as_array(predicted)
+    om, hm = as_mask(observed_mask), as_mask(heldout_mask)
     if not (v.shape == p.shape == om.shape == hm.shape):
         raise LengthMismatchError("ratings, predictions and masks must share a shape")
-    obs_count = om.sum(axis=1)
-    has_heldout = hm.sum(axis=1) > 0
-    missing = np.where(has_heldout & (obs_count == 0))[0]
+    n, m = v.shape
+    obs_user, held_user = om.flat // m, hm.flat // m
+    obs_count = np.bincount(obs_user, minlength=n)
+    missing = held_user[obs_count[held_user] == 0]
     if missing.size:
         raise NoObservedRatingsError(int(missing[0]))
-    thresholds = np.divide(
-        (om * v).sum(axis=1), obs_count, out=np.zeros_like(obs_count), where=obs_count > 0
-    )
-    cells = hm > 0
-    true_rec = v > thresholds[:, None]
-    pred_rec = p > thresholds[:, None]
-    tp = int(np.sum(cells & true_rec & pred_rec))
-    fp = int(np.sum(cells & ~true_rec & pred_rec))
-    fn = int(np.sum(cells & true_rec & ~pred_rec))
+    thresholds = np.divide(np.bincount(obs_user, weights=v.take(om.flat), minlength=n),
+                           obs_count, out=np.zeros(n), where=obs_count > 0)[held_user]
+    true_rec = v.take(hm.flat) > thresholds
+    pred_rec = p.take(hm.flat) > thresholds
+    tp = int(np.sum(true_rec & pred_rec))
+    fp = int(np.sum(~true_rec & pred_rec))
+    fn = int(np.sum(true_rec & ~pred_rec))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0:

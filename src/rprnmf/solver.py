@@ -52,6 +52,7 @@ from .matrix import (
     MaskMatrix,
     ObservedCells,
     as_array,
+    as_mask,
     frobenius_sq_diff,
     matrix_divergence,
 )
@@ -79,8 +80,8 @@ class SolverConfig:
     mask: MaskMatrix | None = None
 
     def __post_init__(self):
-        if self.mask is not None and not isinstance(self.mask, MaskMatrix):
-            self.mask = MaskMatrix(as_array(self.mask))
+        if self.mask is not None:
+            self.mask = as_mask(self.mask)
         if self.k < 1:
             raise InvalidConfigError(f"latent dimension must be >= 1, got {self.k}")
         if self.lambda_w < 0 or self.lambda_h < 0:
@@ -110,19 +111,19 @@ class FactorisationReport:
     wall_time_s: float
 
 
-def masked_update_terms(v, mask, w, h, measure: Measure, side: str,
+def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, side: str,
                         wh=None) -> tuple[np.ndarray, np.ndarray]:
     """Snapshot numerator/denominator of the data-fit ratio for one factor side.
 
-    ``side`` is "w" (terms shaped like W) or "h" (shaped like H).  Without a
-    mask these are the classic multiplicative-update terms; with one, only
-    observed cells contribute, including the plain row/column sums of the
-    divergence denominator, so unobserved cells are inert.  ``mask`` may be
-    the :class:`ObservedCells` of ``v`` already; ``wh``, if given, is W @ H
-    at those cells, so the caller's copy is used instead of a new one.
+    ``side`` is "w" (terms shaped like W) or "h" (shaped like H).  Without
+    ``cells`` these are the classic multiplicative-update terms; given the
+    :class:`ObservedCells` of ``v``, only those cells contribute, including
+    the plain row/column sums of the divergence denominator, so unobserved
+    cells are inert.  ``wh``, if given, is W @ H at the cells, so the
+    caller's copy is used instead of a new one.
     """
     wa, ha = as_array(w), as_array(h)
-    if mask is None:
+    if cells is None:
         va = as_array(v)
         _check_factors(va.shape, wa, ha)
         n, m = va.shape
@@ -135,7 +136,6 @@ def masked_update_terms(v, mask, w, h, measure: Measure, side: str,
         if side == "w":
             return ratio @ ha.T, np.broadcast_to(ha.sum(axis=1), (n, k))
         return wa.T @ ratio, np.broadcast_to(wa.sum(axis=0)[:, None], (k, m))
-    cells = mask if isinstance(mask, ObservedCells) else ObservedCells(v, mask)
     _check_factors(cells.shape, wa, ha)
     if wh is None:
         wh = cells.model(wa, ha)

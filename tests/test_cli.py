@@ -137,6 +137,8 @@ class TestSyn1:
         for r1, r2 in zip(rows1, rows2):
             r1.pop("wall_time_s"), r2.pop("wall_time_s")
             assert r1 == r2
+        # the digest ignores --out
+        assert trailing_comment(out1) == trailing_comment(out2)
 
     def test_constraint_counts_scale_with_groups(self, tmp_path):
         out = tmp_path / "syn1.csv"
@@ -242,6 +244,15 @@ class TestConvert:
         assert np.array_equal(a, a.T)
         assert "max_depth=2" in capsys.readouterr().out
 
+    def test_weights_long_chain(self, tmp_path, capsys):
+        # 1500 linked triples: deeper than Python's default recursion limit
+        cfile = tmp_path / "c.txt"
+        cfile.write_text("".join(f"H 1 {k} {k + 1}\n" for k in range(2, 1502)))
+        out = tmp_path / "w.csv"
+        assert run_cli("convert", "--constraints", cfile, "--to", "weights",
+                       "--mins", 0, "--maxs", 1, "--out", out) == 0
+        assert "max_depth=1501" in capsys.readouterr().out
+
     def test_weights_two_chain_trace(self, tmp_path):
         cfile = tmp_path / "c.txt"
         cfile.write_text("H 2 1 3\nH 3 2 4\n")
@@ -321,6 +332,21 @@ class TestCrossValidate:
         rows = read_rows(out)
         assert len(rows) == 3 * 2  # folds x {nmf, rprnmf}
         assert {r["algorithm"] for r in rows} == {"nmf", "rprnmf"}
+
+    def test_parallel_matches_sequential(self, tmp_path):
+        # the workers receive the fold masks pickled as index arrays
+        ratings = self._write_ratings(tmp_path, seed=4)
+        cfile = tmp_path / "c.txt"
+        cfile.write_text("H 1 2 3\nW 1 2 3\n")
+        outs = [tmp_path / "s.csv", tmp_path / "p.csv"]
+        for out, threads in zip(outs, (1, 2)):
+            assert run_cli("crossvalidate", "--ratings", ratings, "--format", "csv",
+                           "--constraints", cfile, "--folds", 3, "--k", 3, "--lambda-w", 0.5,
+                           "--lambda-h", 0.5, "--max-iters", 20, "--seed", 3, "--out", out,
+                           "--threads", threads) == 0
+        assert len(read_rows(outs[0])) == 6
+        assert read_rows(outs[0]) == read_rows(outs[1])
+        assert trailing_comment(outs[0]) == trailing_comment(outs[1])
 
 
 class TestExtractConstraints:
@@ -405,6 +431,8 @@ class TestThreads:
         for r1, r2 in zip(rows_s, rows_p):
             r1.pop("wall_time_s"), r2.pop("wall_time_s")
             assert r1 == r2
+        # the digest ignores --out and --threads
+        assert trailing_comment(seq) == trailing_comment(par)
 
 
 class TestUsageErrors:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ class TestConstruction:
     def test_mask_rejects_non_binary(self):
         with pytest.raises(ShapeMismatchError):
             MaskMatrix([[0.0, 0.5]])
+
+    def test_mask_flat_round_trip(self):
+        rng = np.random.default_rng(3)
+        for shape in ((1, 1), (4, 7), (9, 2)):
+            for density in (0.0, 0.3, 1.0):
+                b = (rng.uniform(0, 1, shape) < density).astype(float)
+                mask = MaskMatrix(b)
+                assert np.array_equal(mask.flat, np.flatnonzero(b)) and mask.count == b.sum()
+                assert not mask.flat.flags.writeable
+                assert np.array_equal(MaskMatrix.from_flat(shape, mask.flat).bits, b)
+                back = pickle.loads(pickle.dumps(mask))
+                assert back.shape == shape and np.array_equal(back.flat, mask.flat)
 
 
 class TestFrobenius:

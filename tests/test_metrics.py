@@ -193,6 +193,37 @@ class TestF1:
         shifted = f1_score(v + shift, pred + shift, observed, heldout)
         assert shifted == base
 
+    def test_matches_per_user_loop_oracle(self):
+        rng = np.random.default_rng(6)
+        undefined = 0
+        for _ in range(60):
+            n, m = rng.integers(1, 7), rng.integers(2, 9)
+            v = rng.uniform(1, 5, (n, m))
+            pred = rng.uniform(1, 5, (n, m))
+            obs = (rng.uniform(0, 1, (n, m)) < 0.5).astype(float)
+            obs[np.arange(n), rng.integers(0, m, n)] = 1.0  # every user has a training rating
+            held = (1.0 - obs) * (rng.uniform(0, 1, (n, m)) < 0.7)
+            tp = fp = fn = 0
+            for i in range(n):
+                rated = [v[i, j] for j in range(m) if obs[i, j]]
+                threshold = sum(rated) / len(rated)
+                for j in range(m):
+                    if held[i, j]:
+                        t, p = v[i, j] > threshold, pred[i, j] > threshold
+                        tp += t and p
+                        fp += p and not t
+                        fn += t and not p
+            precision = tp / (tp + fp) if tp + fp else 0.0
+            recall = tp / (tp + fn) if tp + fn else 0.0
+            got = f1_score(v, pred, MaskMatrix(obs), MaskMatrix(held))
+            assert got.precision == precision and got.recall == recall
+            assert got.undefined == (precision + recall == 0)
+            if not got.undefined:
+                assert got.f1 == pytest.approx(2 * precision * recall / (precision + recall),
+                                               rel=1e-15)
+            undefined += got.undefined
+        assert undefined < 30
+
 
 class TestKmeans:
     def test_two_blobs_perfect_split(self):

@@ -28,7 +28,7 @@ from rprnmf.exceptions import (
     RprNmfError,
     ShapeMismatchError,
 )
-from rprnmf.matrix import EPS
+from rprnmf.matrix import EPS, ObservedCells
 from rprnmf import solver
 from rprnmf.solver import SolverConfig, _Level, _PreparedSet, _sweep, _Walk
 
@@ -97,7 +97,7 @@ class TestUpdateTerms:
         for measure in Measure:
             for side in ("w", "h"):
                 num0, den0 = masked_update_terms(v, None, w, h, measure, side)
-                num1, den1 = masked_update_terms(v, mask, w, h, measure, side)
+                num1, den1 = masked_update_terms(v, ObservedCells(v, mask), w, h, measure, side)
                 assert np.allclose(num0, num1, rtol=1e-13, atol=0)
                 assert np.allclose(den0, den1, rtol=1e-13, atol=0)
 
@@ -109,8 +109,8 @@ class TestUpdateTerms:
         v2 = v + (1 - bits) * rng.uniform(1, 5, v.shape)
         for measure in Measure:
             for side in ("w", "h"):
-                num1, den1 = masked_update_terms(v, mask, w, h, measure, side)
-                num2, den2 = masked_update_terms(v2, mask, w, h, measure, side)
+                num1, den1 = masked_update_terms(v, ObservedCells(v, mask), w, h, measure, side)
+                num2, den2 = masked_update_terms(v2, ObservedCells(v2, mask), w, h, measure, side)
                 assert np.allclose(num1, num2, rtol=1e-12)
                 assert np.allclose(den1, den2, rtol=1e-12)
 
@@ -118,7 +118,7 @@ class TestUpdateTerms:
         rng = np.random.default_rng(2)
         v, w, h = random_instance(rng)
         with pytest.raises(ShapeMismatchError):
-            masked_update_terms(v, np.ones((3, 3)), w, h, Measure.EUCLIDEAN, "w")
+            masked_update_terms(v, ObservedCells(v, np.ones((3, 3))), w, h, Measure.EUCLIDEAN, "w")
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 9), m=st.integers(1, 9), k=st.integers(1, 4),
@@ -141,7 +141,8 @@ class TestUpdateTerms:
             for side in ("w", "h"):
                 want = dense_masked_terms(v, bits, w, h, measure, side)
                 for data in (v, v2):
-                    got = masked_update_terms(data, MaskMatrix(bits), w, h, measure, side)
+                    got = masked_update_terms(data, ObservedCells(data, MaskMatrix(bits)), w, h,
+                                              measure, side)
                     for g, r in zip(got, want):
                         assert g.shape == r.shape
                         assert np.allclose(g, r, rtol=1e-12, atol=1e-300)
