@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -120,6 +121,10 @@ def _check_args(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{dest} must be a finite number, got {value}")
+    # factorize and crossvalidate, the commands that take --lambda-w and --constraints
+    if "lambda_w" in vars(args) and max(args.lambda_w, args.lambda_h) > 0 and not args.constraints:
+        raise UsageError(f"--lambda-w {args.lambda_w} and --lambda-h {args.lambda_h}: "
+                         "a positive coefficient needs --constraints")
     measures = getattr(args, "measures", None)
     if measures is not None and not set(measures.split(",")) <= {"euc", "div"}:
         raise UsageError(f"--measures must be a comma list of euc and div, got {measures!r}")
@@ -146,10 +151,6 @@ def _number_list(flag: str, text: str, kind=int, low=1) -> list:
     return values
 
 
-def _measure(name: str) -> Measure:
-    return Measure.EUCLIDEAN if name == "euc" else Measure.DIVERGENCE
-
-
 def _derive_seed(*parts: int) -> int:
     """Stable child seed from integer components."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
@@ -170,15 +171,11 @@ def _chain_plan(n_triples: int, per_chain: int = 5) -> list[int]:
 
 def cmd_factorize(args) -> int:
     v = read_dense_csv(args.matrix)
-    mask = None
-    if args.mask:
-        mask = read_mask_csv(args.mask)
-    elif args.treat_zero_as_missing:
+    mask = read_mask_csv(args.mask) if args.mask else None
+    if args.treat_zero_as_missing:
         mask = zeros_as_missing(v)
-    set_w = set_h = None
-    if args.constraints:
-        set_w, set_h = read_constraints(args.constraints)
-    measure = _measure(args.measure)
+    set_w, set_h = read_constraints(args.constraints) if args.constraints else (None, None)
+    measure = Measure(args.measure)
     config = SolverConfig(
         k=args.k, measure=measure, lambda_w=args.lambda_w, lambda_h=args.lambda_h,
         max_iters=args.max_iters, rel_tol=args.rel_tol, seed=args.seed, mask=mask,
@@ -233,7 +230,7 @@ def _syn_tasks(args, shapes) -> list[dict]:
             for meas in args.measures.split(","):
                 for lam in (0.0, args.lambda_h):
                     config = SolverConfig(
-                        k=k, measure=_measure(meas), lambda_h=lam, max_iters=args.max_iters,
+                        k=k, measure=Measure(meas), lambda_h=lam, max_iters=args.max_iters,
                         rel_tol=args.rel_tol, seed=_derive_seed(args.seed, group, rep, 3),
                     )
                     tasks.append({
@@ -297,7 +294,7 @@ def cmd_param_sweep(args) -> int:
         for rep in range(args.reps):
             for meas in args.measures.split(","):
                 config = SolverConfig(
-                    k=args.k, measure=_measure(meas), lambda_w=lam, lambda_h=lam,
+                    k=args.k, measure=Measure(meas), lambda_w=lam, lambda_h=lam,
                     max_iters=args.max_iters, rel_tol=args.rel_tol,
                     seed=_derive_seed(args.seed, rep, 4),
                 )
@@ -339,7 +336,7 @@ def cmd_convert(args) -> int:
 
 def _cv_task(task: dict) -> dict:
     v, training, heldout = task["v"], task["training"], task["heldout"]
-    measure = _measure(task["measure"])
+    measure = Measure(task["measure"])
     config = SolverConfig(
         k=task["k"], measure=measure, lambda_w=task["lam_w"], lambda_h=task["lam_h"],
         max_iters=task["max_iters"], rel_tol=task["rel_tol"],
@@ -364,12 +361,10 @@ def cmd_crossvalidate(args) -> int:
     if not table.ratings.size:
         raise UsageError(f"--ratings {args.ratings}: no ratings in the file")
     v, observed = ratings_to_matrix(table)
-    set_w = set_h = None
-    if args.constraints:
-        set_w, set_h = read_constraints(args.constraints)
+    set_w, set_h = read_constraints(args.constraints) if args.constraints else (None, None)
     split = make_cv_split(observed, args.folds, args.seed)
     lambdas = [(0.0, 0.0)]
-    if set_w is not None or set_h is not None:
+    if args.lambda_w or args.lambda_h:  # positive, so --constraints is given (_check_args)
         lambdas.append((args.lambda_w, args.lambda_h))
     tasks = []
     for fold in range(split.n_folds):
@@ -447,11 +442,17 @@ def cmd_extract_constraints(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_solver_flags(p, lambda_w=0.0, lambda_h=0.0, max_iters=500, rel_tol=1e-6):
-    p.add_argument("--k", type=int, required=False, default=20)
-    p.add_argument("--measure", choices=("euc", "div"), default="euc")
-    p.add_argument("--lambda-w", dest="lambda_w", type=float, default=lambda_w)
-    p.add_argument("--lambda-h", dest="lambda_h", type=float, default=lambda_h)
+def _add_solver_flags(p, flags, lambda_h=0.0, max_iters=500, rel_tol=1e-6):
+    """Add --max-iters, --rel-tol and --seed, and the space-separated ``flags`` among
+    k, measure, lambda-w and lambda-h: those the command reads."""
+    optional = {
+        "k": dict(type=int, default=20),
+        "measure": dict(choices=("euc", "div"), default="euc"),
+        "lambda-w": dict(type=float, default=0.0),
+        "lambda-h": dict(type=float, default=lambda_h),
+    }
+    for name in flags.split():
+        p.add_argument(f"--{name}", **optional[name])
     p.add_argument("--max-iters", dest="max_iters", type=int, default=max_iters)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=rel_tol)
     p.add_argument("--seed", type=int, default=0)
@@ -460,15 +461,19 @@ def _add_solver_flags(p, lambda_w=0.0, lambda_h=0.0, max_iters=500, rel_tol=1e-6
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rprnmf", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rprnmf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching of long flags, or a flag a command does not take could
+    # pass as one it does (--measure as --measures)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("factorize", help="factorise one matrix and write a JSON report")
     p.add_argument("--matrix", required=True)
     p.add_argument("--constraints")
-    p.add_argument("--mask")
-    p.add_argument("--treat-zero-as-missing", action="store_true")
+    masks = p.add_mutually_exclusive_group()
+    masks.add_argument("--mask")
+    masks.add_argument("--treat-zero-as-missing", action="store_true")
     p.add_argument("--out")
-    _add_solver_flags(p)
+    _add_solver_flags(p, "k measure lambda-w lambda-h")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("syn1", help="sweep the constraint-group count on synthetic data")
@@ -480,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples-per-group", dest="triples_per_group", type=int, default=5)
     p.add_argument("--measures", default="euc,div")
     p.add_argument("--threads", type=int, default=1)
-    _add_solver_flags(p, lambda_h=1.0, max_iters=800, rel_tol=1e-9)
+    _add_solver_flags(p, "k lambda-h", lambda_h=1.0, max_iters=800, rel_tol=1e-9)
     p.set_defaults(func=cmd_syn1)
 
     p = sub.add_parser("syn2", help="sweep the matrix size on synthetic data")
@@ -489,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--measures", default="euc,div")
     p.add_argument("--threads", type=int, default=1)
-    _add_solver_flags(p, lambda_h=1.0, max_iters=800, rel_tol=1e-9)
+    _add_solver_flags(p, "lambda-h", lambda_h=1.0, max_iters=800, rel_tol=1e-9)  # k = size // 5
     p.set_defaults(func=cmd_syn2)
 
     p = sub.add_parser("param-sweep", help="sweep the penalty coefficient grid")
@@ -502,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="triples per side (default n/10)")
     p.add_argument("--measures", default="euc,div")
     p.add_argument("--threads", type=int, default=1)
-    _add_solver_flags(p, max_iters=1000, rel_tol=1e-9)
+    _add_solver_flags(p, "k", max_iters=1000, rel_tol=1e-9)  # the grid sets both coefficients
     p.set_defaults(func=cmd_param_sweep)
 
     p = sub.add_parser("convert", help="convert constraints to a weight or label matrix")
@@ -521,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=1)
-    _add_solver_flags(p)
+    _add_solver_flags(p, "k measure lambda-w lambda-h")
     p.set_defaults(func=cmd_crossvalidate)
 
     p = sub.add_parser("extract-constraints", help="build triples from a class-label file")

@@ -136,12 +136,18 @@ def _pair_distances(vectors: np.ndarray, i: np.ndarray, j: np.ndarray, measure: 
     return 0.5 * np.sum((ac - bc) * np.log(ac / bc), axis=1)
 
 
-def satisfaction_flags(cset: ConstraintSet, m, measure: Measure) -> np.ndarray:
-    """Boolean vector: strict dis(q,r) < dis(q,s) per triple (ties unsatisfied)."""
+def triple_distances(cset: ConstraintSet, m, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
+    """Per triple of ``cset``: d1 = dis(q, r) and d2 = dis(q, s) in ``m``."""
     vectors = constrained_vectors(cset.target, m)
     cset.check_bounds(vectors.shape[0])
     q, r, s = cset.index_arrays()
-    return _pair_distances(vectors, q, r, measure) < _pair_distances(vectors, q, s, measure)
+    return _pair_distances(vectors, q, r, measure), _pair_distances(vectors, q, s, measure)
+
+
+def satisfaction_flags(cset: ConstraintSet, m, measure: Measure) -> np.ndarray:
+    """Boolean vector: strict dis(q,r) < dis(q,s) per triple (ties unsatisfied)."""
+    d1, d2 = triple_distances(cset, m, measure)
+    return d1 < d2
 
 
 def csr(set_w: ConstraintSet | None, w, set_h: ConstraintSet | None, h, measure: Measure) -> float:
@@ -153,8 +159,7 @@ def csr(set_w: ConstraintSet | None, w, set_h: ConstraintSet | None, h, measure:
     fractions = []
     for cset, m in ((set_w, w), (set_h, h)):
         if cset is not None and len(cset) > 0:
-            flags = satisfaction_flags(cset, m, measure)
-            fractions.append(float(flags.mean()))
+            fractions.append(float(satisfaction_flags(cset, m, measure).mean()))
     if not fractions:
         raise NoConstraintsError("no non-empty constraint set supplied")
     return float(np.mean(fractions))

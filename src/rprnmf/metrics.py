@@ -17,9 +17,10 @@ from .exceptions import (
     EmptyMaskError,
     LengthMismatchError,
     NoObservedRatingsError,
+    ShapeMismatchError,
     TooFewPointsError,
 )
-from .matrix import as_array, as_mask, frobenius_sq_diff, matrix_divergence
+from .matrix import ObservedCells, as_array, as_mask, frobenius_sq_diff, matrix_divergence
 
 
 @dataclass
@@ -42,16 +43,25 @@ class F1Result(NamedTuple):
     undefined: bool
 
 
+def _fit(v, w, h, mask) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` and W @ H: at the observed cells only when masked, else dense."""
+    va, wa, ha = as_array(v), as_array(w), as_array(h)
+    if mask is None:
+        return va, wa @ ha
+    if (wa.shape[0], ha.shape[1]) != va.shape:
+        raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {va.shape}")
+    cells = ObservedCells(va, mask)
+    return cells.v, cells.model(wa, ha)
+
+
 def msl(v, w, h, mask=None) -> float:
     """Mean squared loss: squared residual sum divided by the full N*M."""
-    va, wh = as_array(v), as_array(w) @ as_array(h)
-    return frobenius_sq_diff(va, wh, mask) / va.size
+    return frobenius_sq_diff(*_fit(v, w, h, mask)) / as_array(v).size
 
 
 def md(v, w, h, mask=None) -> float:
     """Mean divergence: generalised KL residual divided by the full N*M."""
-    va, wh = as_array(v), as_array(w) @ as_array(h)
-    return matrix_divergence(va, wh, mask) / va.size
+    return matrix_divergence(*_fit(v, w, h, mask)) / as_array(v).size
 
 
 def rmse(v, wh, mask) -> float:

@@ -12,42 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constraints import ConstraintSet, Measure, _pair_distances, constrained_vectors
+from .constraints import ConstraintSet, Measure, triple_distances
 from .exceptions import PenaltyOverflowError
 
 MAX_EXP = 700.0
 
 
-def _vectors(factor, cset: ConstraintSet) -> np.ndarray:
-    v = constrained_vectors(cset.target, factor)
-    cset.check_bounds(v.shape[0])
-    return v
-
-
-def _checked_exp(e: np.ndarray) -> np.ndarray:
-    top = float(np.max(e, initial=0.0))
-    if top > MAX_EXP:
-        raise PenaltyOverflowError(top)
-    return np.exp(e)
-
-
 def euc_penalty_value(factor, cset: ConstraintSet) -> float:
     """Sum over triples of exp(E(q,r)) + exp(-E(q,s))."""
-    if len(cset) == 0:
-        return 0.0
-    vec = _vectors(factor, cset)
-    q, r, s = cset.index_arrays()
-    e1 = _pair_distances(vec, q, r, Measure.EUCLIDEAN)
-    e2 = _pair_distances(vec, q, s, Measure.EUCLIDEAN)
-    return float(np.sum(_checked_exp(e1) + np.exp(-e2)))
+    e1, e2 = triple_distances(cset, factor, Measure.EUCLIDEAN)
+    top = float(np.max(e1, initial=0.0))
+    if top > MAX_EXP:
+        raise PenaltyOverflowError(top)
+    return float(np.sum(np.exp(e1) + np.exp(-e2)))
 
 
 def div_penalty_value(factor, cset: ConstraintSet) -> float:
     """Sum over triples of the hinge max(0, SD(q,r) - SD(q,s))."""
-    if len(cset) == 0:
-        return 0.0
-    vec = _vectors(factor, cset)
-    q, r, s = cset.index_arrays()
-    d1 = _pair_distances(vec, q, r, Measure.DIVERGENCE)
-    d2 = _pair_distances(vec, q, s, Measure.DIVERGENCE)
+    d1, d2 = triple_distances(cset, factor, Measure.DIVERGENCE)
     return float(np.sum(np.maximum(0.0, d1 - d2)))

@@ -200,9 +200,8 @@ class _Level(NamedTuple):
     vec: np.ndarray       # the level's vectors, ascending
     pos: np.ndarray       # per (vector, triple) entry: its vector's place in ``vec``
     tri: np.ndarray       # per entry: its triple
-    euc: np.ndarray       # (4, entries): Euclidean e1/e2 partners of cpos and cneg
-    div: np.ndarray       # (3, entries): x, y, z of the hinge log(x/y) + (x - y)/z
-    sign: np.ndarray      # per entry: +1, or -1 for an s-anchored hinge term
+    ops: np.ndarray       # per entry: cpos/cneg partners (4 rows), or hinge x, y, z (3 rows)
+    sign: np.ndarray      # divergence only, per entry: +1, or -1 for an s-anchored hinge term
     upd_pos: np.ndarray   # per distance the level changes: the vector's place
     upd_slot: np.ndarray  # its slot in [d1; d2]
     upd_other: np.ndarray # the vector at the pair's other end
@@ -214,16 +213,15 @@ class _Walk(NamedTuple):
     Every index is local: into ``nodes`` for column entries (the zero slot
     is last) and into ``slots`` for distances.  Each link of a vector lists
     its triple's d1 and d2 slots and then its gather operands, as in
-    :class:`_Level`: ``euc`` the four partners of cpos and cneg, ``div`` x,
-    y, z and the sign of its hinge term.
+    :class:`_Level`: the four partners of cpos and cneg (Euclidean), or x,
+    y, z and the sign of its hinge term (divergence).
     """
 
     vec: np.ndarray   # the walked vectors, ascending
     nodes: np.ndarray # every vector of their triples, then the zero slot
     slots: np.ndarray # the d1 and then the d2 slots of those triples in [d1; d2]
     pos: list         # per vector: its place in ``nodes``
-    euc: list         # per vector: (d1, d2, g0, g1, g2, g3) per triple
-    div: list         # per vector: (d1, d2, x, y, z, sign) per triple
+    links: list       # per vector: (d1, d2, g0, g1, g2, g3) or (d1, d2, x, y, z, sign) per triple
     upd: list         # per vector: (slot, other end) per distance it changes
 
 
@@ -242,13 +240,13 @@ class _PreparedSet:
     later ones, so sweeping level by level reads exactly the values the
     sequential walk reads.  ``steps`` is that walk: a :class:`_Level` for each
     level of at least ``WIDTH_CROSSOVER`` vectors, and a :class:`_Walk` for
-    each run of narrower levels between them.  Role 0/1/2 means a vector is
-    its triple's q/r/s.
+    each run of narrower levels between them, each with the gather operands of
+    ``measure``'s update only.  Role 0/1/2 means a vector is its triple's q/r/s.
     """
 
     __slots__ = ("touched", "n", "q_arr", "r_arr", "s_arr", "steps")
 
-    def __init__(self, cset: ConstraintSet, dim: int):
+    def __init__(self, cset: ConstraintSet, dim: int, measure: Measure):
         cset.check_bounds(dim)
         q_arr, r_arr, s_arr = cset.index_arrays()
         self.q_arr, self.r_arr, self.s_arr = q_arr, r_arr, s_arr
@@ -287,9 +285,9 @@ class _PreparedSet:
         qrs = np.stack([q_arr, r_arr, s_arr, np.full(n, dim)])
         ends = qrs[:, ent_tri]  # (q, r, s, zero slot) of each entry's triple
         cols = np.arange(ent_vec.size)
-        euc = ends[_EUC_ROWS[:, ent_role], cols]
-        div = ends[_DIV_ROWS[:, ent_role], cols]
-        sign = _DIV_SIGN[ent_role]
+        euclid = measure is Measure.EUCLIDEAN
+        ops = ends[(_EUC_ROWS if euclid else _DIV_ROWS)[:, ent_role], cols]
+        sign = None if euclid else _DIV_SIGN[ent_role]
         # the pair distance the entry changes and the vector at the pair's
         # other end: the q entry changes d1 and d2, r only d1, s only d2
         other = np.where(ent_role == 0, ends[1:3], ends[0])
@@ -302,8 +300,8 @@ class _PreparedSet:
             def local(a):
                 return np.searchsorted(nodes, a).tolist()
 
-            euc_links = list(zip(s1, s2, *local(euc[:, e0:e1])))
-            div_links = list(zip(s1, s2, *local(div[:, e0:e1]), sign[e0:e1].tolist()))
+            signs = [] if euclid else [sign[e0:e1].tolist()]
+            links = list(zip(s1, s2, *local(ops[:, e0:e1]), *signs))
             o1, o2 = local(other[:, e0:e1])
             pairs = [[(a, x)] * (role != 2) + [(b, y)] * (role != 1) for a, b, x, y, role
                      in zip(s1, s2, o1, o2, ent_role[e0:e1].tolist())]
@@ -313,7 +311,7 @@ class _PreparedSet:
             vec = vecs[v0:v1][order]
             return _Walk(
                 vec=vec, nodes=nodes, slots=np.concatenate([tris, n + tris]), pos=local(vec),
-                euc=[euc_links[b:c] for b, c in cuts], div=[div_links[b:c] for b, c in cuts],
+                links=[links[b:c] for b, c in cuts],
                 upd=[[p for ps in pairs[b:c] for p in ps] for b, c in cuts],
             )
 
@@ -332,7 +330,7 @@ class _PreparedSet:
             on_d1, on_d2 = role != 2, role != 1
             steps.append(_Level(
                 vec=vecs[v0:v1], pos=pos, tri=tri,
-                euc=euc[:, e0:e1], div=div[:, e0:e1], sign=sign[e0:e1],
+                ops=ops[:, e0:e1], sign=None if euclid else sign[e0:e1],
                 upd_pos=np.concatenate([pos[on_d1], pos[on_d2]]),
                 upd_slot=np.concatenate([tri[on_d1], n + tri[on_d2]]),
                 upd_other=np.concatenate([other[0, e0:e1][on_d1], other[1, e0:e1][on_d2]]),
@@ -342,8 +340,9 @@ class _PreparedSet:
         self.steps = steps
 
 
-def _prepare(cset: ConstraintSet | None, dim: int, lam: float) -> _PreparedSet | None:
-    """The sweep plan of a non-empty set with a positive coefficient, else None.
+def _prepare(cset: ConstraintSet | None, dim: int, lam: float,
+             measure: Measure) -> _PreparedSet | None:
+    """The ``measure`` sweep plan of a non-empty set with a positive coefficient, else None.
 
     Coefficients only scale, so a side that starts at 0 stays unpenalised and
     needs no plan; its set's bounds are still checked before any iteration.
@@ -353,7 +352,7 @@ def _prepare(cset: ConstraintSet | None, dim: int, lam: float) -> _PreparedSet |
     if lam == 0:
         cset.check_bounds(dim)
         return None
-    return _PreparedSet(cset, dim)
+    return _PreparedSet(cset, dim, measure)
 
 
 def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
@@ -369,7 +368,7 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
     one numpy step on them; a walk gathers its ``nodes`` and ``slots`` into
     Python lists, updates one vector at a time, and scatters both back.
     """
-    if prep is None or lam == 0.0 or prep.n == 0:
+    if prep is None or lam == 0.0:
         fac *= num / np.maximum(den, EPS)
         return
 
@@ -406,12 +405,12 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
                         raise PenaltyOverflowError(float(e[np.argmax(e > MAX_EXP)]))
                     e1 = np.exp(e)
                     e2 = np.exp(-dd[n + step.tri])
-                    g = colz[step.euc]
+                    g = colz[step.ops]
                     cpos = np.bincount(step.pos, e1 * g[0] + e2 * g[1], width)
                     cneg = np.bincount(step.pos, e1 * g[2] + e2 * g[3], width)
                     new = old * (nk_v + lam * cneg) / np.maximum(dk_v + lam * cpos, EPS)
                 else:
-                    x, y, z = np.maximum(colz[step.div], EPS)
+                    x, y, z = np.maximum(colz[step.ops], EPS)
                     t = (np.log(x / y) + (x - y) / z) * step.sign
                     active = dd[step.tri] >= dd[n + step.tri]
                     p = np.bincount(step.pos, np.where(active, t, 0.0), width)
@@ -432,8 +431,7 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
                 continue
             c = colz[step.nodes].tolist()
             d = dd[step.slots].tolist()
-            links = step.euc if euclid else step.div
-            for a, links_a, upd, nka, dka in zip(step.pos, links, step.upd, nk[k], dk[k]):
+            for a, links_a, upd, nka, dka in zip(step.pos, step.links, step.upd, nk[k], dk[k]):
                 old = c[a]
                 if euclid:
                     cpos = cneg = 0.0
@@ -511,9 +509,9 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
     w = rng.uniform(INIT_LOW, INIT_HIGH, size=(n, config.k))
     h = rng.uniform(INIT_LOW, INIT_HIGH, size=(config.k, m))
     lam_w, lam_h = config.lambda_w, config.lambda_h
-    prep_w = _prepare(set_w, n, lam_w)
-    prep_h = _prepare(set_h, m, lam_h)
     measure = config.measure
+    prep_w = _prepare(set_w, n, lam_w, measure)
+    prep_h = _prepare(set_h, m, lam_h, measure)
 
     def current_objective():
         return _objective_value(va, w, h, set_w, set_h, lam_w, lam_h, measure, cells)

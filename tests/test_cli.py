@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rprnmf import (DenseMatrix, Measure, SolverConfig, Target, csr, generate_chain_plan, md,
                     msl, read_constraints, run)
@@ -348,6 +350,19 @@ class TestCrossValidate:
         assert read_rows(outs[0]) == read_rows(outs[1])
         assert trailing_comment(outs[0]) == trailing_comment(outs[1])
 
+    def test_zero_coefficients_solve_each_fold_once(self, tmp_path):
+        ratings = self._write_ratings(tmp_path, seed=1)
+        cfile = tmp_path / "c.txt"
+        cfile.write_text("H 1 2 3\nW 1 2 3\n")
+        out = tmp_path / "cv.csv"
+        assert run_cli("crossvalidate", "--ratings", ratings, "--format", "csv",
+                       "--constraints", cfile, "--folds", 3, "--k", 3, "--max-iters", 10,
+                       "--seed", 2, "--out", out) == 0
+        rows = read_rows(out)
+        assert [r["fold"] for r in rows] == ["0", "1", "2"]
+        assert {r["algorithm"] for r in rows} == {"nmf"}
+        assert all(r["csr"] != "" for r in rows)
+
 
 class TestExtractConstraints:
     def _labels(self, tmp_path, labels):
@@ -494,3 +509,132 @@ class TestUsageErrors:
         inputs = (("--matrix", tmp_path / "v.csv") if command == "factorize"
                   else ("--ratings", tmp_path / "r.dat", "--out", tmp_path / "cv.csv"))
         self._exit_2_naming(capsys, flag, command, *inputs, flag, value)
+
+    def _parser_exit_2_naming(self, capsys, names, *argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and all(name in err for name in names)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("syn1", "--measure", "div"), ("syn1", "--lambda-w", 5),
+        ("syn2", "--k", 3), ("syn2", "--measure", "div"), ("syn2", "--lambda-w", 5),
+        ("param-sweep", "--measure", "div"), ("param-sweep", "--lambda-w", 5),
+        ("param-sweep", "--lambda-h", 5),
+    ])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command, flag, value):
+        # --measure is refused, not taken as a prefix of --measures
+        out = tmp_path / "x.csv"
+        self._parser_exit_2_naming(capsys, [flag], command, "--out", out, flag, value)
+        assert not out.exists()
+
+    def test_mask_with_treat_zero_as_missing(self, tmp_path, capsys):
+        # the input files do not exist: the pair is refused before any is read
+        self._parser_exit_2_naming(capsys, ["--mask", "--treat-zero-as-missing"], "factorize",
+                                   "--matrix", tmp_path / "v.csv", "--mask", tmp_path / "m.csv",
+                                   "--treat-zero-as-missing")
+
+    @pytest.mark.parametrize("command", ["factorize", "crossvalidate"])
+    @pytest.mark.parametrize("flag", ["--lambda-w", "--lambda-h"])
+    def test_coefficient_without_constraints(self, tmp_path, capsys, command, flag):
+        inputs = (("--matrix", tmp_path / "v.csv") if command == "factorize"
+                  else ("--ratings", tmp_path / "r.dat", "--out", tmp_path / "cv.csv"))
+        err = self._exit_2_naming(capsys, flag, command, *inputs, flag, 0.5)
+        assert "--constraints" in err
+
+
+def _ratings_lines(sep, stamp):
+    return "".join(f"{u}{sep}{i}{sep}{(u * i) % 5 + 1}{stamp}\n" for u in range(1, 7)
+                   for i in range(1, 6)).encode()
+
+
+# contents of each fuzzed input file: a well-formed one first, then malformed ones
+FUZZ_FILES = {
+    "matrix": [b"0.5,1,0.2\n1,0.1,0.3\n0.2,0.9,1\n0.4,0.6,0.7\n", b"1,0,0.2\n0,0.5,1\n1,1,0\n",
+               b"1,2\n3\n", b"1,x\n", b"", b"1,-1\n2,2\n", b"nan,1\n1,1\n", b"\xff\xfe\n"],
+    "mask": [b"1,1,0\n1,1,1\n1,0,1\n1,1,1\n", b"1,1\n1,1\n", b"1,2,1\n1,1,1\n1,1,1\n1,1,1\n",
+             b"0,0,0\n1,1,1\n1,1,1\n1,1,1\n"],
+    "constraints": [b"H 1 2 3\nW 1 2 3\n", b"H 2 1 3\nH 2 3 1\n", b"H 1 2\n", b"H 1 1 2\n",
+                    b"X 1 2 3\n", b"H 9 2 3\n", b"# none\n"],
+    "ratings": [_ratings_lines("::", "::978300760"), _ratings_lines(",", ""), b"1::1\n", b"",
+                b"a,b,c\n", b"1::1::5\n"],
+    "labels": [b"1\n1\n2\n2\n3\n3\n", b"1\nx\n", b"1\n", b""],
+}
+
+# per command: the flags always given (bounding the work: small sizes, few
+# iterations and repetitions) and the flags drawn, each with the values drawn
+# from; "@name" is a path filled in by the test, None a switch
+SOLVE = {"--k": ["1", "2", "0"], "--rel-tol": ["0", "1e-3", "-1"], "--seed": ["0", "3"]}
+SYNTHETIC = dict(SOLVE, **{"--measures": ["euc", "div", "euc,div", "foo"],
+                           "--threads": ["1", "0"]})
+FUZZ_ARGV = {
+    "factorize": (
+        {"--matrix": ["@matrix", "@absent"], "--max-iters": ["1", "4", "0"]},
+        dict(SOLVE, **{"--constraints": ["@constraints"], "--mask": ["@mask"],
+                       "--treat-zero-as-missing": None, "--out": ["@out", "@dir"],
+                       "--measure": ["euc", "div", "kl"], "--lambda-w": ["0", "0.5", "-1"],
+                       "--lambda-h": ["0", "0.5", "nan"]})),
+    "syn1": (
+        {"--out": ["@out", "@missing"], "--groups": ["1", "2", "1,2", "0", "x", ""],
+         "--reps": ["1", "0"], "--n": ["8", "0"], "--m": ["10", "5"],
+         "--triples-per-group": ["1", "2", "0", "12"], "--max-iters": ["1", "3"]},
+        dict(SYNTHETIC, **{"--lambda-h": ["0", "1", "-1"], "--measure": ["div"],
+                           "--lambda-w": ["1"]})),
+    "syn2": (
+        {"--out": ["@out", "@dir"], "--sizes": ["3", "5,6", "2", "x", "4,"], "--reps": ["1"],
+         "--max-iters": ["1", "3"]},
+        dict(SYNTHETIC, **{"--lambda-h": ["0", "1"], "--k": ["3"], "--measure": ["euc"],
+                           "--lambda-w": ["1"]})),
+    "param-sweep": (
+        {"--out": ["@out"], "--lambdas": ["0.5", "0,2", "-1", "x"], "--reps": ["1"],
+         "--n": ["6", "9"], "--m": ["6", "4"], "--max-iters": ["1", "3"]},
+        dict(SYNTHETIC, **{"--n-constraints": ["1", "2", "0", "5"], "--measure": ["div"],
+                           "--lambda-w": ["1"], "--lambda-h": ["1"]})),
+    "convert": (
+        {"--constraints": ["@constraints", "@absent"], "--to": ["weights", "labels"],
+         "--out": ["@out", "@dir"]},
+        {"--m": ["3", "9", "0"], "--mins": ["0", "0.5", "nan"], "--maxs": ["1", "-1", "inf"]}),
+    "crossvalidate": (
+        {"--ratings": ["@ratings", "@absent"], "--format": ["ml1m", "csv"], "--out": ["@out"],
+         "--folds": ["2", "3", "1"], "--max-iters": ["1", "3"]},
+        dict(SOLVE, **{"--constraints": ["@constraints"], "--measure": ["euc", "div"],
+                       "--lambda-w": ["0", "0.5"], "--lambda-h": ["0", "0.5", "-1"]})),
+    "extract-constraints": (
+        {"--labels": ["@labels", "@absent"], "--out": ["@out", "@missing"]},
+        {"--per-class": ["2", "3", "1"], "--both-ways": None, "--seed": ["0", "1"]}),
+}
+REMOVED = {"syn1": {"--measure", "--lambda-w"}, "syn2": {"--k", "--measure", "--lambda-w"},
+           "param-sweep": {"--measure", "--lambda-w", "--lambda-h"}}
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_argv_exits_0_1_or_2(self, tmp_path, capsys, data):
+        command = data.draw(st.sampled_from(sorted(FUZZ_ARGV)))
+        given_flags, drawn = FUZZ_ARGV[command]
+        flags = list(given_flags) + data.draw(st.lists(st.sampled_from(sorted(drawn)),
+                                                       unique=True, max_size=4))
+        paths = {"@out": tmp_path / "out", "@dir": tmp_path, "@absent": tmp_path / "absent",
+                 "@missing": tmp_path / "absent" / "out"}
+        argv = [command]
+        for flag in flags:
+            values = given_flags.get(flag, drawn.get(flag))
+            argv.append(flag)
+            if values is None:
+                continue
+            value = data.draw(st.sampled_from(values))
+            if value[1:] in FUZZ_FILES:
+                paths[value] = tmp_path / value[1:]
+                paths[value].write_bytes(data.draw(st.sampled_from(FUZZ_FILES[value[1:]])))
+            argv.append(str(paths.get(value, value)))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        refused = REMOVED.get(command, set()) & set(flags)
+        if refused or {"--mask", "--treat-zero-as-missing"} <= set(flags):
+            assert code == 2

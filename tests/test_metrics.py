@@ -18,11 +18,13 @@ from rprnmf import (
     nmi,
     objective,
     rmse,
+    run,
 )
 from rprnmf.exceptions import (
     EmptyMaskError,
     LengthMismatchError,
     NoObservedRatingsError,
+    ShapeMismatchError,
     TooFewPointsError,
 )
 
@@ -105,6 +107,20 @@ class TestApproximationMetrics:
         h = rng.uniform(0.1, 1, (3, 5))
         cfg = SolverConfig(k=3, measure=Measure.DIVERGENCE)
         assert md(v, w, h) == pytest.approx(objective(v, w, h, (None, None), cfg) / 30, rel=1e-12)
+
+    def test_masked_msl_is_the_solver_fit_at_the_cells(self):
+        # masked, msl forms W @ H at the observed cells only, as the solver's
+        # objective does, so at lambda = 0 the two agree exactly
+        rng = np.random.default_rng(4)
+        v = rng.uniform(0, 1, (40, 30))
+        bits = (rng.random((40, 30)) < 0.3).astype(float)
+        bits[:, 0] = bits[0, :] = 1.0
+        mask = MaskMatrix(bits)
+        cfg = SolverConfig(k=4, measure=Measure.EUCLIDEAN, max_iters=20, seed=1, mask=mask)
+        report = run(v, (None, None), cfg)
+        assert msl(v, report.w, report.h, mask) * v.size == report.final_objective
+        with pytest.raises(ShapeMismatchError):
+            msl(v, report.w.a[1:], report.h, mask)
 
 
 class TestRmse:

@@ -156,10 +156,10 @@ def sweep_side(v, w, h, cset, lam, measure, side):
     swept through its transposed view.  Updates ``w`` or ``h`` in place."""
     num, den = masked_update_terms(v, None, w, h, measure, side)
     if side == "w":
-        prep = _PreparedSet(cset, w.shape[0]) if cset is not None else None
+        prep = _PreparedSet(cset, w.shape[0], measure) if cset is not None else None
         _sweep(w, num, den, prep, lam, measure)
     else:
-        prep = _PreparedSet(cset, h.shape[1]) if cset is not None else None
+        prep = _PreparedSet(cset, h.shape[1], measure) if cset is not None else None
         _sweep(h.T, num.T, den.T, prep, lam, measure)
 
 
@@ -253,7 +253,7 @@ class TestOrderedSweep:
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (3, 4, 5), (5, 2, 7), (8, 9, 1)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
             fast = w.copy()
-            _sweep(fast, num, den, _PreparedSet(cset, 12), 0.7, measure)
+            _sweep(fast, num, den, _PreparedSet(cset, 12, measure), 0.7, measure)
             slow = w.copy()
             reference_ordered_sweep(slow, np.asarray(num), np.asarray(den), cset, 0.7, measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
@@ -283,7 +283,7 @@ class TestOrderedSweep:
             # every level a numpy step, then every level walked
             for crossover in (1, dim + 1):
                 with mock.patch.object(solver, "WIDTH_CROSSOVER", crossover):
-                    prep = _PreparedSet(cset, dim)
+                    prep = _PreparedSet(cset, dim, measure)
                 fast = start.copy()
                 _sweep(orient(fast), orient(num), orient(den), prep, lam, measure)
                 assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
@@ -299,10 +299,10 @@ class TestOrderedSweep:
             start, target, orient = h, Target.H_COLS, (lambda a: a.T)
         cset = ConstraintSet(target, [tuple(rng.choice(300, 3, replace=False) + 1)
                                       for _ in range(400)])
-        prep = _PreparedSet(cset, 300)
-        kinds = [type(step) for step in prep.steps]
-        assert _Level in kinds and _Walk in kinds
         for measure in Measure:
+            prep = _PreparedSet(cset, 300, measure)
+            kinds = [type(step) for step in prep.steps]
+            assert _Level in kinds and _Walk in kinds
             num, den = masked_update_terms(v, None, w, h, measure, side)
             fast, slow = start.copy(), start.copy()
             _sweep(orient(fast), orient(num), orient(den), prep, 0.7, measure)
@@ -315,7 +315,7 @@ class TestOrderedSweep:
         dim = 200
         triples = [tuple(rng.choice(dim, 3, replace=False) + 1) for _ in range(300)]
         with mock.patch.object(solver, "WIDTH_CROSSOVER", crossover):
-            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim)
+            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim, Measure.EUCLIDEAN)
         # a vector's place in the sweep: (step, place within a walk)
         place = {}
         for i, step in enumerate(prep.steps):
@@ -346,7 +346,7 @@ class TestOrderedSweep:
         w = np.array([[0.0], [30.0], [1.0]])
         num = den = np.ones_like(w)
         with mock.patch.object(solver, "WIDTH_CROSSOVER", 1):
-            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)
+            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.EUCLIDEAN)
         assert all(isinstance(step, _Level) for step in prep.steps)
         with pytest.raises(PenaltyOverflowError):
             _sweep(w, num, den, prep, 1.0, Measure.EUCLIDEAN)
@@ -357,7 +357,7 @@ class TestOrderedSweep:
             v, w, h = random_instance(rng)
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (4, 5, 6)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
-            _sweep(w, num, den, _PreparedSet(cset, 12), 1.0, measure)
+            _sweep(w, num, den, _PreparedSet(cset, 12, measure), 1.0, measure)
             assert np.all(w >= 0.0)
 
 
@@ -481,7 +481,8 @@ class TestRun:
         set_w = generate_chain_constraints(DenseMatrix(w0), Target.W_ROWS, 2, 2, Measure.DIVERGENCE, seed=4)
         num, den = masked_update_terms(v, None, w0, h0, Measure.DIVERGENCE, "w")
         w1 = w0.copy()
-        _sweep(w1, np.asarray(num), np.asarray(den), _PreparedSet(set_w, 8), 5.0, Measure.DIVERGENCE)
+        prep = _PreparedSet(set_w, 8, Measure.DIVERGENCE)
+        _sweep(w1, np.asarray(num), np.asarray(den), prep, 5.0, Measure.DIVERGENCE)
         assert np.max(np.abs(w1 - w0) / np.abs(w0)) < 1e-10
 
     def test_divergence_rollback_logged_and_trace_monotone(self):
