@@ -172,6 +172,9 @@ def _chain_plan(n_triples: int, per_chain: int = 5) -> list[int]:
 def cmd_factorize(args) -> int:
     v = read_dense_csv(args.matrix)
     mask = read_mask_csv(args.mask) if args.mask else None
+    if mask is not None and mask.shape != v.a.shape:
+        raise UsageError(f"--mask {args.mask} has shape {mask.shape}, "
+                         f"--matrix {args.matrix} has shape {v.a.shape}")
     if args.treat_zero_as_missing:
         mask = zeros_as_missing(v)
     set_w, set_h = read_constraints(args.constraints) if args.constraints else (None, None)
@@ -319,6 +322,9 @@ def cmd_convert(args) -> int:
         raise RprNmfError(f"no constraints found in {args.constraints}")
     if cset.target is not Target.H_COLS:
         cset = ConstraintSet(Target.H_COLS, cset.triples)
+    if args.m is not None and args.m < cset.max_index():
+        raise UsageError(f"--m {args.m} is below the largest index {cset.max_index()} "
+                         f"in {args.constraints}")
     m = args.m or cset.max_index()
     if args.to == "weights":
         wm = constraints_to_weight_matrix(m, cset, args.mins, args.maxs)
@@ -542,7 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's own exit: 0 for --help, 2 for a usage error
+        return exc.code
     try:
         _check_args(args)
         return args.func(args)

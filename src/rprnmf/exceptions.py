@@ -116,3 +116,7 @@ class TooSparseError(RprNmfError, ValueError):
 
 class InvalidConfigError(RprNmfError, ValueError):
     pass
+
+
+class SweepBuildError(RprNmfError, RuntimeError):
+    """The compiled constrained sweep could not be built or loaded."""

@@ -6,22 +6,14 @@ unconstrained case collapses exactly to the classic multiplicative rules),
 while penalty terms are re-evaluated from the freshest entries, walking
 latent columns outermost and constrained indices innermost.
 
-Within one latent column that pinned order is a sparse triangular
-dependency, so the sweep is level-scheduled the way sparse triangular solves
-are (Anderson & Saad 1989; Saltz 1990).  A constrained vector's level is
-1 + the highest level of the earlier vectors it shares a triple with.
-Vectors on one level share no triple and read exactly what the sequential
-walk reads, so a level is one numpy step: gathers of the column, the exp or
-hinge-log terms, ``np.bincount`` sums per vector, and conflict-free
-scatter-adds into the pair distances.  Levels narrower than
-``WIDTH_CROSSOVER`` are walked one vector at a time instead, on Python list
-copies of the entries and distances they read, through the same gather
-tables as a level step.  On 5000
-triples over 3706 vectors, k = 20 (21 levels of 472 down to 38 vectors, then
-a walk of 15), one H sweep took 32-40 ms (Euclidean) and 36-51 ms
-(divergence), against 370 ms and 563 ms for the vector-by-vector walk, on a
-2-core VM with BLAS on one thread.  Syn-1's chain sets (levels of at most
-about 21 vectors) are walked whole, as before.
+Within one latent column that pinned order is a chain of dependencies: an
+entry's update reads the entries and pair distances its earlier neighbours
+just changed.  The constrained entries are therefore walked one at a time,
+in a C function (``_sweep.c``) compiled with the system's ``gcc`` on the
+first penalised sweep and cached in the package's ``__pycache__``.  It reads
+flat link tables built once per run and does the arithmetic of a scalar
+Python walk, operation for operation.  Unconstrained entries and the
+start-of-sweep pair distances stay numpy steps.
 
 The divergence solver adapts its penalty coefficients: an iteration that
 increases the objective is rolled back and both coefficients are halved,
@@ -31,10 +23,15 @@ fixed.
 
 from __future__ import annotations
 
-import math
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +42,7 @@ from .exceptions import (
     NonFiniteEntryError,
     PenaltyOverflowError,
     ShapeMismatchError,
+    SweepBuildError,
 )
 from .matrix import (
     EPS,
@@ -183,161 +181,100 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
     return float(total), None if cells is None else wh
 
 
-# Levels at least this wide take one numpy step; narrower ones are walked.
-# Measured on levels of one triple per vector (where a walk is cheapest), k =
-# 20, 2-core VM: a level step cost 18-22 us (Euclidean) and 24-28 us
-# (divergence) at widths 4 to 40, a walk 1.0 and 1.4 us per vector, so they
-# met at a width of 20.  A level between walks also makes each walk copy its
-# slice of the column and distances in and out; on Syn-1's 70-vector chain
-# set one 20-wide level made the sweep 14% slower, which moves the crossover
-# to 24.
-WIDTH_CROSSOVER = 24
-
-
-class _Level(NamedTuple):
-    """Index arrays of one level step; index ``dim`` gathers the column's zero slot."""
-
-    vec: np.ndarray       # the level's vectors, ascending
-    pos: np.ndarray       # per (vector, triple) entry: its vector's place in ``vec``
-    tri: np.ndarray       # per entry: its triple
-    ops: np.ndarray       # per entry: cpos/cneg partners (4 rows), or hinge x, y, z (3 rows)
-    sign: np.ndarray      # divergence only, per entry: +1, or -1 for an s-anchored hinge term
-    upd_pos: np.ndarray   # per distance the level changes: the vector's place
-    upd_slot: np.ndarray  # its slot in [d1; d2]
-    upd_other: np.ndarray # the vector at the pair's other end
-
-
-class _Walk(NamedTuple):
-    """A run of narrow levels, walked one vector at a time on local copies.
-
-    Every index is local: into ``nodes`` for column entries (the zero slot
-    is last) and into ``slots`` for distances.  Each link of a vector lists
-    its triple's d1 and d2 slots and then its gather operands, as in
-    :class:`_Level`: the four partners of cpos and cneg (Euclidean), or x,
-    y, z and the sign of its hinge term (divergence).
-    """
-
-    vec: np.ndarray   # the walked vectors, ascending
-    nodes: np.ndarray # every vector of their triples, then the zero slot
-    slots: np.ndarray # the d1 and then the d2 slots of those triples in [d1; d2]
-    pos: list         # per vector: its place in ``nodes``
-    links: list       # per vector: (d1, d2, g0, g1, g2, g3) or (d1, d2, x, y, z, sign) per triple
-    upd: list         # per vector: (slot, other end) per distance it changes
-
-
 # per role (q, r, s): which of (q, r, s, zero slot) each gather row reads
-_EUC_ROWS = np.array([[0, 1, 3], [2, 3, 0], [1, 0, 3], [0, 3, 2]])
-_DIV_ROWS = np.array([[2, 1, 2], [1, 0, 0], [0, 1, 2]])
+_EUC_ROWS = np.array([[0, 1, 3], [2, 3, 0], [1, 0, 3], [0, 3, 2]], dtype=np.int64)
+_DIV_ROWS = np.array([[2, 1, 2], [1, 0, 0], [0, 1, 2]], dtype=np.int64)
 _DIV_SIGN = np.array([1.0, 1.0, -1.0])
+
+# the compiler and flags of the compiled sweep, built on first use
+CC = "gcc"
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = Path(__file__).with_name("_sweep.c")
+_compiled = None  # the loaded rpr_sweep function
+
+
+def _build(path: Path) -> None:
+    try:
+        proc = subprocess.run([CC, *CFLAGS, "-o", str(path), str(_SOURCE), "-lm"],
+                              capture_output=True, text=True)
+    except OSError as exc:
+        raise SweepBuildError(f"cannot run C compiler {CC!r} to build {_SOURCE.name}: {exc}") from None
+    if proc.returncode != 0:
+        raise SweepBuildError(f"C compiler {CC!r} failed to build {_SOURCE.name} "
+                              f"(exit {proc.returncode}): {proc.stderr.strip()}")
+
+
+def _load_sweep():
+    """The compiled ``rpr_sweep``, built on first use and cached by source, compiler and flags.
+
+    The library lives in the package's ``__pycache__``, or in a directory of
+    this process's own when that is not writable.  Each build writes a fresh
+    temporary name and renames it into place, so processes that build at
+    once do not see each other's half-written files.
+    """
+    global _compiled
+    if _compiled is not None:
+        return _compiled
+    key = hashlib.sha256(_SOURCE.read_bytes() + repr((CC, CFLAGS)).encode()).hexdigest()[:16]
+    lib_path = _SOURCE.parent / "__pycache__" / f"_sweep-{key}.so"
+    own_dir = None
+    if not lib_path.exists():
+        try:
+            lib_path.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib_path.parent)
+        except OSError:
+            own_dir = tempfile.mkdtemp(prefix="rprnmf-")
+            lib_path = Path(own_dir, lib_path.name)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=own_dir)
+        os.close(fd)
+        try:
+            _build(Path(tmp))
+            os.replace(tmp, lib_path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    try:
+        fn = ctypes.CDLL(str(lib_path)).rpr_sweep
+    except OSError as exc:
+        raise SweepBuildError(f"cannot load {lib_path} built by {CC!r}: {exc}") from None
+    finally:
+        if own_dir is not None:
+            shutil.rmtree(own_dir)  # a loaded library outlives its file
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.argtypes = ([ptr, i64, i64, i64] + [ptr, i64, i64] * 2 + [i64] + [ptr] * 4
+                   + [i64] + [ptr] * 4 + [f64, ctypes.c_int, f64, f64, ptr])
+    fn.restype = ctypes.c_int
+    _compiled = fn
+    return fn
 
 
 class _PreparedSet:
-    """Constraint indices and the level plan of the constrained sweep (0-based).
+    """Constraint indices and link tables of the constrained sweep (0-based).
 
-    A touched vector's level is 1 + the highest level of the earlier vectors
-    (in ``touched`` order) that share a triple with it.  Vectors on one level
-    share no triple, and each sits above its earlier neighbours and below its
-    later ones, so sweeping level by level reads exactly the values the
-    sequential walk reads.  ``steps`` is that walk: a :class:`_Level` for each
-    level of at least ``WIDTH_CROSSOVER`` vectors, and a :class:`_Walk` for
-    each run of narrower levels between them, each with the gather operands of
-    ``measure``'s update only.  Role 0/1/2 means a vector is its triple's q/r/s.
+    ``touched`` lists the vectors some triple names, ascending; ``first``
+    cuts ``tri``/``role`` into each one's links, in triple order, where role
+    0/1/2 means the vector is its triple's q/r/s.  ``qrs`` holds q, r and s,
+    then the zero slot -1.  ``args`` are these tables and ``measure``'s
+    gather operands as the compiled sweep takes them.
     """
 
-    __slots__ = ("touched", "n", "q_arr", "r_arr", "s_arr", "steps")
+    __slots__ = ("touched", "n", "qrs", "first", "tri", "role", "args")
 
     def __init__(self, cset: ConstraintSet, dim: int, measure: Measure):
         cset.check_bounds(dim)
-        q_arr, r_arr, s_arr = cset.index_arrays()
-        self.q_arr, self.r_arr, self.s_arr = q_arr, r_arr, s_arr
         n = self.n = len(cset)
-
-        # longest chain of earlier neighbours, by relaxing over each triple's
-        # three (earlier, later) pairs; triple indices are pairwise distinct,
-        # so this settles after (deepest level + 2) passes
-        lo = np.concatenate([np.minimum(q_arr, r_arr), np.minimum(q_arr, s_arr),
-                             np.minimum(r_arr, s_arr)])
-        hi = np.concatenate([np.maximum(q_arr, r_arr), np.maximum(q_arr, s_arr),
-                             np.maximum(r_arr, s_arr)])
-        level = np.zeros(dim, dtype=np.int64)
-        while True:
-            deeper = np.zeros(dim, dtype=np.int64)
-            np.maximum.at(deeper, hi, level[lo] + 1)
-            if np.array_equal(deeper, level):
-                break
-            level = deeper
-
-        # one entry per (vector, triple, role), ordered by level, vector, triple
-        ent_vec = np.concatenate([q_arr, r_arr, s_arr])
-        ent_tri = np.tile(np.arange(n), 3)
-        ent_role = np.repeat(np.arange(3), n)
-        order = np.lexsort((ent_tri, ent_vec, level[ent_vec]))
-        ent_vec, ent_tri, ent_role = ent_vec[order], ent_tri[order], ent_role[order]
-        ent_level = level[ent_vec]
-        starts = np.diff(ent_vec, prepend=-1) != 0
-        first = np.append(np.flatnonzero(starts), ent_vec.size)  # vector -> its entries
-        vecs = ent_vec[first[:-1]]
-        self.touched = np.sort(vecs).tolist()
-        vec_idx = np.cumsum(starts) - 1  # entry -> its vector's index in vecs
-        ent_bounds = np.flatnonzero(np.diff(ent_level, prepend=-1)).tolist() + [ent_vec.size]
-        vec_bounds = np.searchsorted(first, ent_bounds).tolist()
-
-        qrs = np.stack([q_arr, r_arr, s_arr, np.full(n, dim)])
-        ends = qrs[:, ent_tri]  # (q, r, s, zero slot) of each entry's triple
-        cols = np.arange(ent_vec.size)
-        euclid = measure is Measure.EUCLIDEAN
-        ops = ends[(_EUC_ROWS if euclid else _DIV_ROWS)[:, ent_role], cols]
-        sign = None if euclid else _DIV_SIGN[ent_role]
-        # the pair distance the entry changes and the vector at the pair's
-        # other end: the q entry changes d1 and d2, r only d1, s only d2
-        other = np.where(ent_role == 0, ends[1:3], ends[0])
-
-        def walk(e0: int, e1: int, v0: int, v1: int) -> _Walk:
-            tris, at = np.unique(ent_tri[e0:e1], return_inverse=True)
-            nodes = np.append(np.unique(qrs[:3, tris]), dim)  # the zero slot last
-            s1, s2 = at.tolist(), (at + tris.size).tolist()
-
-            def local(a):
-                return np.searchsorted(nodes, a).tolist()
-
-            signs = [] if euclid else [sign[e0:e1].tolist()]
-            links = list(zip(s1, s2, *local(ops[:, e0:e1]), *signs))
-            o1, o2 = local(other[:, e0:e1])
-            pairs = [[(a, x)] * (role != 2) + [(b, y)] * (role != 1) for a, b, x, y, role
-                     in zip(s1, s2, o1, o2, ent_role[e0:e1].tolist())]
-            order = np.argsort(vecs[v0:v1])  # walked in touched order
-            cuts = (first[v0:v1 + 1] - e0).tolist()
-            cuts = [(cuts[i], cuts[i + 1]) for i in order.tolist()]  # vector -> its links
-            vec = vecs[v0:v1][order]
-            return _Walk(
-                vec=vec, nodes=nodes, slots=np.concatenate([tris, n + tris]), pos=local(vec),
-                links=[links[b:c] for b, c in cuts],
-                upd=[[p for ps in pairs[b:c] for p in ps] for b, c in cuts],
-            )
-
-        steps: list = []
-        run = None  # (first entry, first vector) of the narrow levels since the last wide one
-        for lv in range(len(ent_bounds) - 1):
-            e0, e1 = ent_bounds[lv], ent_bounds[lv + 1]
-            v0, v1 = vec_bounds[lv], vec_bounds[lv + 1]
-            if v1 - v0 < WIDTH_CROSSOVER:
-                run = run or (e0, v0)
-                continue
-            if run:
-                steps.append(walk(run[0], e0, run[1], v0))
-                run = None
-            pos, tri, role = vec_idx[e0:e1] - v0, ent_tri[e0:e1], ent_role[e0:e1]
-            on_d1, on_d2 = role != 2, role != 1
-            steps.append(_Level(
-                vec=vecs[v0:v1], pos=pos, tri=tri,
-                ops=ops[:, e0:e1], sign=None if euclid else sign[e0:e1],
-                upd_pos=np.concatenate([pos[on_d1], pos[on_d2]]),
-                upd_slot=np.concatenate([tri[on_d1], n + tri[on_d2]]),
-                upd_other=np.concatenate([other[0, e0:e1][on_d1], other[1, e0:e1][on_d2]]),
-            ))
-        if run:
-            steps.append(walk(run[0], ent_vec.size, run[1], vecs.size))
-        self.steps = steps
+        self.qrs = np.vstack([*cset.index_arrays(), np.full(n, -1)]).astype(np.int64)
+        # one link per (vector, triple, role), ordered by vector, then triple
+        vec = self.qrs[:3].ravel()
+        order = np.lexsort((np.tile(np.arange(n), 3), vec))
+        self.tri = np.tile(np.arange(n, dtype=np.int64), 3)[order]
+        self.role = np.repeat(np.arange(3, dtype=np.int64), n)[order]
+        self.touched, counts = np.unique(vec, return_counts=True)
+        self.first = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        rows = _EUC_ROWS if measure is Measure.EUCLIDEAN else _DIV_ROWS
+        self.args = (self.touched.size, self.touched.ctypes.data, self.first.ctypes.data,
+                     self.tri.ctypes.data, self.role.ctypes.data, n, self.qrs.ctypes.data,
+                     rows.ctypes.data, _DIV_SIGN.ctypes.data)
 
 
 def _prepare(cset: ConstraintSet | None, dim: int, lam: float,
@@ -355,127 +292,46 @@ def _prepare(cset: ConstraintSet | None, dim: int, lam: float,
     return _PreparedSet(cset, dim, measure)
 
 
+def _strides(a: np.ndarray) -> tuple[int, int]:
+    return a.strides[0] // a.itemsize, a.strides[1] // a.itemsize
+
+
 def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
            prep: _PreparedSet | None, lam: float, measure: Measure) -> None:
-    """One full in-place sweep of ``fac`` (vectors x latent orientation).
+    """One full in-place sweep of ``fac`` (vectors x latent orientation, float64).
 
     ``num``/``den`` are the sweep-start data-fit terms in the same
-    orientation.  Unconstrained entries are applied in one vectorised step;
-    constrained entries follow ``prep.steps``, latent column by latent column,
-    with the pair distances d1 = dis(q, r) and d2 = dis(q, s) kept up to date,
-    so penalties always see the freshest values.  Between steps the current
-    column lives in ``colz`` and the distances in ``dd``.  A wide level is
-    one numpy step on them; a walk gathers its ``nodes`` and ``slots`` into
-    Python lists, updates one vector at a time, and scatters both back.
+    orientation; any strides do, zero strides included.  Untouched vectors
+    take the plain multiplicative step in one numpy step.  The touched ones
+    are then walked by the compiled ``rpr_sweep``, latent column by latent
+    column, with the pair distances d1 = dis(q, r) and d2 = dis(q, s) kept up
+    to date, so penalties always see the freshest values.
     """
     if prep is None or lam == 0.0:
         fac *= num / np.maximum(den, EPS)
         return
-
+    sweep = _load_sweep()
+    num = np.asarray(num, dtype=float)
+    den = np.asarray(den, dtype=float)
     nvec, kdim = fac.shape
-    plain = fac * (num / np.maximum(den, EPS))
+    # the compiled walk reads and writes through these unchecked
+    if (fac.dtype != np.float64 or num.shape != fac.shape or den.shape != fac.shape
+            or prep.touched[-1] >= nvec):
+        raise ShapeMismatchError(f"sweep of a {fac.dtype} {fac.shape} factor with terms {num.shape} "
+                                 f"and {den.shape} and constraint index {prep.touched[-1] + 1}")
     untouched = np.ones(nvec, dtype=bool)
     untouched[prep.touched] = False
-    fac[untouched, :] = plain[untouched, :]
+    fac[untouched, :] *= num[untouched, :] / np.maximum(den[untouched, :], EPS)
 
-    n = prep.n
-    dd = np.concatenate([_pair_distances(fac, prep.q_arr, prep.r_arr, measure),
-                         _pair_distances(fac, prep.q_arr, prep.s_arr, measure)])
-    euclid = measure is Measure.EUCLIDEAN
-    exp = math.exp
-    log = math.log
-    colz = np.zeros(nvec + 1)  # the current latent column, then a zero slot
-    # each step's data-fit terms, one row per latent column (lists for walks)
-    fit = []
-    for step in prep.steps:
-        nk, dk = num[step.vec].T, den[step.vec].T
-        fit.append((nk, dk) if isinstance(step, _Level) else (nk.tolist(), dk.tolist()))
-
-    for k in range(kdim):
-        colz[:nvec] = fac[:, k]
-        for step, (nk, dk) in zip(prep.steps, fit):
-            if isinstance(step, _Level):
-                old = colz[step.vec]
-                nk_v = nk[k]
-                dk_v = dk[k]
-                width = step.vec.size
-                if euclid:
-                    e = dd[step.tri]
-                    if e.max() > MAX_EXP:
-                        raise PenaltyOverflowError(float(e[np.argmax(e > MAX_EXP)]))
-                    e1 = np.exp(e)
-                    e2 = np.exp(-dd[n + step.tri])
-                    g = colz[step.ops]
-                    cpos = np.bincount(step.pos, e1 * g[0] + e2 * g[1], width)
-                    cneg = np.bincount(step.pos, e1 * g[2] + e2 * g[3], width)
-                    new = old * (nk_v + lam * cneg) / np.maximum(dk_v + lam * cpos, EPS)
-                else:
-                    x, y, z = np.maximum(colz[step.ops], EPS)
-                    t = (np.log(x / y) + (x - y) / z) * step.sign
-                    active = dd[step.tri] >= dd[n + step.tri]
-                    p = np.bincount(step.pos, np.where(active, t, 0.0), width)
-                    pen_den = 0.5 * lam * p + dk_v
-                    new = np.where(pen_den < 0, old * nk_v / np.maximum(dk_v, EPS),
-                                   old * nk_v / np.maximum(pen_den, EPS))
-                colz[step.vec] = new
-                other = colz[step.upd_other]
-                now, was = new[step.upd_pos], old[step.upd_pos]
-                if euclid:
-                    dd[step.upd_slot] += (other - now) ** 2 - (other - was) ** 2
-                else:
-                    co = np.maximum(other, EPS)
-                    cn = np.maximum(now, EPS)
-                    cw = np.maximum(was, EPS)
-                    dd[step.upd_slot] += (0.5 * (co - cn) * np.log(co / cn)
-                                          - 0.5 * (co - cw) * np.log(co / cw))
-                continue
-            c = colz[step.nodes].tolist()
-            d = dd[step.slots].tolist()
-            for a, links_a, upd, nka, dka in zip(step.pos, step.links, step.upd, nk[k], dk[k]):
-                old = c[a]
-                if euclid:
-                    cpos = cneg = 0.0
-                    for s1, s2, g0, g1, g2, g3 in links_a:
-                        e = d[s1]
-                        if e > MAX_EXP:
-                            raise PenaltyOverflowError(e)
-                        e1 = exp(e)
-                        e2 = exp(-d[s2])
-                        cpos += e1 * c[g0] + e2 * c[g1]
-                        cneg += e1 * c[g2] + e2 * c[g3]
-                    new = old * (nka + lam * cneg) / max(dka + lam * cpos, EPS)
-                else:
-                    p = 0.0
-                    for s1, s2, x, y, z, sign in links_a:
-                        if d[s1] < d[s2]:
-                            continue
-                        x, y, z = c[x], c[y], c[z]
-                        x = x if x > EPS else EPS
-                        y = y if y > EPS else EPS
-                        z = z if z > EPS else EPS
-                        p += sign * (log(x / y) + (x - y) / z)
-                    pen_den = 0.5 * lam * p + dka
-                    if pen_den < 0:
-                        new = old * nka / max(dka, EPS)
-                    else:
-                        new = old * nka / max(pen_den, EPS)
-                c[a] = new
-                if new == old:
-                    continue
-                if euclid:
-                    for slot, o in upd:
-                        other = c[o]
-                        d[slot] += (other - new) ** 2 - (other - old) ** 2
-                else:
-                    cn = new if new > EPS else EPS
-                    cw = old if old > EPS else EPS
-                    for slot, o in upd:
-                        co = c[o]
-                        co = co if co > EPS else EPS
-                        d[slot] += 0.5 * (co - cn) * log(co / cn) - 0.5 * (co - cw) * log(co / cw)
-            colz[step.nodes] = c
-            dd[step.slots] = d
-        fac[:, k] = colz[:nvec]
+    q, r, s = prep.qrs[:3]
+    dd = np.concatenate([_pair_distances(fac, q, r, measure), _pair_distances(fac, q, s, measure)])
+    exponent = ctypes.c_double()
+    status = sweep(fac.ctypes.data, *_strides(fac), kdim,
+                   num.ctypes.data, *_strides(num), den.ctypes.data, *_strides(den),
+                   *prep.args, dd.ctypes.data, lam, measure is Measure.EUCLIDEAN,
+                   EPS, MAX_EXP, ctypes.byref(exponent))
+    if status:
+        raise PenaltyOverflowError(exponent.value)
 
 
 def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: SolverConfig) -> FactorisationReport:

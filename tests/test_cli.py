@@ -511,10 +511,9 @@ class TestUsageErrors:
         self._exit_2_naming(capsys, flag, command, *inputs, flag, value)
 
     def _parser_exit_2_naming(self, capsys, names, *argv):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv)
+        assert run_cli(*argv) == 2
         err = capsys.readouterr().err
-        assert exc.value.code == 2 and all(name in err for name in names)
+        assert all(name in err for name in names)
 
     @pytest.mark.parametrize("command, flag, value", [
         ("syn1", "--measure", "div"), ("syn1", "--lambda-w", 5),
@@ -533,6 +532,27 @@ class TestUsageErrors:
         self._parser_exit_2_naming(capsys, ["--mask", "--treat-zero-as-missing"], "factorize",
                                    "--matrix", tmp_path / "v.csv", "--mask", tmp_path / "m.csv",
                                    "--treat-zero-as-missing")
+
+    def test_convert_m_below_largest_index(self, tmp_path, capsys):
+        cfile = tmp_path / "c.txt"
+        cfile.write_text("H 1 2 3\nH 4 5 6\n")
+        out = tmp_path / "w.csv"
+        err = self._exit_2_naming(capsys, "--m", "convert", "--constraints", cfile,
+                                  "--to", "weights", "--m", 3, "--out", out)
+        assert str(cfile) in err
+        assert not out.exists()
+
+    def test_mask_shape_differs_from_matrix(self, tmp_path, capsys):
+        matrix, mask = tmp_path / "v.csv", tmp_path / "m.csv"
+        write_dense_csv(matrix, DenseMatrix(np.ones((2, 2))))
+        write_dense_csv(mask, DenseMatrix(np.ones((2, 3))))
+        err = self._exit_2_naming(capsys, "--mask", "factorize", "--matrix", matrix, "--mask", mask)
+        assert str(matrix) in err and str(mask) in err
+
+    def test_help_and_version_exit_0(self, capsys):
+        assert run_cli("--help") == 0
+        assert run_cli("--version") == 0
+        assert "rprnmf" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["factorize", "crossvalidate"])
     @pytest.mark.parametrize("flag", ["--lambda-w", "--lambda-h"])
@@ -603,8 +623,19 @@ FUZZ_ARGV = {
         {"--labels": ["@labels", "@absent"], "--out": ["@out", "@missing"]},
         {"--per-class": ["2", "3", "1"], "--both-ways": None, "--seed": ["0", "1"]}),
 }
+# the largest index of each readable constraints file, and the shape of each
+# matrix or mask file that reads as a 0/1 mask
+FUZZ_MAX_INDEX = {b"H 1 2 3\nW 1 2 3\n": 3, b"H 2 1 3\nH 2 3 1\n": 3, b"H 9 2 3\n": 9}
+FUZZ_SHAPE = {b"0.5,1,0.2\n1,0.1,0.3\n0.2,0.9,1\n0.4,0.6,0.7\n": (4, 3),
+              b"1,0,0.2\n0,0.5,1\n1,1,0\n": (3, 3), b"1,-1\n2,2\n": (2, 2),
+              b"nan,1\n1,1\n": (2, 2), b"1,1,0\n1,1,1\n1,0,1\n1,1,1\n": (4, 3),
+              b"1,1\n1,1\n": (2, 2), b"0,0,0\n1,1,1\n1,1,1\n1,1,1\n": (4, 3)}
 REMOVED = {"syn1": {"--measure", "--lambda-w"}, "syn2": {"--k", "--measure", "--lambda-w"},
            "param-sweep": {"--measure", "--lambda-w", "--lambda-h"}}
+
+
+def _read_or_none(path):
+    return path.read_bytes() if path is not None and path.exists() else None
 
 
 class TestFuzz:
@@ -629,12 +660,19 @@ class TestFuzz:
                 paths[value] = tmp_path / value[1:]
                 paths[value].write_bytes(data.draw(st.sampled_from(FUZZ_FILES[value[1:]])))
             argv.append(str(paths.get(value, value)))
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse refuses the argv
-            code = exc.code
+        code = main(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
         refused = REMOVED.get(command, set()) & set(flags)
         if refused or {"--mask", "--treat-zero-as-missing"} <= set(flags):
             assert code == 2
+        if command == "convert" and "--m" in flags:
+            # a --m below the largest index of a readable constraints file
+            top = FUZZ_MAX_INDEX.get(_read_or_none(paths.get("@constraints")))
+            if top is not None and int(argv[argv.index("--m") + 1]) < top:
+                assert code == 2
+        if command == "factorize" and "--mask" in flags and "--matrix" in argv:
+            shapes = {name: FUZZ_SHAPE.get(_read_or_none(paths.get(name)))
+                      for name in ("@matrix", "@mask")}
+            if None not in shapes.values() and shapes["@matrix"] != shapes["@mask"]:
+                assert code == 2

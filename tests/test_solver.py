@@ -1,4 +1,8 @@
-from unittest import mock
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +31,11 @@ from rprnmf.exceptions import (
     PenaltyOverflowError,
     RprNmfError,
     ShapeMismatchError,
+    SweepBuildError,
 )
 from rprnmf.matrix import EPS, ObservedCells
 from rprnmf import solver
-from rprnmf.solver import SolverConfig, _Level, _PreparedSet, _sweep, _Walk
+from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
 
 from oracles import div_penalty_grad, reference_ordered_sweep
 
@@ -280,17 +285,14 @@ class TestOrderedSweep:
             num, den = masked_update_terms(v, None, w, h, measure, side)
             slow = start.copy()
             reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, lam, measure)
-            # every level a numpy step, then every level walked
-            for crossover in (1, dim + 1):
-                with mock.patch.object(solver, "WIDTH_CROSSOVER", crossover):
-                    prep = _PreparedSet(cset, dim, measure)
-                fast = start.copy()
-                _sweep(orient(fast), orient(num), orient(den), prep, lam, measure)
-                assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
+            fast = start.copy()
+            _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset, dim, measure), lam,
+                   measure)
+            assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
 
     @pytest.mark.parametrize("side", ["w", "h"])
     def test_mixed_plan_matches_reference(self, side):
-        """300 vectors and 400 triples: wide levels as numpy steps, the narrow tail walked."""
+        """300 vectors and 400 triples: most vectors have several links, in mixed roles."""
         rng = np.random.default_rng(11)
         v, w, h = random_instance(rng, 300, 300, 2)
         if side == "w":
@@ -301,55 +303,82 @@ class TestOrderedSweep:
                                       for _ in range(400)])
         for measure in Measure:
             prep = _PreparedSet(cset, 300, measure)
-            kinds = [type(step) for step in prep.steps]
-            assert _Level in kinds and _Walk in kinds
             num, den = masked_update_terms(v, None, w, h, measure, side)
             fast, slow = start.copy(), start.copy()
             _sweep(orient(fast), orient(num), orient(den), prep, 0.7, measure)
             reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, 0.7, measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
 
-    @pytest.mark.parametrize("crossover", [1, solver.WIDTH_CROSSOVER])
-    def test_level_plan_invariants(self, crossover):
+    def test_link_tables_match_triples(self):
         rng = np.random.default_rng(12)
         dim = 200
         triples = [tuple(rng.choice(dim, 3, replace=False) + 1) for _ in range(300)]
-        with mock.patch.object(solver, "WIDTH_CROSSOVER", crossover):
-            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim, Measure.EUCLIDEAN)
-        # a vector's place in the sweep: (step, place within a walk)
-        place = {}
-        for i, step in enumerate(prep.steps):
-            if isinstance(step, _Level):
-                assert step.vec.size >= crossover
-                assert len(set(step.tri.tolist())) == step.tri.size  # no triple twice
-                members = [(a, (i, 0)) for a in step.vec.tolist()]
-            else:
-                members = [(a, (i, j)) for j, a in enumerate(step.vec.tolist())]
-            for a, key in members:
-                assert a not in place
-                place[a] = key
-        assert sorted(place) == prep.touched == sorted({x - 1 for t in triples for x in t})
-        # each vector comes after every earlier neighbour and before every later one
-        for t in triples:
-            keys = [place[x - 1] for x in sorted(t)]
-            assert keys[0] < keys[1] < keys[2]
-        if crossover == 1:
-            # and the level is exactly 1 + the highest level of its earlier neighbours
-            below = {a: -1 for a in place}
-            for t in triples:
-                lo, mid, hi = sorted(x - 1 for x in t)
-                below[mid] = max(below[mid], place[lo][0])
-                below[hi] = max(below[hi], place[lo][0], place[mid][0])
-            assert all(place[a][0] == below[a] + 1 for a in place)
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim, Measure.EUCLIDEAN)
+        want = np.array(triples).T - 1
+        assert np.array_equal(prep.qrs[:3], want) and np.all(prep.qrs[3] == -1)
+        assert prep.touched.tolist() == sorted({x - 1 for t in triples for x in t})
+        assert prep.first[0] == 0 and prep.first[-1] == 3 * len(triples)
+        seen = []
+        for i, a in enumerate(prep.touched.tolist()):
+            tri = prep.tri[prep.first[i]:prep.first[i + 1]].tolist()
+            role = prep.role[prep.first[i]:prep.first[i + 1]].tolist()
+            assert tri == sorted(tri)  # triple order
+            # each link names its vector in its role
+            assert all(want[ro, t] == a for t, ro in zip(tri, role))
+            seen += zip(tri, role)
+        # every (triple, role) once
+        assert sorted(seen) == [(t, ro) for t in range(len(triples)) for ro in range(3)]
 
-    def test_overflow_raised_on_level_step(self):
+    def test_overflow_carries_exponent(self):
         w = np.array([[0.0], [30.0], [1.0]])
         num = den = np.ones_like(w)
-        with mock.patch.object(solver, "WIDTH_CROSSOVER", 1):
-            prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.EUCLIDEAN)
-        assert all(isinstance(step, _Level) for step in prep.steps)
-        with pytest.raises(PenaltyOverflowError):
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.EUCLIDEAN)
+        with pytest.raises(PenaltyOverflowError, match="exp argument 900 exceeds 700") as exc:
             _sweep(w, num, den, prep, 1.0, Measure.EUCLIDEAN)
+        assert exc.value.exponent == 900.0
+
+    def test_operands_that_do_not_fit_are_refused(self):
+        # checked before the compiled walk reads or writes through them
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 4)]), 4, Measure.EUCLIDEAN)
+        w = np.ones((4, 2))
+        for fac, num in ((np.ones((3, 2)), np.ones((3, 2))), (w.astype(np.float32), w),
+                         (w.copy(), np.ones((4, 1)))):
+            with pytest.raises(ShapeMismatchError):
+                _sweep(fac, num, num, prep, 1.0, Measure.EUCLIDEAN)
+
+    @pytest.mark.parametrize("compiler", ["no-such-cc", "false"])
+    def test_failed_build_raises_typed_error(self, tmp_path, monkeypatch, compiler):
+        # a missing compiler, and one that exits non-zero
+        cc = str(tmp_path / compiler) if compiler == "no-such-cc" else compiler
+        monkeypatch.setattr(solver, "CC", cc)
+        monkeypatch.setattr(solver, "_compiled", None)
+        cache = solver._SOURCE.parent / "__pycache__"
+        before = set(cache.glob("*.so"))
+        w = np.ones((3, 1))
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.EUCLIDEAN)
+        with pytest.raises(SweepBuildError, match=cc) as exc:
+            _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN)
+        assert isinstance(exc.value, RprNmfError)
+        assert set(cache.glob("*.so")) == before  # no half-built file left
+
+    def test_two_processes_build_into_empty_cache(self, tmp_path):
+        package = Path(solver.__file__).parent
+        shutil.copytree(package, tmp_path / "rprnmf", ignore=shutil.ignore_patterns("__pycache__"))
+        script = ("import numpy as np\n"
+                  "from rprnmf import ConstraintSet, Measure, Target\n"
+                  "from rprnmf.solver import _PreparedSet, _sweep\n"
+                  "w = np.ones((3, 2))\n"
+                  "prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.DIVERGENCE)\n"
+                  "_sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.DIVERGENCE)\n"
+                  "print(w.sum())\n")
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        procs = [subprocess.Popen([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], outs
+        assert outs[0][0] == outs[1][0]
+        assert len(list((tmp_path / "rprnmf" / "__pycache__").glob("*.so"))) == 1
 
     def test_sweep_preserves_nonnegativity(self):
         rng = np.random.default_rng(7)
