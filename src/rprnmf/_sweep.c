@@ -1,69 +1,34 @@
 /* The constrained part of one multiplicative sweep (rprnmf.solver._sweep).
  *
  * Walks every touched vector in ascending order, latent column outermost,
- * and updates its entry from the freshest entries and pair distances.  The
- * arithmetic is that of the scalar Python walk it replaces, operation for
- * operation, so that a sweep gives the same bits: Python's max(a, EPS) is
- * kept apart from its "x if x > EPS else EPS" clamp (they differ on NaN),
- * exp and log are libm's, as math.exp and math.log are, and x ** 2 is libm
- * pow.  Build with -ffp-contract=off, so that no product and sum are fused.
+ * and updates its entry from the freshest entries and pair distances, by
+ * the per-role rules of euc_penalty_grad and div_penalty_grad in
+ * tests/oracles.py.  Build with -ffp-contract=off, so that no product and
+ * sum are fused and each operation rounds as written.
  *
  * Tables (int64, 0-based): touched[i] is the i-th touched vector and its
  * links to triples are first[i] .. first[i + 1] - 1, in triple order, with
- * link j naming triple tri[j] in role role[j] (0, 1, 2 for q, r, s).
- * qrs is 4 x n: the q, r and s of each triple, then the zero slot, index
- * -1, which reads as 0.  Gather row g of a link reads the vector
- * qrs[rows[3 * g + role]][tri], as _EUC_ROWS / _DIV_ROWS say; sign[role]
- * is the divergence hinge term's sign.  dd is [d1; d2], the n distances
+ * link j naming triple tri[j] in role role[j] (0, 1, 2 for q, r, s).  qrs
+ * is 3 x n: the q, r and s of each triple.  dd is [d1; d2], the n distances
  * dis(q, r) and then the n distances dis(q, s).  Strides count elements.
  *
  * Returns 0, or 1 with *exponent set when an exp argument exceeds max_exp.
  */
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
 
-/* reading 2 through a volatile keeps gcc from folding pow(x, 2.0) into x * x */
-static volatile double TWO = 2.0;
-
-/* Python's x ** 2, which is libm pow(x, 2.0): x * x differs from it in the
-   last bit about once in a thousand.  pow is within 0.55 ulp of the exact
-   square (glibc documents 0.54), so it is the correctly rounded x * x
-   unless the exact square lies within 0.05 ulp of halfway between two
-   doubles.  Only then, at a power of two or outside the range where Dekker's
-   product below gives the exact rounding error of x * x, is pow called. */
-static inline double py_square(double x)
-{
-    double p = x * x;
-    uint64_t bits;
-    memcpy(&bits, &p, sizeof bits);
-    if (p > 0x1p-900 && p < 0x1p1000 && (bits & 0xfffffffffffffULL) != 0) {
-        double c = 134217729.0 * x, hi = c - (c - x), lo = x - hi;
-        double err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo, ulp;
-        bits &= 0x7ff0000000000000ULL;
-        memcpy(&ulp, &bits, sizeof ulp);
-        if (fabs(err) < 0.45 * 0x1p-52 * ulp)
-            return p;
-    }
-    return pow(x, TWO);
-}
-
-/* Python's max(a, eps) */
-static inline double py_max(double a, double eps) { return eps > a ? eps : a; }
-
-/* Python's "x if x > eps else eps" */
-static inline double clamp(double x, double eps) { return x > eps ? x : eps; }
+/* max(x, eps), NaN kept */
+static inline double at_least(double x, double eps) { return x < eps ? eps : x; }
 
 int rpr_sweep(double *fac, int64_t f0, int64_t f1, int64_t kdim,
               const double *num, int64_t n0, int64_t n1,
               const double *den, int64_t d0, int64_t d1,
               int64_t ntouched, const int64_t *touched, const int64_t *first,
               const int64_t *tri, const int64_t *role, int64_t n, const int64_t *qrs,
-              const int64_t *rows, const double *sign, double *dd, double lam,
-              int euclid, double eps, double max_exp, double *exponent)
+              double *dd, double lam, int euclid, double eps, double max_exp,
+              double *exponent)
 {
-#define COL(v) ((v) < 0 ? 0.0 : col[(v) * f0])
-#define OP(g) COL(qrs[rows[3 * (g) + ro] * n + t])
+    const int64_t *q = qrs, *r = qrs + n, *s = qrs + 2 * n;
     for (int64_t k = 0; k < kdim; k++) {
         double *col = fac + k * f1;
         for (int64_t i = 0; i < ntouched; i++) {
@@ -71,34 +36,47 @@ int rpr_sweep(double *fac, int64_t f0, int64_t f1, int64_t kdim,
             double old = col[a * f0], nka = num[a * n0 + k * n1], dka = den[a * d0 + k * d1];
             double new;
             if (euclid) {
-                double cpos = 0.0, cneg = 0.0;
+                double pos = 0.0, neg = 0.0;
                 for (int64_t j = first[i]; j < first[i + 1]; j++) {
-                    int64_t t = tri[j], ro = role[j];
-                    double e = dd[t];
-                    if (e > max_exp) {
-                        *exponent = e;
+                    int64_t t = tri[j];
+                    double wq = col[q[t] * f0], wr = col[r[t] * f0], ws = col[s[t] * f0];
+                    if (dd[t] > max_exp) {
+                        *exponent = dd[t];
                         return 1;
                     }
-                    double e1 = exp(e);
-                    double e2 = exp(-dd[n + t]);
-                    cpos += e1 * OP(0) + e2 * OP(1);
-                    cneg += e1 * OP(2) + e2 * OP(3);
+                    double e1 = exp(dd[t]), e2 = exp(-dd[n + t]);
+                    if (role[j] == 0) {
+                        pos += e1 * wq + e2 * ws;
+                        neg += e1 * wr + e2 * wq;
+                    } else if (role[j] == 1) {
+                        pos += e1 * wr;
+                        neg += e1 * wq;
+                    } else {
+                        pos += e2 * wq;
+                        neg += e2 * ws;
+                    }
                 }
-                new = old * (nka + lam * cneg) / py_max(dka + lam * cpos, eps);
+                new = old * (nka + lam * neg) / at_least(dka + lam * pos, eps);
             } else {
                 double p = 0.0;
                 for (int64_t j = first[i]; j < first[i + 1]; j++) {
-                    int64_t t = tri[j], ro = role[j];
+                    int64_t t = tri[j];
                     if (dd[t] < dd[n + t])
                         continue;
-                    double x = clamp(OP(0), eps), y = clamp(OP(1), eps), z = clamp(OP(2), eps);
-                    p += sign[ro] * (log(x / y) + (x - y) / z);
+                    double wq = at_least(col[q[t] * f0], eps), wr = at_least(col[r[t] * f0], eps),
+                           ws = at_least(col[s[t] * f0], eps);
+                    /* with g(x, y) = log(x / y) + (x - y) / x, role q adds
+                       g(q, r) - g(q, s) = log(s / r) + (s - r) / q, role r adds
+                       g(r, q) and role s subtracts g(s, q) */
+                    if (role[j] == 0)
+                        p += log(ws / wr) + (ws - wr) / wq;
+                    else if (role[j] == 1)
+                        p += log(wr / wq) + (wr - wq) / wr;
+                    else
+                        p -= log(ws / wq) + (ws - wq) / ws;
                 }
-                double pen_den = 0.5 * lam * p + dka;
-                if (pen_den < 0)
-                    new = old * nka / py_max(dka, eps);
-                else
-                    new = old * nka / py_max(pen_den, eps);
+                double pen = 0.5 * lam * p + dka;
+                new = old * nka / at_least(pen < 0 ? dka : pen, eps);
             }
             col[a * f0] = new;
             if (new == old)
@@ -109,11 +87,13 @@ int rpr_sweep(double *fac, int64_t f0, int64_t f1, int64_t kdim,
                 for (int64_t half = 0; half < 2; half++) {
                     if (ro == 2 - half)
                         continue;
-                    double other = COL(ro == 0 ? qrs[(1 + half) * n + t] : qrs[t]);
+                    double other = col[(ro != 0 ? q[t] : half ? s[t] : r[t]) * f0];
                     if (euclid) {
-                        dd[half * n + t] += py_square(other - new) - py_square(other - old);
+                        double dn = other - new, dw = other - old;
+                        dd[half * n + t] += dn * dn - dw * dw;
                     } else {
-                        double co = clamp(other, eps), cn = clamp(new, eps), cw = clamp(old, eps);
+                        double co = at_least(other, eps), cn = at_least(new, eps),
+                               cw = at_least(old, eps);
                         dd[half * n + t] += 0.5 * (co - cn) * log(co / cn)
                                             - 0.5 * (co - cw) * log(co / cw);
                     }
@@ -122,6 +102,4 @@ int rpr_sweep(double *fac, int64_t f0, int64_t f1, int64_t kdim,
         }
     }
     return 0;
-#undef OP
-#undef COL
 }

@@ -61,16 +61,6 @@ class UsageError(RprNmfError, ValueError):
     """A command-line setting the program cannot use (exit code 2)."""
 
 
-def _threads(args) -> int:
-    env = os.environ.get("RPRNMF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"RPRNMF_THREADS must be an integer, got {env!r}") from None
-    return max(1, getattr(args, "threads", 1))
-
-
 def _run_tasks(worker, tasks, threads):
     """Run worker over tasks, results ordered by task index regardless of pool."""
     if threads <= 1 or len(tasks) <= 1:
@@ -86,7 +76,7 @@ def _experiment(args, kind: str, worker, tasks, fields) -> int:
     comment with the tool version and the digest of the command and its flags,
     ``--out`` and ``--threads`` aside, since they change no row.
     """
-    rows = _run_tasks(worker, tasks, _threads(args))
+    rows = _run_tasks(worker, tasks, args.threads)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "threads")}
     blob = json.dumps({"kind": kind, "params": params}, sort_keys=True)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -108,7 +98,7 @@ def _check_args(args) -> None:
     at its end for want of a writable ``--out``.
     """
     lowest = {"k": 1, "max_iters": 1, "reps": 1, "n": 1, "m": 1, "n_constraints": 1,
-              "per_class": 2, "folds": 2}
+              "per_class": 2, "folds": 2, "threads": 1}
     for dest, low in lowest.items():
         value = getattr(args, dest, None)
         if value is not None and value < low:

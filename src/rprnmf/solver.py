@@ -11,9 +11,10 @@ entry's update reads the entries and pair distances its earlier neighbours
 just changed.  The constrained entries are therefore walked one at a time,
 in a C function (``_sweep.c``) compiled with the system's ``gcc`` on the
 first penalised sweep and cached in the package's ``__pycache__``.  It reads
-flat link tables built once per run and does the arithmetic of a scalar
-Python walk, operation for operation.  Unconstrained entries and the
-start-of-sweep pair distances stay numpy steps.
+flat link tables built once per run and applies each link's rule per role
+(q, r, s), as the reference oracles in ``tests/oracles.py`` state them.
+Unconstrained entries and the start-of-sweep pair distances stay numpy
+steps.
 
 The divergence solver adapts its penalty coefficients: an iteration that
 increases the objective is rolled back and both coefficients are halved,
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import ConstraintSet, Measure, _pair_distances, csr as csr_of
+from .constraints import ConstraintSet, Measure, Target, _pair_distances, csr as csr_of
 from .exceptions import (
     InvalidConfigError,
     NegativeEntryError,
@@ -152,9 +153,17 @@ def _check_factors(shape, wa, ha):
         raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {shape}")
 
 
+def _check_sides(set_w, set_h) -> None:
+    for cset, side, target in ((set_w, "W", Target.W_ROWS), (set_h, "H", Target.H_COLS)):
+        if cset is not None and cset.target is not target:
+            raise InvalidConfigError(f"the {side}-side constraint set targets "
+                                     f"{cset.target.name}, not {target.name}")
+
+
 def objective(v, w, h, sets, config: SolverConfig) -> float:
     """Data-fit term plus coefficient-weighted penalties of both factor sides."""
     set_w, set_h = sets
+    _check_sides(set_w, set_h)
     cells = None if config.mask is None else ObservedCells(v, config.mask)
     return _objective_value(
         as_array(v), as_array(w), as_array(h), set_w, set_h,
@@ -181,11 +190,6 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
     return float(total), None if cells is None else wh
 
 
-# per role (q, r, s): which of (q, r, s, zero slot) each gather row reads
-_EUC_ROWS = np.array([[0, 1, 3], [2, 3, 0], [1, 0, 3], [0, 3, 2]], dtype=np.int64)
-_DIV_ROWS = np.array([[2, 1, 2], [1, 0, 0], [0, 1, 2]], dtype=np.int64)
-_DIV_SIGN = np.array([1.0, 1.0, -1.0])
-
 # the compiler and flags of the compiled sweep, built on first use
 CC = "gcc"
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -210,7 +214,8 @@ def _load_sweep():
     The library lives in the package's ``__pycache__``, or in a directory of
     this process's own when that is not writable.  Each build writes a fresh
     temporary name and renames it into place, so processes that build at
-    once do not see each other's half-written files.
+    once do not see each other's half-written files, and then removes the
+    libraries of older sources or flags.
     """
     global _compiled
     if _compiled is not None:
@@ -233,6 +238,12 @@ def _load_sweep():
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        for stale in lib_path.parent.glob("_sweep-*.so"):
+            if stale != lib_path:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass  # removed by another build, or in a read-only cache
     try:
         fn = ctypes.CDLL(str(lib_path)).rpr_sweep
     except OSError as exc:
@@ -242,7 +253,7 @@ def _load_sweep():
             shutil.rmtree(own_dir)  # a loaded library outlives its file
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     fn.argtypes = ([ptr, i64, i64, i64] + [ptr, i64, i64] * 2 + [i64] + [ptr] * 4
-                   + [i64] + [ptr] * 4 + [f64, ctypes.c_int, f64, f64, ptr])
+                   + [i64] + [ptr] * 2 + [f64, ctypes.c_int, f64, f64, ptr])
     fn.restype = ctypes.c_int
     _compiled = fn
     return fn
@@ -253,33 +264,30 @@ class _PreparedSet:
 
     ``touched`` lists the vectors some triple names, ascending; ``first``
     cuts ``tri``/``role`` into each one's links, in triple order, where role
-    0/1/2 means the vector is its triple's q/r/s.  ``qrs`` holds q, r and s,
-    then the zero slot -1.  ``args`` are these tables and ``measure``'s
-    gather operands as the compiled sweep takes them.
+    0/1/2 means the vector is its triple's q/r/s.  ``qrs`` is 3 x n: the q,
+    r and s of each triple.  ``args`` are these tables as the compiled sweep
+    takes them.
     """
 
     __slots__ = ("touched", "n", "qrs", "first", "tri", "role", "args")
 
-    def __init__(self, cset: ConstraintSet, dim: int, measure: Measure):
+    def __init__(self, cset: ConstraintSet, dim: int):
         cset.check_bounds(dim)
         n = self.n = len(cset)
-        self.qrs = np.vstack([*cset.index_arrays(), np.full(n, -1)]).astype(np.int64)
+        self.qrs = np.vstack(cset.index_arrays()).astype(np.int64)
         # one link per (vector, triple, role), ordered by vector, then triple
-        vec = self.qrs[:3].ravel()
+        vec = self.qrs.ravel()
         order = np.lexsort((np.tile(np.arange(n), 3), vec))
         self.tri = np.tile(np.arange(n, dtype=np.int64), 3)[order]
         self.role = np.repeat(np.arange(3, dtype=np.int64), n)[order]
         self.touched, counts = np.unique(vec, return_counts=True)
         self.first = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        rows = _EUC_ROWS if measure is Measure.EUCLIDEAN else _DIV_ROWS
         self.args = (self.touched.size, self.touched.ctypes.data, self.first.ctypes.data,
-                     self.tri.ctypes.data, self.role.ctypes.data, n, self.qrs.ctypes.data,
-                     rows.ctypes.data, _DIV_SIGN.ctypes.data)
+                     self.tri.ctypes.data, self.role.ctypes.data, n, self.qrs.ctypes.data)
 
 
-def _prepare(cset: ConstraintSet | None, dim: int, lam: float,
-             measure: Measure) -> _PreparedSet | None:
-    """The ``measure`` sweep plan of a non-empty set with a positive coefficient, else None.
+def _prepare(cset: ConstraintSet | None, dim: int, lam: float) -> _PreparedSet | None:
+    """The sweep plan of a non-empty set with a positive coefficient, else None.
 
     Coefficients only scale, so a side that starts at 0 stays unpenalised and
     needs no plan; its set's bounds are still checked before any iteration.
@@ -289,7 +297,7 @@ def _prepare(cset: ConstraintSet | None, dim: int, lam: float,
     if lam == 0:
         cset.check_bounds(dim)
         return None
-    return _PreparedSet(cset, dim, measure)
+    return _PreparedSet(cset, dim)
 
 
 def _strides(a: np.ndarray) -> tuple[int, int]:
@@ -323,7 +331,7 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
     untouched[prep.touched] = False
     fac[untouched, :] *= num[untouched, :] / np.maximum(den[untouched, :], EPS)
 
-    q, r, s = prep.qrs[:3]
+    q, r, s = prep.qrs
     dd = np.concatenate([_pair_distances(fac, q, r, measure), _pair_distances(fac, q, s, measure)])
     exponent = ctypes.c_double()
     status = sweep(fac.ctypes.data, *_strides(fac), kdim,
@@ -337,8 +345,9 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
 def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: SolverConfig) -> FactorisationReport:
     """Factorise ``v`` into non-negative W (N x K) and H (K x M).
 
-    ``sets`` carries the optional row constraints on W and column constraints
-    on H.  With zero coefficients and empty sets this is exactly classic
+    ``sets`` carries the optional row constraints on W (a ``Target.W_ROWS``
+    set) and column constraints on H (a ``Target.H_COLS`` set); a set on the
+    other side raises :class:`InvalidConfigError`.  With zero coefficients and empty sets this is exactly classic
     multiplicative NMF.  Non-convergence within ``max_iters`` is not an
     error; the report is returned regardless.
     """
@@ -356,6 +365,7 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
         raise NonFiniteEntryError(i, float(flat[i]))
     n, m = va.shape
     set_w, set_h = sets if sets is not None else (None, None)
+    _check_sides(set_w, set_h)
     cells = None
     if config.mask is not None:
         cells = ObservedCells(va, config.mask)
@@ -366,8 +376,8 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
     h = rng.uniform(INIT_LOW, INIT_HIGH, size=(config.k, m))
     lam_w, lam_h = config.lambda_w, config.lambda_h
     measure = config.measure
-    prep_w = _prepare(set_w, n, lam_w, measure)
-    prep_h = _prepare(set_h, m, lam_h, measure)
+    prep_w = _prepare(set_w, n, lam_w)
+    prep_h = _prepare(set_h, m, lam_h)
 
     def current_objective():
         return _objective_value(va, w, h, set_w, set_h, lam_w, lam_h, measure, cells)

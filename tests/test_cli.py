@@ -410,23 +410,6 @@ class TestExtractConstraints:
 
 
 class TestThreads:
-    def test_env_var_overrides(self, tmp_path, monkeypatch):
-        out = tmp_path / "syn1.csv"
-        monkeypatch.setenv("RPRNMF_THREADS", "2")
-        code = run_cli("syn1", "--out", out, "--groups", 1, "--reps", 2, "--n", 20, "--m", 20,
-                       "--k", 3, "--triples-per-group", 2, "--max-iters", 5, "--seed", 6,
-                       "--threads", 1)
-        assert code == 0
-        assert len(read_rows(out)) == 1 * 2 * 2 * 2
-
-    def test_non_integer_env_var_exit_2(self, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "syn1.csv"
-        monkeypatch.setenv("RPRNMF_THREADS", "abc")
-        assert run_cli("syn1", "--out", out, "--groups", 1, "--reps", 1) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "RPRNMF_THREADS" in err and "'abc'" in err
-        assert not out.exists()
-
     def test_triples_per_group_out_of_range_exit_2(self, tmp_path, capsys):
         out = tmp_path / "syn1.csv"
         for tpg in (12, -1, 0):
@@ -487,6 +470,7 @@ class TestUsageErrors:
         ("crossvalidate", "--folds", "1", "--ratings", "absent-ratings.dat"),
         ("convert", "--mins", "nan", "--constraints", "absent-c.txt", "--to", "weights"),
         ("convert", "--maxs", "inf", "--constraints", "absent-c.txt", "--to", "weights"),
+        ("syn1", "--threads", "0"),
     ])
     def test_empty_or_bad_sizes(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -161,10 +161,10 @@ def sweep_side(v, w, h, cset, lam, measure, side):
     swept through its transposed view.  Updates ``w`` or ``h`` in place."""
     num, den = masked_update_terms(v, None, w, h, measure, side)
     if side == "w":
-        prep = _PreparedSet(cset, w.shape[0], measure) if cset is not None else None
+        prep = _PreparedSet(cset, w.shape[0]) if cset is not None else None
         _sweep(w, num, den, prep, lam, measure)
     else:
-        prep = _PreparedSet(cset, h.shape[1], measure) if cset is not None else None
+        prep = _PreparedSet(cset, h.shape[1]) if cset is not None else None
         _sweep(h.T, num.T, den.T, prep, lam, measure)
 
 
@@ -258,7 +258,7 @@ class TestOrderedSweep:
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (3, 4, 5), (5, 2, 7), (8, 9, 1)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
             fast = w.copy()
-            _sweep(fast, num, den, _PreparedSet(cset, 12, measure), 0.7, measure)
+            _sweep(fast, num, den, _PreparedSet(cset, 12), 0.7, measure)
             slow = w.copy()
             reference_ordered_sweep(slow, np.asarray(num), np.asarray(den), cset, 0.7, measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
@@ -286,7 +286,7 @@ class TestOrderedSweep:
             slow = start.copy()
             reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, lam, measure)
             fast = start.copy()
-            _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset, dim, measure), lam,
+            _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset, dim), lam,
                    measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
 
@@ -302,7 +302,7 @@ class TestOrderedSweep:
         cset = ConstraintSet(target, [tuple(rng.choice(300, 3, replace=False) + 1)
                                       for _ in range(400)])
         for measure in Measure:
-            prep = _PreparedSet(cset, 300, measure)
+            prep = _PreparedSet(cset, 300)
             num, den = masked_update_terms(v, None, w, h, measure, side)
             fast, slow = start.copy(), start.copy()
             _sweep(orient(fast), orient(num), orient(den), prep, 0.7, measure)
@@ -313,9 +313,9 @@ class TestOrderedSweep:
         rng = np.random.default_rng(12)
         dim = 200
         triples = [tuple(rng.choice(dim, 3, replace=False) + 1) for _ in range(300)]
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim, Measure.EUCLIDEAN)
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim)
         want = np.array(triples).T - 1
-        assert np.array_equal(prep.qrs[:3], want) and np.all(prep.qrs[3] == -1)
+        assert np.array_equal(prep.qrs, want)
         assert prep.touched.tolist() == sorted({x - 1 for t in triples for x in t})
         assert prep.first[0] == 0 and prep.first[-1] == 3 * len(triples)
         seen = []
@@ -332,14 +332,14 @@ class TestOrderedSweep:
     def test_overflow_carries_exponent(self):
         w = np.array([[0.0], [30.0], [1.0]])
         num = den = np.ones_like(w)
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.EUCLIDEAN)
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)
         with pytest.raises(PenaltyOverflowError, match="exp argument 900 exceeds 700") as exc:
             _sweep(w, num, den, prep, 1.0, Measure.EUCLIDEAN)
         assert exc.value.exponent == 900.0
 
     def test_operands_that_do_not_fit_are_refused(self):
         # checked before the compiled walk reads or writes through them
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 4)]), 4, Measure.EUCLIDEAN)
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 4)]), 4)
         w = np.ones((4, 2))
         for fac, num in ((np.ones((3, 2)), np.ones((3, 2))), (w.astype(np.float32), w),
                          (w.copy(), np.ones((4, 1)))):
@@ -355,7 +355,7 @@ class TestOrderedSweep:
         cache = solver._SOURCE.parent / "__pycache__"
         before = set(cache.glob("*.so"))
         w = np.ones((3, 1))
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.EUCLIDEAN)
+        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)
         with pytest.raises(SweepBuildError, match=cc) as exc:
             _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN)
         assert isinstance(exc.value, RprNmfError)
@@ -368,7 +368,7 @@ class TestOrderedSweep:
                   "from rprnmf import ConstraintSet, Measure, Target\n"
                   "from rprnmf.solver import _PreparedSet, _sweep\n"
                   "w = np.ones((3, 2))\n"
-                  "prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3, Measure.DIVERGENCE)\n"
+                  "prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)\n"
                   "_sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.DIVERGENCE)\n"
                   "print(w.sum())\n")
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
@@ -380,13 +380,39 @@ class TestOrderedSweep:
         assert outs[0][0] == outs[1][0]
         assert len(list((tmp_path / "rprnmf" / "__pycache__").glob("*.so"))) == 1
 
+    def test_build_removes_older_libraries(self, tmp_path):
+        package = Path(solver.__file__).parent
+        shutil.copytree(package, tmp_path / "rprnmf", ignore=shutil.ignore_patterns("__pycache__"))
+        cache = tmp_path / "rprnmf" / "__pycache__"
+        cache.mkdir()
+        stale = cache / "_sweep-0123456789abcdef.so"
+        stale.write_bytes(b"a library of an older source")
+        script = ("import numpy as np\n"
+                  "from rprnmf import ConstraintSet, Measure, Target\n"
+                  "from rprnmf.solver import _PreparedSet, _sweep\n"
+                  "w = np.ones((3, 2))\n"
+                  "prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)\n"
+                  "_sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN)\n")
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        libs = list(cache.glob("*.so"))
+        assert len(libs) == 1 and libs[0] != stale
+
+    def test_source_compiles_without_warnings(self):
+        flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+        proc = subprocess.run([solver.CC, *flags, str(solver._SOURCE)], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_sweep_preserves_nonnegativity(self):
         rng = np.random.default_rng(7)
         for measure in Measure:
             v, w, h = random_instance(rng)
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (4, 5, 6)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
-            _sweep(w, num, den, _PreparedSet(cset, 12, measure), 1.0, measure)
+            _sweep(w, num, den, _PreparedSet(cset, 12), 1.0, measure)
             assert np.all(w >= 0.0)
 
 
@@ -510,7 +536,7 @@ class TestRun:
         set_w = generate_chain_constraints(DenseMatrix(w0), Target.W_ROWS, 2, 2, Measure.DIVERGENCE, seed=4)
         num, den = masked_update_terms(v, None, w0, h0, Measure.DIVERGENCE, "w")
         w1 = w0.copy()
-        prep = _PreparedSet(set_w, 8, Measure.DIVERGENCE)
+        prep = _PreparedSet(set_w, 8)
         _sweep(w1, np.asarray(num), np.asarray(den), prep, 5.0, Measure.DIVERGENCE)
         assert np.max(np.abs(w1 - w0) / np.abs(w0)) < 1e-10
 
@@ -528,6 +554,22 @@ class TestRun:
         # the adaptation fights the hinge early on: rollbacks occur and are logged
         assert len(rep.rollback_iters) > 0
         assert all(1 <= i <= rep.iterations for i in rep.rollback_iters)
+
+    @pytest.mark.parametrize("measure", list(Measure))
+    def test_set_on_wrong_side_refused(self, monkeypatch, measure):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an iteration ran")
+        monkeypatch.setattr(solver, "masked_update_terms", refuse)
+        v = np.random.default_rng(22).uniform(0.1, 1, (6, 5))
+        wrong_w = (ConstraintSet(Target.H_COLS, [(1, 2, 3)]), None)
+        wrong_h = (None, ConstraintSet(Target.W_ROWS, [(1, 2, 3)]))
+        w, h = np.ones((6, 4)), np.ones((4, 5))
+        for sets, side, lam in ((wrong_w, "W", {"lambda_w": 1.0}), (wrong_h, "H", {"lambda_h": 1.0})):
+            cfg = SolverConfig(k=4, measure=measure, **lam)
+            with pytest.raises(InvalidConfigError, match=f"{side}-side"):
+                run(v, sets, cfg)
+            with pytest.raises(InvalidConfigError, match=f"{side}-side"):
+                objective(v, w, h, sets, cfg)
 
     def test_negative_data_rejected(self):
         cfg = SolverConfig(k=2, measure=Measure.EUCLIDEAN)
@@ -613,3 +655,36 @@ class TestMaskedRun:
         rep = run(DenseMatrix(v), (None, None), cfg)
         tr = rep.objective_trace
         assert all(b <= a * (1 + 1e-10) + 1e-12 for a, b in zip(tr, tr[1:]))
+
+
+class TestRunProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 8), m=st.integers(3, 8), k=st.integers(1, 3),
+           observed=st.floats(0.3, 1.0), n_w=st.integers(0, 4), n_h=st.integers(0, 4),
+           lam_w=st.floats(0.0, 2.0), lam_h=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_factors_and_accepted_trace(self, n, m, k, observed, n_w, n_h, lam_w, lam_h, seed):
+        """Finite non-negative factors in both measures; divergence never accepts an increase.
+
+        The Euclidean solver has no rollback, and its trace can rise once the
+        penalty is on, so only the divergence trace is held to descent here.
+        """
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0, 1, (n, m))
+        bits = rng.random((n, m)) < observed
+        # coverage: every row and every column keeps an observed cell
+        bits[np.arange(n), rng.integers(0, m, n)] = True
+        bits[rng.integers(0, n, m), np.arange(m)] = True
+        set_w = ConstraintSet(Target.W_ROWS, [tuple(rng.choice(n, 3, replace=False) + 1)
+                                              for _ in range(n_w)])
+        set_h = ConstraintSet(Target.H_COLS, [tuple(rng.choice(m, 3, replace=False) + 1)
+                                              for _ in range(n_h)])
+        for measure in Measure:
+            cfg = SolverConfig(k=k, measure=measure, lambda_w=lam_w, lambda_h=lam_h, max_iters=30,
+                               rel_tol=0.0, seed=seed, mask=MaskMatrix(bits.astype(float)))
+            rep = run(v, (set_w, set_h), cfg)
+            for f in (rep.w.a, rep.h.a):
+                assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+            if measure is Measure.DIVERGENCE:
+                slack = solver.ACCEPT_REL_SLACK
+                tr = rep.objective_trace
+                assert all(b <= a * (1 + slack) + slack for a, b in zip(tr, tr[1:]))
