@@ -1,10 +1,11 @@
-/* The constrained part of one multiplicative sweep (rprnmf.solver._sweep).
+/* The compiled kernels of rprnmf, built with -ffp-contract=off, so that no
+ * product and sum are fused and each operation rounds as written.
  *
- * Walks every touched vector in ascending order, latent column outermost,
- * and updates its entry from the freshest entries and pair distances, by
- * the per-role rules of euc_penalty_grad and div_penalty_grad in
- * tests/oracles.py.  Build with -ffp-contract=off, so that no product and
- * sum are fused and each operation rounds as written.
+ * rpr_sweep is the constrained part of one multiplicative sweep
+ * (rprnmf.solver._sweep).  It walks every touched vector in ascending
+ * order, latent column outermost, and updates its entry from the freshest
+ * entries and pair distances, by the per-role rules of euc_penalty_grad and
+ * div_penalty_grad in tests/oracles.py.
  *
  * Tables (int64, 0-based): touched[i] is the i-th touched vector and its
  * links to triples are first[i] .. first[i + 1] - 1, in triple order, with
@@ -13,6 +14,8 @@
  * dis(q, r) and then the n distances dis(q, s).  Strides count elements.
  *
  * Returns 0, or 1 with *exponent set when an exp argument exceeds max_exp.
+ *
+ * rpr_model is W @ H at the observed cells (rprnmf.matrix.ObservedCells.model).
  */
 #include <math.h>
 #include <stdint.h>
@@ -102,4 +105,22 @@ int rpr_sweep(double *fac, int64_t f0, int64_t f1, int64_t kdim,
         }
     }
     return 0;
+}
+
+/* W is nrows x k and ht (H transposed) is ncols x k, both C-contiguous.  The
+ * cells are in CSR order: row i holds cells indptr[i] .. indptr[i + 1] - 1,
+ * at columns cols[..].  out[c] sums W[i, l] * H[l, cols[c]] over ascending l. */
+void rpr_model(const double *w, const double *ht, int64_t k, int64_t nrows,
+               const int64_t *indptr, const int64_t *cols, double *out)
+{
+    for (int64_t i = 0; i < nrows; i++) {
+        const double *wi = w + i * k;
+        for (int64_t c = indptr[i]; c < indptr[i + 1]; c++) {
+            const double *hj = ht + cols[c] * k;
+            double acc = 0.0;
+            for (int64_t l = 0; l < k; l++)
+                acc += wi[l] * hj[l];
+            out[c] = acc;
+        }
+    }
 }

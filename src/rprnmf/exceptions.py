@@ -119,4 +119,4 @@ class InvalidConfigError(RprNmfError, ValueError):
 
 
 class SweepBuildError(RprNmfError, RuntimeError):
-    """The compiled constrained sweep could not be built or loaded."""
+    """The compiled kernels could not be built or loaded."""

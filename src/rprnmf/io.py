@@ -7,8 +7,10 @@ seed.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,29 +104,76 @@ class RatingsTable:
 def read_ratings(path, fmt: str = "ml1m") -> RatingsTable:
     """Parse ``user::item::rating[::timestamp]`` lines or the CSV equivalent.
 
-    Duplicate (user, item) pairs keep the last occurrence; ids are densified
-    to contiguous 1-based indices in ascending raw-id order, which drops any
-    user/item that no surviving rating references.
+    Blank lines and lines starting with ``#`` are skipped.  Duplicate (user,
+    item) pairs keep the last occurrence; ids are densified to contiguous
+    1-based indices in ascending raw-id order, which drops any user/item that
+    no surviving rating references.
     """
     if fmt not in ("ml1m", "csv"):
         raise InvalidRangeError(f"unknown ratings format {fmt!r}")
     sep = "::" if fmt == "ml1m" else ","
-    rows: list[tuple[int, int, float, float | None]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(sep)
-            if len(parts) not in (3, 4):
-                raise MalformedLineError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
-            try:
-                rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
-                             float(parts[3]) if len(parts) == 4 else None))
-            except ValueError as exc:
-                raise MalformedLineError(lineno, str(exc)) from exc
+        text = fh.read()
+    columns = _ratings_whole(text, sep)
+    if columns is None:
+        columns = _ratings_by_line(text, sep)
+    return _ratings_table(*columns)
+
+
+_RATINGS_DTYPE = [("user", "i8"), ("item", "i8"), ("rating", "f8"), ("stamp", "f8")]
+
+
+def _ratings_whole(text: str, sep: str):
+    """The columns of a ratings text parsed whole, or None where the line
+    loop must decide.
+
+    This accepts a subset of what :func:`_ratings_by_line` accepts, with the
+    same values: every line empty or with the field count of the first
+    non-blank line, ids that parse as int64 and no ``#`` anywhere.  Timestamps
+    are None when the lines have three fields.
+    """
+    if "#" in text:
+        return None
+    if sep != ",":
+        # the separator's split points become the commas; a comma already
+        # there would not split a field in the loop
+        if "," in text:
+            return None
+        text = text.replace(sep, ",")
+    first = re.search(r"\S[^\n]*", text)
+    fields = first.group().count(",") + 1 if first else 0
+    if fields not in (3, 4):
+        return None
+    try:
+        a = np.loadtxt(io.StringIO(text), dtype=_RATINGS_DTYPE[:fields], delimiter=",",
+                       comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return a["user"], a["item"], a["rating"], a["stamp"] if fields == 4 else None
+
+
+def _ratings_by_line(text: str, sep: str):
+    """The columns of a ratings text, line by line; raises
+    :class:`MalformedLineError` naming the first bad line.  Timestamps are an
+    object array holding None for each line without one."""
+    rows: list[tuple[int, int, float, float | None]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(sep)
+        if len(parts) not in (3, 4):
+            raise MalformedLineError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
+        try:
+            rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
+                         float(parts[3]) if len(parts) == 4 else None))
+        except ValueError as exc:
+            raise MalformedLineError(lineno, str(exc)) from exc
     # stamps is an object array when some line has no timestamp
-    users, items, ratings, stamps = (np.array([row[c] for row in rows]) for c in range(4))
+    return tuple(np.array([row[c] for row in rows]) for c in range(4))
+
+
+def _ratings_table(users, items, ratings, stamps) -> RatingsTable:
     user_ids, users = np.unique(users, return_inverse=True)
     item_ids, items = np.unique(items, return_inverse=True)
     # the first of each key in reverse line order is its last line
@@ -134,8 +183,11 @@ def read_ratings(path, fmt: str = "ml1m") -> RatingsTable:
     dupes = key.size - keep.size
     if dupes:
         log.warning("read_ratings: %d duplicate (user, item) pairs dropped (last wins)", dupes)
-    stamps = stamps[keep]
-    timestamps = stamps.astype(float) if keep.size and None not in stamps else None
+    timestamps = None
+    if stamps is not None and keep.size:
+        stamps = stamps[keep]
+        if None not in stamps:
+            timestamps = stamps.astype(float)
     return RatingsTable(users[keep] + 1, items[keep] + 1, ratings[keep], timestamps,
                         user_ids.tolist(), item_ids.tolist(), dupes)
 

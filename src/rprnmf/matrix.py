@@ -4,7 +4,9 @@ Matrices are thin wrappers around row-major float64 numpy arrays.  The
 :class:`DenseMatrix` constructor accepts signed values; non-negativity of
 data is checked where it matters, by the solver.  A masked data matrix
 reduces to :class:`ObservedCells`, so work on it scales with the observed
-cells rather than with N x M.
+cells rather than with N x M.  Its model W @ H at the cells comes from the
+compiled ``rpr_model`` in ``_sweep.c`` (see :mod:`rprnmf._kernels`), so a
+masked run builds the C library even when no penalty is on.
 
 ``EPS`` is the single clamping constant shared by every divisor and log
 argument in this package.
@@ -20,6 +22,7 @@ from .exceptions import (
     NonPositiveModelEntryError,
     ShapeMismatchError,
 )
+from ._kernels import _load
 
 EPS = 1e-12
 
@@ -114,25 +117,21 @@ class MaskMatrix:
 class ObservedCells:
     """A data matrix reduced to the cells its mask observes.
 
-    The cells are in row-major order, the layout of CSR storage: ``rows`` and
-    ``cols`` index them, ``indptr`` is the CSR row pointer and ``v`` holds the
-    data there.  Cells of ``v`` outside the mask are never read, so they may
+    The cells are in row-major order, the layout of CSR storage: ``indptr`` is
+    the CSR row pointer, ``cols`` holds each cell's column and ``v`` the data
+    there.  Cells of ``v`` outside the mask are never read, so they may
     hold anything.
     """
 
-    __slots__ = ("shape", "rows", "cols", "indptr", "v")
-
-    # cells per chunk of :meth:`model`; bounds its two gathered k-column
-    # temporaries to a few MB each
-    CHUNK = 65536
+    __slots__ = ("shape", "cols", "indptr", "v")
 
     def __init__(self, v, mask):
         va, ma = as_array(v), as_mask(mask)
         if ma.shape != va.shape:
             raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
         n, m = self.shape = va.shape
-        self.rows, self.cols = np.divmod(ma.flat, m)
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(self.rows, minlength=n))))
+        rows, self.cols = np.divmod(ma.flat, m)
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         self.v = va.take(ma.flat)
 
     def require_coverage(self) -> None:
@@ -153,12 +152,18 @@ class ObservedCells:
         return sp.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
 
     def model(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """W @ H at the cells only: row-wise dots of W[rows] with H[:, cols].T."""
-        ht = np.ascontiguousarray(h.T)
-        out = np.empty(self.rows.size)
-        for lo in range(0, out.size, self.CHUNK):
-            sl = slice(lo, lo + self.CHUNK)
-            out[sl] = np.einsum("ij,ij->i", w[self.rows[sl]], ht[self.cols[sl]])
+        """W @ H at the cells: each the dot of W's row and H's column, summed
+        in ascending latent index by the compiled ``rpr_model``."""
+        n, m = self.shape
+        # the compiled kernel reads both factors row by row, unchecked
+        if w.ndim != 2 or h.ndim != 2 or w.shape[0] != n or h.shape[1] != m or w.shape[1] != h.shape[0]:
+            raise ShapeMismatchError(f"factor shapes {w.shape}, {h.shape} do not fit data {self.shape}")
+        if w.dtype != np.float64 or h.dtype != np.float64:
+            raise ShapeMismatchError(f"factors must be float64, got {w.dtype} and {h.dtype}")
+        w, ht = np.ascontiguousarray(w), np.ascontiguousarray(h.T)
+        out = np.empty(self.cols.size)
+        _load().rpr_model(w.ctypes.data, ht.ctypes.data, w.shape[1], n,
+                          self.indptr.ctypes.data, self.cols.ctypes.data, out.ctypes.data)
         return out
 
 

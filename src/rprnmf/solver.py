@@ -9,12 +9,13 @@ latent columns outermost and constrained indices innermost.
 Within one latent column that pinned order is a chain of dependencies: an
 entry's update reads the entries and pair distances its earlier neighbours
 just changed.  The constrained entries are therefore walked one at a time,
-in a C function (``_sweep.c``) compiled with the system's ``gcc`` on the
-first penalised sweep and cached in the package's ``__pycache__``.  It reads
-flat link tables built once per run and applies each link's rule per role
-(q, r, s), as the reference oracles in ``tests/oracles.py`` state them.
-Unconstrained entries and the start-of-sweep pair distances stay numpy
-steps.
+by ``rpr_sweep`` in the compiled kernel library (``_sweep.c``, built and
+loaded by :mod:`rprnmf._kernels`).  It reads flat link tables built once per
+run and applies each link's rule per role (q, r, s), as the reference
+oracles in ``tests/oracles.py`` state them.  Unconstrained entries and the
+start-of-sweep pair distances stay numpy steps.  A masked run computes
+W @ H at its observed cells with the same library's ``rpr_model``, so it
+needs the library even with zero coefficients.
 
 The divergence solver adapts its penalty coefficients: an iteration that
 increases the objective is rolled back and both coefficients are halved,
@@ -25,14 +26,8 @@ fixed.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +38,8 @@ from .exceptions import (
     NonFiniteEntryError,
     PenaltyOverflowError,
     ShapeMismatchError,
-    SweepBuildError,
 )
+from ._kernels import _load
 from .matrix import (
     EPS,
     DenseMatrix,
@@ -190,75 +185,6 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
     return float(total), None if cells is None else wh
 
 
-# the compiler and flags of the compiled sweep, built on first use
-CC = "gcc"
-CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_SOURCE = Path(__file__).with_name("_sweep.c")
-_compiled = None  # the loaded rpr_sweep function
-
-
-def _build(path: Path) -> None:
-    try:
-        proc = subprocess.run([CC, *CFLAGS, "-o", str(path), str(_SOURCE), "-lm"],
-                              capture_output=True, text=True)
-    except OSError as exc:
-        raise SweepBuildError(f"cannot run C compiler {CC!r} to build {_SOURCE.name}: {exc}") from None
-    if proc.returncode != 0:
-        raise SweepBuildError(f"C compiler {CC!r} failed to build {_SOURCE.name} "
-                              f"(exit {proc.returncode}): {proc.stderr.strip()}")
-
-
-def _load_sweep():
-    """The compiled ``rpr_sweep``, built on first use and cached by source, compiler and flags.
-
-    The library lives in the package's ``__pycache__``, or in a directory of
-    this process's own when that is not writable.  Each build writes a fresh
-    temporary name and renames it into place, so processes that build at
-    once do not see each other's half-written files, and then removes the
-    libraries of older sources or flags.
-    """
-    global _compiled
-    if _compiled is not None:
-        return _compiled
-    key = hashlib.sha256(_SOURCE.read_bytes() + repr((CC, CFLAGS)).encode()).hexdigest()[:16]
-    lib_path = _SOURCE.parent / "__pycache__" / f"_sweep-{key}.so"
-    own_dir = None
-    if not lib_path.exists():
-        try:
-            lib_path.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib_path.parent)
-        except OSError:
-            own_dir = tempfile.mkdtemp(prefix="rprnmf-")
-            lib_path = Path(own_dir, lib_path.name)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=own_dir)
-        os.close(fd)
-        try:
-            _build(Path(tmp))
-            os.replace(tmp, lib_path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        for stale in lib_path.parent.glob("_sweep-*.so"):
-            if stale != lib_path:
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass  # removed by another build, or in a read-only cache
-    try:
-        fn = ctypes.CDLL(str(lib_path)).rpr_sweep
-    except OSError as exc:
-        raise SweepBuildError(f"cannot load {lib_path} built by {CC!r}: {exc}") from None
-    finally:
-        if own_dir is not None:
-            shutil.rmtree(own_dir)  # a loaded library outlives its file
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = ([ptr, i64, i64, i64] + [ptr, i64, i64] * 2 + [i64] + [ptr] * 4
-                   + [i64] + [ptr] * 2 + [f64, ctypes.c_int, f64, f64, ptr])
-    fn.restype = ctypes.c_int
-    _compiled = fn
-    return fn
-
-
 class _PreparedSet:
     """Constraint indices and link tables of the constrained sweep (0-based).
 
@@ -318,7 +244,7 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
     if prep is None or lam == 0.0:
         fac *= num / np.maximum(den, EPS)
         return
-    sweep = _load_sweep()
+    sweep = _load().rpr_sweep
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     nvec, kdim = fac.shape

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rprnmf import DenseMatrix, MaskMatrix, Measure, SolverConfig, run
 from rprnmf.exceptions import (
@@ -12,6 +16,7 @@ from rprnmf.exceptions import (
     RaggedCsvError,
     TooSparseError,
 )
+from rprnmf import io as rio
 from rprnmf.io import (
     REPORT_SCHEMA,
     make_cv_split,
@@ -147,6 +152,97 @@ class TestRatings:
         v, mask = ratings_to_matrix(read_ratings(path, "ml1m"))
         assert v[0, 0] == 5.0 and v[1, 1] == 3.0
         assert mask.bits[0, 1] == 0.0
+
+
+def by_line(text, sep):
+    """read_ratings' result with the whole-file parse left out: a table, or
+    the line number of the MalformedLineError."""
+    try:
+        return rio._ratings_table(*rio._ratings_by_line(text, sep))
+    except MalformedLineError as exc:
+        return exc.line
+
+
+def assert_same_table(a, b):
+    for name in ("users", "items", "ratings", "timestamps"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+    assert (a.user_ids, a.item_ids, a.duplicates_dropped) == (b.user_ids, b.item_ids,
+                                                              b.duplicates_dropped)
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_GOOD_IDS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["+4", "007", "-0"]))
+_GOOD_VALUES = st.one_of(st.integers(0, 5).map(str),
+                         st.sampled_from(["3.5", "-0.0", "1e3", ".5", "5.", "+2", "1E-2", "nan", "inf"]))
+_BAD = st.sampled_from(["1.0", "1e3", "1_0", "", "x", "99999999999999999999", "1,5", "1:5", "#3",
+                        "1 2", "\u0661"])
+
+
+@st.composite
+def ratings_texts(draw):
+    """A ratings text, its separator and whether it is clean.  A clean text
+    has only well-formed data lines of one field count and empty lines; the
+    others may also have blank, ``#`` and mis-sized lines and malformed
+    fields."""
+    sep = draw(st.sampled_from(["::", ","]))
+    clean = draw(st.booleans())
+    width = draw(st.sampled_from([3, 4]))
+    ids = _GOOD_IDS if clean else st.one_of(_GOOD_IDS, _BAD)
+    values = _GOOD_VALUES if clean else st.one_of(_GOOD_VALUES, _BAD)
+    kinds = ["data"] * 4 + ["empty"] + ([] if clean else ["blank", "comment", "width"])
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("data", "width"):
+            n = width if kind == "data" else draw(st.sampled_from([2, 7 - width, 5]))
+            tokens = [draw(ids), draw(ids)] + [draw(values) for _ in range(n - 2)]
+            lines.append(sep.join(draw(_PAD) + t + draw(_PAD) for t in tokens))
+        else:
+            lines.append({"empty": "", "blank": draw(_PAD) + " ",
+                          "comment": draw(_PAD) + "# 1" + sep + "2" + sep + "3"}[kind])
+    end = draw(st.sampled_from(["", "\n"]))
+    return "\n".join(lines) + end, sep, clean
+
+
+class TestRatingsWholeFile:
+    """The whole-file parse of read_ratings against its line loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ratings_texts())
+    def test_whole_file_parse_matches_line_loop(self, case):
+        text, sep, clean = case
+        want = by_line(text, sep)
+        whole = rio._ratings_whole(text, sep)
+        if clean and text.strip():
+            assert whole is not None
+        if whole is not None:
+            # nothing the loop refuses, and the same table
+            assert not isinstance(want, int), text
+            assert_same_table(rio._ratings_table(*whole), want)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "r.dat")
+            path.write_text(text, encoding="utf-8")
+            try:
+                got = read_ratings(path, "ml1m" if sep == "::" else "csv")
+            except MalformedLineError as exc:
+                got = exc.line
+        if isinstance(want, int):
+            assert got == want
+        else:
+            assert_same_table(got, want)
+
+    def test_crlf_file_with_duplicates(self, tmp_path):
+        path = tmp_path / "r.dat"
+        text = "3::7::4::11\r\n1::7::2::12\r\n3::7::5::13\r\n\r\n1::2::1::14\r\n"
+        path.write_bytes(text.encode())
+        assert rio._ratings_whole(text.replace("\r\n", "\n"), "::") is not None
+        table = read_ratings(path, "ml1m")
+        assert_same_table(table, by_line(text.replace("\r\n", "\n"), "::"))
+        assert table.duplicates_dropped == 1 and table.ratings.tolist() == [1.0, 2.0, 5.0]
+        assert table.timestamps.tolist() == [14.0, 12.0, 13.0]
 
 
 class TestCvSplit:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rprnmf import DenseMatrix, MaskMatrix, frobenius_sq_diff, matrix_divergence
+from rprnmf import matrix
 from rprnmf.exceptions import NonPositiveModelEntryError, ShapeMismatchError
+from rprnmf.matrix import ObservedCells
 
 
 class TestConstruction:
@@ -111,3 +113,51 @@ class TestDivergence:
         base = matrix_divergence(v, wh, mask)
         wh2 = wh + (1 - bits) * 7.0
         assert matrix_divergence(v, wh2, mask) == pytest.approx(base, rel=1e-12)
+
+
+class TestObservedModel:
+    """``ObservedCells.model`` against each cell's dot product summed exactly."""
+
+    @staticmethod
+    def check(w, h, bits):
+        cells = ObservedCells(np.zeros(bits.shape), MaskMatrix(bits))
+        got = cells.model(w, h)
+        rows, cols = np.nonzero(bits)
+        k = w.shape[1]
+        want = np.array([math.fsum(w[i, l] * h[l, j] for l in range(k))
+                         for i, j in zip(rows.tolist(), cols.tolist())])
+        # a sum of k positive products in any order is within (k - 1) * 2**-53 of exact
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= k * 2.0 ** -52 * want)
+
+    def test_random_masks_match_exact_sums(self):
+        rng = np.random.default_rng(13)
+        for (n, m), k, density in (((7, 9), 1, 0.5), ((30, 20), 3, 0.3), ((40, 50), 20, 0.2),
+                                   ((12, 1), 5, 0.7), ((1, 15), 4, 1.0)):
+            bits = (rng.uniform(0, 1, (n, m)) < density).astype(float)
+            self.check(rng.uniform(0, 1, (n, k)), rng.uniform(0, 1, (k, m)), bits)
+
+    def test_single_observed_cell(self):
+        rng = np.random.default_rng(14)
+        bits = np.zeros((6, 4))
+        bits[3, 2] = 1.0
+        self.check(rng.uniform(0, 1, (6, 5)), rng.uniform(0, 1, (5, 4)), bits)
+
+    def test_fortran_w_and_transposed_view_h(self):
+        rng = np.random.default_rng(15)
+        bits = (rng.uniform(0, 1, (25, 18)) < 0.4).astype(float)
+        w = np.asfortranarray(rng.uniform(0, 1, (25, 6)))
+        h = rng.uniform(0, 1, (18, 6)).T  # a view of H's transpose
+        assert not w.flags.c_contiguous and not h.flags.c_contiguous
+        self.check(w, h, bits)
+        self.check(rng.uniform(0, 1, (50, 12))[::2, ::2], h, bits)  # strided slices
+
+    def test_factors_that_do_not_fit_refused_before_the_kernel(self, monkeypatch):
+        cells = ObservedCells(np.ones((4, 3)), np.ones((4, 3)))
+        monkeypatch.setattr(matrix, "_load", lambda: pytest.fail("kernel reached"))
+        w, h = np.ones((4, 2)), np.ones((2, 3))
+        for bad_w, bad_h in ((np.ones((5, 2)), h), (w, np.ones((2, 4))), (w, np.ones((3, 3))),
+                             (w.astype(np.float32), h), (w, h.astype(np.float32)),
+                             (np.ones(4), h), (w, np.ones((1, 2, 3)))):
+            with pytest.raises(ShapeMismatchError):
+                cells.model(bad_w, bad_h)

@@ -34,7 +34,7 @@ from rprnmf.exceptions import (
     SweepBuildError,
 )
 from rprnmf.matrix import EPS, ObservedCells
-from rprnmf import solver
+from rprnmf import _kernels, solver
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
 
 from oracles import div_penalty_grad, reference_ordered_sweep
@@ -348,29 +348,35 @@ class TestOrderedSweep:
 
     @pytest.mark.parametrize("compiler", ["no-such-cc", "false"])
     def test_failed_build_raises_typed_error(self, tmp_path, monkeypatch, compiler):
-        # a missing compiler, and one that exits non-zero
+        # a missing compiler, and one that exits non-zero, met by a penalised
+        # sweep and by a masked run with no penalty
         cc = str(tmp_path / compiler) if compiler == "no-such-cc" else compiler
-        monkeypatch.setattr(solver, "CC", cc)
-        monkeypatch.setattr(solver, "_compiled", None)
-        cache = solver._SOURCE.parent / "__pycache__"
+        monkeypatch.setattr(_kernels, "CC", cc)
+        cache = _kernels._SOURCE.parent / "__pycache__"
         before = set(cache.glob("*.so"))
         w = np.ones((3, 1))
         prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)
-        with pytest.raises(SweepBuildError, match=cc) as exc:
-            _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN)
-        assert isinstance(exc.value, RprNmfError)
-        assert set(cache.glob("*.so")) == before  # no half-built file left
+        config = SolverConfig(k=1, measure=Measure.EUCLIDEAN, max_iters=1, mask=np.ones((3, 3)))
+        for call in (lambda: _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN),
+                     lambda: run(np.ones((3, 3)), None, config)):
+            monkeypatch.setattr(_kernels, "_compiled", None)
+            with pytest.raises(SweepBuildError, match=cc) as exc:
+                call()
+            assert isinstance(exc.value, RprNmfError)
+            assert set(cache.glob("*.so")) == before  # no half-built file left
 
     def test_two_processes_build_into_empty_cache(self, tmp_path):
         package = Path(solver.__file__).parent
         shutil.copytree(package, tmp_path / "rprnmf", ignore=shutil.ignore_patterns("__pycache__"))
         script = ("import numpy as np\n"
                   "from rprnmf import ConstraintSet, Measure, Target\n"
+                  "from rprnmf.matrix import ObservedCells\n"
                   "from rprnmf.solver import _PreparedSet, _sweep\n"
                   "w = np.ones((3, 2))\n"
                   "prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)\n"
                   "_sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.DIVERGENCE)\n"
-                  "print(w.sum())\n")
+                  "cells = ObservedCells(np.ones((3, 3)), np.eye(3))\n"
+                  "print(w.sum(), cells.model(w, w.T).sum())\n")
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
         procs = [subprocess.Popen([sys.executable, "-c", script], env=env, cwd=tmp_path,
                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -402,7 +408,7 @@ class TestOrderedSweep:
 
     def test_source_compiles_without_warnings(self):
         flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
-        proc = subprocess.run([solver.CC, *flags, str(solver._SOURCE)], capture_output=True,
+        proc = subprocess.run([_kernels.CC, *flags, str(_kernels._SOURCE)], capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
 
