@@ -15,11 +15,9 @@ from .constraints import (
     constraints_to_label_matrix,
     constraints_to_weight_matrix,
     csr,
-    euclidean_sq,
     generate_chain_constraints,
     generate_chain_plan,
     read_constraints,
-    symmetric_divergence,
     write_constraints,
 )
 from .exceptions import RprNmfError
@@ -67,7 +65,6 @@ __all__ = [
     "csr",
     "div_penalty_value",
     "euc_penalty_value",
-    "euclidean_sq",
     "f1_score",
     "frobenius_sq_diff",
     "generate_chain_constraints",
@@ -82,6 +79,5 @@ __all__ = [
     "read_constraints",
     "rmse",
     "run",
-    "symmetric_divergence",
     "write_constraints",
 ]

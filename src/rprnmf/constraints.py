@@ -7,6 +7,7 @@ file format; all other function arguments in this package are 0-based.
 
 from __future__ import annotations
 
+import graphlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,7 +19,6 @@ from .exceptions import (
     InsufficientIndicesError,
     InvalidConfigError,
     InvalidRangeError,
-    LengthMismatchError,
     MalformedLineError,
     NoConstraintsError,
     RprNmfError,
@@ -101,25 +101,6 @@ class ConstraintSet:
             raise IndexOutOfRangeError(f"constraint index {top} exceeds dimension {dim}")
 
 
-def euclidean_sq(x, y) -> float:
-    """Squared Euclidean distance between two vectors."""
-    xa, ya = np.asarray(x, float), np.asarray(y, float)
-    if xa.shape != ya.shape:
-        raise LengthMismatchError(f"vector lengths {xa.shape} vs {ya.shape}")
-    d = xa - ya
-    return float(np.dot(d, d))
-
-
-def symmetric_divergence(x, y) -> float:
-    """Symmetrised KL divergence 0.5*sum((x-y)*log(x/y)), entries clamped at EPS."""
-    xa, ya = np.asarray(x, float), np.asarray(y, float)
-    if xa.shape != ya.shape:
-        raise LengthMismatchError(f"vector lengths {xa.shape} vs {ya.shape}")
-    xc = np.maximum(xa, EPS)
-    yc = np.maximum(ya, EPS)
-    return float(0.5 * np.sum((xc - yc) * np.log(xc / yc)))
-
-
 def constrained_vectors(target: Target, m) -> np.ndarray:
     """The constrained family as an (n_vectors, dim) array: W rows or H columns."""
     a = as_array(m)
@@ -127,10 +108,17 @@ def constrained_vectors(target: Target, m) -> np.ndarray:
 
 
 def _pair_distances(vectors: np.ndarray, i: np.ndarray, j: np.ndarray, measure: Measure) -> np.ndarray:
+    """dis(vectors[i], vectors[j]) row by row: the package's one distance.
+
+    Squared Euclidean, or the symmetric divergence 0.5*sum((x-y)*log(x/y))
+    with entries clamped at EPS.
+    """
     a, b = vectors[i], vectors[j]
     if measure is Measure.EUCLIDEAN:
         d = a - b
         return np.sum(d * d, axis=1)
+    if measure is not Measure.DIVERGENCE:
+        raise InvalidConfigError(f"measure must be a Measure, got {measure!r}")
     ac = np.maximum(a, EPS)
     bc = np.maximum(b, EPS)
     return 0.5 * np.sum((ac - bc) * np.log(ac / bc), axis=1)
@@ -344,34 +332,18 @@ def constraints_to_weight_matrix(m: int, cset: ConstraintSet, mins: float, maxs:
         return (i, j) if i < j else (j, i)
 
     edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    nodes: set[tuple[int, int]] = set()
     for t in cset.triples:
-        n1 = pair(t.q, t.r)
-        n2 = pair(t.q, t.s)
-        nodes.add(n1)
-        nodes.add(n2)
-        edges.setdefault(n1, set()).add(n2)
+        edges.setdefault(pair(t.q, t.r), set()).add(pair(t.q, t.s))
 
-    # depth-first from each node in sorted order, children in sorted order;
-    # an explicit stack, so a long chain cannot exhaust the recursion limit
+    # children passed as predecessors, so the order starts at the sinks and
+    # every child's depth is known before its parents'
     depth: dict[tuple[int, int], int] = {}
-    for root in sorted(nodes):
-        if root in depth:
-            continue
-        # the path being expanded, in order, each node with its children still to visit
-        path = {root: iter(sorted(edges.get(root, ())))}
-        while path:
-            node, children = next(reversed(path.items()))
-            child = next(children, None)
-            if child is None:
-                del path[node]
-                depth[node] = 1 + max((depth[c] for c in edges.get(node, ())), default=0)
-            elif child in path:
-                cyc = list(path)
-                cyc = cyc[cyc.index(child):] + [child]
-                raise CycleDetectedError(list(zip(cyc[:-1], cyc[1:])))
-            elif child not in depth:
-                path[child] = iter(sorted(edges.get(child, ())))
+    try:
+        for node in graphlib.TopologicalSorter(edges).static_order():
+            depth[node] = 1 + max((depth[c] for c in edges.get(node, ())), default=0)
+    except graphlib.CycleError as exc:
+        cyc = exc.args[1][::-1]  # reported against the edges
+        raise CycleDetectedError(list(zip(cyc[:-1], cyc[1:]))) from None
 
     max_depth = max(depth.values(), default=1)
     step = (maxs - mins) / (max_depth - 1) if max_depth > 1 else 0.0

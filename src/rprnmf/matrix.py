@@ -6,7 +6,9 @@ data is checked where it matters, by the solver.  A masked data matrix
 reduces to :class:`ObservedCells`, so work on it scales with the observed
 cells rather than with N x M.  Its model W @ H at the cells comes from the
 compiled ``rpr_model`` in ``_sweep.c`` (see :mod:`rprnmf._kernels`), so a
-masked run builds the C library even when no penalty is on.
+masked run builds the C library even when no penalty is on.  The two fits,
+:func:`frobenius_sq_diff` and :func:`matrix_divergence`, compare two arrays
+of one shape: V and W @ H whole, or their values at the observed cells.
 
 ``EPS`` is the single clamping constant shared by every divisor and log
 argument in this package.
@@ -54,11 +56,6 @@ class DenseMatrix:
     @property
     def cols(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def data(self) -> np.ndarray:
-        """Entries in row-major order (flat view)."""
-        return self.a.ravel()
 
     def __getitem__(self, key):
         return self.a[key]
@@ -179,33 +176,27 @@ def as_mask(mask) -> MaskMatrix:
     return mask if isinstance(mask, MaskMatrix) else MaskMatrix(as_array(mask))
 
 
-def _observed(v, wh, mask) -> tuple[np.ndarray, np.ndarray]:
-    """``v`` and ``wh`` at the observed entries (row-major): all of them when unmasked."""
+def _same_shape(v, wh) -> tuple[np.ndarray, np.ndarray]:
     va, wa = as_array(v), as_array(wh)
     if va.shape != wa.shape:
         raise ShapeMismatchError(f"shape {va.shape} vs {wa.shape}")
-    if mask is None:
-        return va, wa
-    ma = as_mask(mask)
-    if ma.shape != va.shape:
-        raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
-    return va.take(ma.flat), wa.take(ma.flat)
+    return va, wa
 
 
-def frobenius_sq_diff(v, wh, mask=None) -> float:
-    """Sum of squared differences, restricted to observed entries when masked."""
-    va, wa = _observed(v, wh, mask)
+def frobenius_sq_diff(v, wh) -> float:
+    """Sum of squared differences of two arrays of one shape."""
+    va, wa = _same_shape(v, wh)
     d = va - wa
     return float(np.sum(d * d))
 
 
-def matrix_divergence(v, wh, mask=None) -> float:
-    """Generalised KL divergence sum(v*log(v/wh) - v + wh) over observed entries.
+def matrix_divergence(v, wh) -> float:
+    """Generalised KL divergence sum(v*log(v/wh) - v + wh) of two arrays of one shape.
 
     Zero data entries contribute ``wh`` only (0*log(0/y) = 0).  Model entries
     below EPS are clamped; negative model entries are rejected outright.
     """
-    va, wa = _observed(v, wh, mask)
+    va, wa = _same_shape(v, wh)
     if np.any(wa < 0):
         raise NonPositiveModelEntryError("model matrix has negative entries at observed cells")
     wc = np.maximum(wa, EPS)

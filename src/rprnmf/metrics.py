@@ -48,8 +48,6 @@ def _fit(v, w, h, mask) -> tuple[np.ndarray, np.ndarray]:
     va, wa, ha = as_array(v), as_array(w), as_array(h)
     if mask is None:
         return va, wa @ ha
-    if (wa.shape[0], ha.shape[1]) != va.shape:
-        raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {va.shape}")
     cells = ObservedCells(va, mask)
     return cells.v, cells.model(wa, ha)
 
@@ -66,10 +64,12 @@ def md(v, w, h, mask=None) -> float:
 
 def rmse(v, wh, mask) -> float:
     """Root mean squared error over the masked (held-out) entries."""
-    ma = as_mask(mask)
+    va, wa, ma = as_array(v), as_array(wh), as_mask(mask)
     if ma.count == 0:
         raise EmptyMaskError("mask selects no entries")
-    return float(np.sqrt(frobenius_sq_diff(v, wh, ma) / ma.count))
+    if not va.shape == wa.shape == ma.shape:
+        raise ShapeMismatchError(f"shapes {va.shape}, {wa.shape} and mask {ma.shape} differ")
+    return float(np.sqrt(frobenius_sq_diff(va.take(ma.flat), wa.take(ma.flat)) / ma.count))
 
 
 def f1_score(v_true, predicted, observed_mask, heldout_mask) -> F1Result:

@@ -17,10 +17,11 @@ start-of-sweep pair distances stay numpy steps.  A masked run computes
 W @ H at its observed cells with the same library's ``rpr_model``, so it
 needs the library even with zero coefficients.
 
-The divergence solver adapts its penalty coefficients: an iteration that
-increases the objective is rolled back and both coefficients are halved,
-otherwise they grow by 1%.  The Euclidean solver keeps its coefficients
-fixed.
+Each iteration ends in one accept step.  In divergence mode an iteration
+that increases the objective is rolled back and both coefficients are
+halved, otherwise they grow by 1%; Euclidean mode keeps every iteration
+and its coefficients fixed.  Both stop once the objective's relative change
+from the last accepted value falls below ``rel_tol``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.mask is not None:
             self.mask = as_mask(self.mask)
+        if not isinstance(self.measure, Measure):
+            raise InvalidConfigError(f"measure must be a Measure, got {self.measure!r}")
+        for name in ("k", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise InvalidConfigError(f"latent dimension must be >= 1, got {self.k}")
         if self.lambda_w < 0 or self.lambda_h < 0:
@@ -148,22 +155,41 @@ def _check_factors(shape, wa, ha):
         raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {shape}")
 
 
-def _check_sides(set_w, set_h) -> None:
+def _checked_data(v, sets, mask):
+    """The entry checks of ``run`` and ``objective``: (V array, W set, H set, cells).
+
+    V must be 2-D with finite non-negative entries, masked cells included;
+    each constraint set must target its own side.  ``cells`` is the
+    :class:`ObservedCells` of V under ``mask``, or None when unmasked.
+    """
+    va = as_array(v)
+    if va.ndim != 2:
+        raise ShapeMismatchError(f"expected 2-D data, got ndim={va.ndim}")
+    # min and max propagate NaN, so the two reductions catch every bad entry
+    if va.size and not (va.min() >= 0 and va.max() < np.inf):
+        flat = va.ravel()
+        neg = np.flatnonzero(flat < 0)
+        if neg.size:
+            raise NegativeEntryError(int(neg[0]), float(flat[neg[0]]))
+        i = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise NonFiniteEntryError(i, float(flat[i]))
+    set_w, set_h = sets if sets is not None else (None, None)
     for cset, side, target in ((set_w, "W", Target.W_ROWS), (set_h, "H", Target.H_COLS)):
         if cset is not None and cset.target is not target:
             raise InvalidConfigError(f"the {side}-side constraint set targets "
                                      f"{cset.target.name}, not {target.name}")
+    cells = None if mask is None else ObservedCells(va, mask)
+    return va, set_w, set_h, cells
 
 
 def objective(v, w, h, sets, config: SolverConfig) -> float:
-    """Data-fit term plus coefficient-weighted penalties of both factor sides."""
-    set_w, set_h = sets
-    _check_sides(set_w, set_h)
-    cells = None if config.mask is None else ObservedCells(v, config.mask)
-    return _objective_value(
-        as_array(v), as_array(w), as_array(h), set_w, set_h,
-        config.lambda_w, config.lambda_h, config.measure, cells,
-    )[0]
+    """Data-fit term plus coefficient-weighted penalties of both factor sides.
+
+    ``v`` and ``sets`` are checked as :func:`run` checks them.
+    """
+    va, set_w, set_h, cells = _checked_data(v, sets, config.mask)
+    return _objective_value(va, as_array(w), as_array(h), set_w, set_h,
+                            config.lambda_w, config.lambda_h, config.measure, cells)[0]
 
 
 def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
@@ -273,29 +299,16 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
 
     ``sets`` carries the optional row constraints on W (a ``Target.W_ROWS``
     set) and column constraints on H (a ``Target.H_COLS`` set); a set on the
-    other side raises :class:`InvalidConfigError`.  With zero coefficients and empty sets this is exactly classic
-    multiplicative NMF.  Non-convergence within ``max_iters`` is not an
-    error; the report is returned regardless.
+    other side raises :class:`InvalidConfigError`, and a negative or
+    non-finite entry of ``v`` a typed error.  With zero coefficients and
+    empty sets this is exactly classic multiplicative NMF.  Non-convergence
+    within ``max_iters`` is not an error; the report is returned regardless.
     """
     t_start = time.perf_counter()
-    va = as_array(v)
-    if va.ndim != 2:
-        raise ShapeMismatchError(f"expected 2-D data, got ndim={va.ndim}")
-    # min and max propagate NaN, so the two reductions catch every bad entry
-    if va.size and not (va.min() >= 0 and va.max() < np.inf):
-        flat = va.ravel()
-        neg = np.flatnonzero(flat < 0)
-        if neg.size:
-            raise NegativeEntryError(int(neg[0]), float(flat[neg[0]]))
-        i = int(np.flatnonzero(~np.isfinite(flat))[0])
-        raise NonFiniteEntryError(i, float(flat[i]))
-    n, m = va.shape
-    set_w, set_h = sets if sets is not None else (None, None)
-    _check_sides(set_w, set_h)
-    cells = None
-    if config.mask is not None:
-        cells = ObservedCells(va, config.mask)
+    va, set_w, set_h, cells = _checked_data(v, sets, config.mask)
+    if cells is not None:
         cells.require_coverage()
+    n, m = va.shape
 
     rng = np.random.default_rng(config.seed)
     w = rng.uniform(INIT_LOW, INIT_HIGH, size=(n, config.k))
@@ -322,27 +335,22 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
         num, den = masked_update_terms(va, cells, w, h, measure, "h")
         _sweep(h.T, num.T, den.T, prep_h, lam_h, measure)
         obj, new_wh = current_objective()
+        # written so that a NaN objective is rolled back too
+        if config.adapt_lambda and not obj <= accepted * (1.0 + ACCEPT_REL_SLACK) + ACCEPT_REL_SLACK:
+            w[:], h[:] = last_accepted  # wh still matches them
+            lam_w *= 0.5
+            lam_h *= 0.5
+            rollback_iters.append(it)
+            trace.append(accepted)
+            continue
+        rel_change = abs(obj - accepted) / max(abs(accepted), EPS)
+        accepted, wh = obj, new_wh
+        trace.append(obj)
         if config.adapt_lambda:
-            if obj <= accepted * (1.0 + ACCEPT_REL_SLACK) + ACCEPT_REL_SLACK:
-                rel_change = abs(obj - accepted) / max(abs(accepted), EPS)
-                accepted, wh = obj, new_wh
-                trace.append(obj)
-                lam_w *= 1.01
-                lam_h *= 1.01
-                if rel_change < config.rel_tol:
-                    break
-            else:
-                w[:], h[:] = last_accepted  # wh still matches them
-                lam_w *= 0.5
-                lam_h *= 0.5
-                rollback_iters.append(it)
-                trace.append(accepted)
-        else:
-            wh = new_wh
-            prev = trace[-1]
-            trace.append(obj)
-            if abs(obj - prev) / max(abs(prev), EPS) < config.rel_tol:
-                break
+            lam_w *= 1.01
+            lam_h *= 1.01
+        if rel_change < config.rel_tol:
+            break
 
     final_csr = None
     if (set_w is not None and len(set_w)) or (set_h is not None and len(set_h)):

@@ -1,9 +1,11 @@
 """Reference oracles the tests hold the package to.
 
-Each is a literal, per-triple transcription of a rule, written for clarity
-rather than speed: the two penalty gradients, the triple-satisfaction test
-and the sequential entry rule of one constrained sweep.  The package itself
-applies these rules in one place only, ``solver._sweep``.
+Each is a literal transcription of a rule, written for clarity rather than
+speed: the two vector distances, the two penalty gradients, the
+triple-satisfaction test, the sequential entry rule of one constrained
+sweep, and classic (lambda = 0) multiplicative NMF with an optional mask.
+The package itself applies each rule in one place only: the distances in
+``constraints._pair_distances``, the entry rules in ``solver._sweep``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,29 @@ from rprnmf.constraints import (
     Measure,
     Target,
     constrained_vectors,
-    euclidean_sq,
-    symmetric_divergence,
 )
-from rprnmf.exceptions import IndexOutOfRangeError, PenaltyOverflowError
+from rprnmf.exceptions import IndexOutOfRangeError, LengthMismatchError, PenaltyOverflowError
 from rprnmf.matrix import EPS
 from rprnmf.penalties import MAX_EXP
+
+
+def euclidean_sq(x, y) -> float:
+    """Squared Euclidean distance between two vectors."""
+    xa, ya = np.asarray(x, float), np.asarray(y, float)
+    if xa.shape != ya.shape:
+        raise LengthMismatchError(f"vector lengths {xa.shape} vs {ya.shape}")
+    d = xa - ya
+    return float(np.dot(d, d))
+
+
+def symmetric_divergence(x, y) -> float:
+    """Symmetrised KL divergence 0.5*sum((x-y)*log(x/y)), entries clamped at EPS."""
+    xa, ya = np.asarray(x, float), np.asarray(y, float)
+    if xa.shape != ya.shape:
+        raise LengthMismatchError(f"vector lengths {xa.shape} vs {ya.shape}")
+    xc = np.maximum(xa, EPS)
+    yc = np.maximum(ya, EPS)
+    return float(0.5 * np.sum((xc - yc) * np.log(xc / yc)))
 
 
 class EucPenaltyGrad(NamedTuple):
@@ -150,3 +169,38 @@ def reference_ordered_sweep(fac, num, den, cset, lam, measure):
                     fac[a, k] = old * num[a, k] / max(den[a, k], EPS)
                 else:
                     fac[a, k] = old * num[a, k] / max(pen, EPS)
+
+
+def dense_masked_terms(v, bits, w, h, measure, side):
+    """Masked data-fit terms as dense N x M products with the 0/1 mask ``bits``."""
+    wh = w @ h
+    if measure is Measure.EUCLIDEAN:
+        if side == "w":
+            return (bits * v) @ h.T, (bits * wh) @ h.T
+        return w.T @ (bits * v), w.T @ (bits * wh)
+    ratio = bits * v / np.maximum(wh, EPS)
+    if side == "w":
+        return ratio @ h.T, bits @ h.T
+    return w.T @ ratio, w.T @ bits
+
+
+def lee_seung(v, w, h, measure, iters, bits=None):
+    """(W, H) after ``iters`` classic multiplicative iterations from (w, h).
+
+    Each iteration updates W, then H from the new W.  Unmasked, the terms are
+    Lee and Seung's; given a 0/1 mask ``bits``, they are
+    :func:`dense_masked_terms`, so only observed cells enter.
+    """
+    for _ in range(iters):
+        if bits is not None:
+            num, den = dense_masked_terms(v, bits, w, h, measure, "w")
+            w = w * num / np.maximum(den, EPS)
+            num, den = dense_masked_terms(v, bits, w, h, measure, "h")
+            h = h * num / np.maximum(den, EPS)
+        elif measure is Measure.EUCLIDEAN:
+            w = w * (v @ h.T) / np.maximum(w @ (h @ h.T), EPS)
+            h = h * (w.T @ v) / np.maximum((w.T @ w) @ h, EPS)
+        else:
+            w = w * ((v / np.maximum(w @ h, EPS)) @ h.T) / np.maximum(h.sum(axis=1), EPS)
+            h = h * (w.T @ (v / np.maximum(w @ h, EPS))) / np.maximum(w.sum(axis=0)[:, None], EPS)
+    return w, h

@@ -30,13 +30,11 @@ from rprnmf import (
     nmi,
     rmse,
     run,
-    symmetric_divergence,
 )
 from rprnmf.cli import main as cli_main
-from rprnmf.matrix import EPS
 from rprnmf.metrics import clustering_accuracy
 
-from oracles import div_penalty_grad, euc_penalty_grad
+from oracles import div_penalty_grad, euc_penalty_grad, lee_seung, symmetric_divergence
 
 THREADS = str(min(2, os.cpu_count() or 1))
 
@@ -65,13 +63,7 @@ def test_criterion_1_lambda_zero_oracle_equivalence():
             rng2 = np.random.default_rng(seed)
             w = rng2.uniform(0.01, 1.0, (20, 5))
             h = rng2.uniform(0.01, 1.0, (5, 15))
-            for _ in range(iters):
-                if measure is Measure.EUCLIDEAN:
-                    w = w * (v @ h.T) / np.maximum(w @ (h @ h.T), EPS)
-                    h = h * (w.T @ v) / np.maximum((w.T @ w) @ h, EPS)
-                else:
-                    w = w * ((v / np.maximum(w @ h, EPS)) @ h.T) / np.maximum(h.sum(axis=1), EPS)
-                    h = h * (w.T @ (v / np.maximum(w @ h, EPS))) / np.maximum(w.sum(axis=0)[:, None], EPS)
+            w, h = lee_seung(v, w, h, measure, iters)
             assert np.max(np.abs(rep.w.a - w)) <= 1e-12
             assert np.max(np.abs(rep.h.a - h)) <= 1e-12
     elapsed = time.perf_counter() - t0

@@ -12,25 +12,24 @@ from rprnmf import (
     constraints_to_label_matrix,
     constraints_to_weight_matrix,
     csr,
-    euclidean_sq,
     generate_chain_constraints,
+    generate_chain_plan,
     read_constraints,
-    symmetric_divergence,
     write_constraints,
 )
 from rprnmf import constraints
-from rprnmf.constraints import InvalidTripleError, satisfaction_flags
+from rprnmf.constraints import InvalidTripleError, satisfaction_flags, triple_distances
 from rprnmf.exceptions import (
     CycleDetectedError,
     IndexOutOfRangeError,
     InsufficientIndicesError,
+    InvalidConfigError,
     InvalidRangeError,
-    LengthMismatchError,
     MalformedLineError,
     NoConstraintsError,
 )
 
-from oracles import is_satisfied
+from oracles import euclidean_sq, is_satisfied, symmetric_divergence
 
 
 def kl(x, y):
@@ -39,45 +38,60 @@ def kl(x, y):
     return float(np.sum(x * np.log(x / y) - x + y))
 
 
+def dis(x, y, measure):
+    """dis(x, y) as the package computes it: d1 of the triple (1, 2, 3) over rows x, y, y."""
+    d1, _ = triple_distances(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), np.array([x, y, y], float),
+                             measure)
+    return float(d1[0])
+
+
 class TestDistances:
     def test_euclidean_identity(self):
-        assert euclidean_sq([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert dis([1.0, 2.0], [1.0, 2.0], Measure.EUCLIDEAN) == 0.0
 
     def test_euclidean_direct(self):
-        assert euclidean_sq([1, 2], [3, 4]) == pytest.approx(8.0)
+        assert dis([1, 2], [3, 4], Measure.EUCLIDEAN) == pytest.approx(8.0)
 
     def test_euclidean_symmetric(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             x, y = rng.uniform(-2, 2, (2, 5))
-            assert euclidean_sq(x, y) == pytest.approx(euclidean_sq(y, x), rel=1e-12)
-
-    def test_euclidean_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            euclidean_sq([1], [1, 2])
+            want = dis(y, x, Measure.EUCLIDEAN)
+            assert dis(x, y, Measure.EUCLIDEAN) == pytest.approx(want, rel=1e-12)
 
     def test_sd_identity(self):
-        assert symmetric_divergence([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert dis([1.0, 2.0], [1.0, 2.0], Measure.DIVERGENCE) == 0.0
 
     def test_sd_direct(self):
-        assert symmetric_divergence([1.0], [math.e]) == pytest.approx((math.e - 1) / 2, rel=1e-12)
+        assert dis([1.0], [math.e], Measure.DIVERGENCE) == pytest.approx((math.e - 1) / 2, rel=1e-12)
 
     def test_sd_is_half_sum_of_kl(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x, y = rng.uniform(0.05, 3, (2, 6))
             want = 0.5 * (kl(x, y) + kl(y, x))
-            assert symmetric_divergence(x, y) == pytest.approx(want, abs=1e-12, rel=1e-12)
+            assert dis(x, y, Measure.DIVERGENCE) == pytest.approx(want, abs=1e-12, rel=1e-12)
 
     def test_sd_nonneg_zero_iff_equal(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             x = rng.uniform(0.05, 3, 5)
             y = rng.uniform(0.05, 3, 5)
-            assert symmetric_divergence(x, y) >= 0.0
-            assert symmetric_divergence(x, x) == 0.0
+            assert dis(x, y, Measure.DIVERGENCE) >= 0.0
+            assert dis(x, x, Measure.DIVERGENCE) == 0.0
             if not np.allclose(x, y):
-                assert symmetric_divergence(x, y) > 0.0
+                assert dis(x, y, Measure.DIVERGENCE) > 0.0
+
+    def test_measure_must_be_a_member(self):
+        # a measure's value is not a measure: refused, not read as divergence
+        rng = np.random.default_rng(3)
+        m = rng.uniform(0.1, 1, (4, 6))
+        cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
+        for call in (lambda: triple_distances(cset, m, "euc"),
+                     lambda: csr(cset, m, None, None, "euc"),
+                     lambda: generate_chain_plan(m, Target.W_ROWS, [2], "div", seed=0)):
+            with pytest.raises(InvalidConfigError, match="must be a Measure"):
+                call()
 
 
 class TestTriples:
@@ -296,6 +310,11 @@ class TestWeightConversion:
         with pytest.raises(CycleDetectedError) as exc:
             constraints_to_weight_matrix(3, s, 0.0, 1.0)
         assert len(exc.value.edges) >= 2
+        # {1,2} -> {1,3} -> {1,4} -> {1,2}: the edges are reported in their own direction
+        s = ConstraintSet(Target.H_COLS, [(1, 2, 3), (1, 3, 4), (1, 4, 2)])
+        with pytest.raises(CycleDetectedError) as exc:
+            constraints_to_weight_matrix(4, s, 0.0, 1.0)
+        assert sorted(exc.value.edges) == [((1, 2), (1, 3)), ((1, 3), (1, 4)), ((1, 4), (1, 2))]
 
 
 class TestLabelConversion:

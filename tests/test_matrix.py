@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from rprnmf import DenseMatrix, MaskMatrix, frobenius_sq_diff, matrix_divergence
+from rprnmf import DenseMatrix, MaskMatrix, frobenius_sq_diff, matrix_divergence, md, rmse
 from rprnmf import matrix
 from rprnmf.exceptions import NonPositiveModelEntryError, ShapeMismatchError
 from rprnmf.matrix import ObservedCells
@@ -19,7 +19,7 @@ class TestConstruction:
     def test_direct_construction(self):
         m = DenseMatrix([[1, 2], [3, 4]])
         assert m[1, 0] == 3.0
-        assert list(m.data) == [1.0, 2.0, 3.0, 4.0]
+        assert m.a.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_not_a_nonempty_2d_array_rejected(self):
         for bad in ([1.0, 2.0], [[[1.0]]], np.zeros((0, 3))):
@@ -57,11 +57,14 @@ class TestFrobenius:
         wh = DenseMatrix([[1, 2], [3, 5]])
         assert frobenius_sq_diff(v, wh) == pytest.approx(1.0)
 
+    # a masked fit is the fit of the values at the observed cells; rmse is
+    # the squared-difference fit that takes a dense prediction and a mask
+
     def test_masked_entry_excluded(self):
         v = DenseMatrix([[1, 2], [3, 4]])
         wh = DenseMatrix([[1, 2], [3, 5]])
         mask = MaskMatrix([[1, 1], [1, 0]])
-        assert frobenius_sq_diff(v, wh, mask) == 0.0
+        assert rmse(v, wh, mask) == 0.0
 
     def test_masked_invariant_to_unobserved_changes(self):
         rng = np.random.default_rng(5)
@@ -69,9 +72,9 @@ class TestFrobenius:
         wh = rng.uniform(0, 1, (6, 5))
         bits = (rng.uniform(0, 1, (6, 5)) < 0.5).astype(float)
         mask = MaskMatrix(bits)
-        base = frobenius_sq_diff(v, wh, mask)
+        base = rmse(v, wh, mask)
         v2 = v + (1 - bits) * rng.uniform(1, 9, (6, 5))
-        assert frobenius_sq_diff(v2, wh, mask) == pytest.approx(base, rel=1e-12)
+        assert rmse(v2, wh, mask) == pytest.approx(base, rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -105,14 +108,16 @@ class TestDivergence:
                 assert d > 0.0
 
     def test_masked_invariant_to_unobserved_changes(self):
+        # md forms the masked divergence at the observed cells
         rng = np.random.default_rng(6)
         v = rng.uniform(0.1, 2, (5, 4))
-        wh = rng.uniform(0.1, 2, (5, 4))
+        w, h = rng.uniform(0.1, 1, (5, 2)), rng.uniform(0.1, 1, (2, 4))
         bits = (rng.uniform(0, 1, (5, 4)) < 0.5).astype(float)
         mask = MaskMatrix(bits)
-        base = matrix_divergence(v, wh, mask)
-        wh2 = wh + (1 - bits) * 7.0
-        assert matrix_divergence(v, wh2, mask) == pytest.approx(base, rel=1e-12)
+        base = md(v, w, h, mask)
+        assert base > 0.0
+        v2 = v + (1 - bits) * 7.0
+        assert md(v2, w, h, mask) == pytest.approx(base, rel=1e-12)
 
 
 class TestObservedModel:

@@ -137,6 +137,12 @@ class TestRmse:
         with pytest.raises(EmptyMaskError):
             rmse(np.ones((2, 2)), np.ones((2, 2)), MaskMatrix(np.zeros((2, 2))))
 
+    def test_shape_mismatch(self):
+        mask = MaskMatrix(np.eye(2))
+        for v, wh in ((np.ones((2, 2)), np.ones((2, 3))), (np.ones((3, 3)), np.ones((3, 3)))):
+            with pytest.raises(ShapeMismatchError):
+                rmse(v, wh, mask)
+
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(50):

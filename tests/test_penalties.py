@@ -11,11 +11,10 @@ from rprnmf import (
     csr,
     div_penalty_value,
     euc_penalty_value,
-    symmetric_divergence,
 )
 from rprnmf.exceptions import IndexOutOfRangeError, PenaltyOverflowError
 
-from oracles import div_penalty_grad, euc_penalty_grad, g_kernel
+from oracles import div_penalty_grad, euc_penalty_grad, g_kernel, symmetric_divergence
 
 
 def random_set(rng, dim, count, target=Target.W_ROWS):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rprnmf import (
@@ -37,45 +37,30 @@ from rprnmf.matrix import EPS, ObservedCells
 from rprnmf import _kernels, solver
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
 
-from oracles import div_penalty_grad, reference_ordered_sweep
+from oracles import dense_masked_terms, div_penalty_grad, lee_seung, reference_ordered_sweep
 
 # ---------------------------------------------------------------- oracles
 
 
 def classic_euc_step(v, w, h):
-    w = w * (v @ h.T) / np.maximum(w @ (h @ h.T), EPS)
-    h = h * (w.T @ v) / np.maximum((w.T @ w) @ h, EPS)
-    return w, h
+    return lee_seung(v, w, h, Measure.EUCLIDEAN, 1)
 
 
 def classic_div_step(v, w, h):
-    w = w * ((v / np.maximum(w @ h, EPS)) @ h.T) / np.maximum(h.sum(axis=1), EPS)
-    h = h * (w.T @ (v / np.maximum(w @ h, EPS))) / np.maximum(w.sum(axis=0)[:, None], EPS)
-    return w, h
-
-
-def dense_masked_terms(v, bits, w, h, measure, side):
-    """Masked data-fit terms as dense N x M products with the 0/1 mask."""
-    wh = w @ h
-    if measure is Measure.EUCLIDEAN:
-        if side == "w":
-            return (bits * v) @ h.T, (bits * wh) @ h.T
-        return w.T @ (bits * v), w.T @ (bits * wh)
-    ratio = bits * v / np.maximum(wh, EPS)
-    if side == "w":
-        return ratio @ h.T, bits @ h.T
-    return w.T @ ratio, w.T @ bits
+    return lee_seung(v, w, h, Measure.DIVERGENCE, 1)
 
 
 def dense_masked_fit(v, bits, w, h, measure):
     """Masked data fit summed over the dense N x M matrix, unobserved cells zeroed.
 
-    W @ H is formed cell by cell as a row-wise dot, the way the package forms
-    it at observed cells, so the two fits differ only in the order in which
-    their (non-negative) cell terms are summed.
+    W @ H is formed as k rank-1 adds in ascending latent index, so each cell
+    is the sum the package's ``rpr_model`` forms, bit for bit; the two fits
+    then differ only in the order in which their (non-negative) cell terms
+    are summed.
     """
-    r, c = np.indices(v.shape).reshape(2, -1)
-    wh = np.einsum("ij,ij->i", w[r], h[:, c].T).reshape(v.shape)
+    wh = np.zeros(v.shape)
+    for l in range(w.shape[1]):
+        wh += np.outer(w[:, l], h[l])
     if measure is Measure.EUCLIDEAN:
         d = bits * (v - wh)
         return float(np.sum(d * d))
@@ -128,6 +113,9 @@ class TestUpdateTerms:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 9), m=st.integers(1, 9), k=st.integers(1, 4),
            density=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
+    # divergence cell terms cancel here, so a last-bit difference in W @ H
+    # showed as 1.4e-11 relative when the reference formed it another way
+    @example(n=3, m=3, k=3, density=0.25, seed=3)
     def test_observed_cells_match_dense_reference(self, n, m, k, density, seed):
         rng = np.random.default_rng(seed)
         v = rng.uniform(0.0, 2.0, (n, m))
@@ -561,6 +549,22 @@ class TestRun:
         assert len(rep.rollback_iters) > 0
         assert all(1 <= i <= rep.iterations for i in rep.rollback_iters)
 
+    def test_nan_objective_rolled_back(self, monkeypatch):
+        # the accept test is written so that NaN fails it
+        real, values = solver._objective_value, []
+
+        def nan_at_iteration_2(*args):
+            value, wh = real(*args)
+            values.append(value)
+            return (np.nan if len(values) == 3 else value), wh
+
+        monkeypatch.setattr(solver, "_objective_value", nan_at_iteration_2)
+        v = np.random.default_rng(23).uniform(0.1, 1, (6, 5))
+        cfg = SolverConfig(k=2, measure=Measure.DIVERGENCE, max_iters=4, rel_tol=0.0, seed=1)
+        rep = run(v, None, cfg)
+        assert rep.rollback_iters == [2]
+        assert np.all(np.isfinite(rep.objective_trace))
+
     @pytest.mark.parametrize("measure", list(Measure))
     def test_set_on_wrong_side_refused(self, monkeypatch, measure):
         def refuse(*args, **kwargs):
@@ -579,8 +583,12 @@ class TestRun:
 
     def test_negative_data_rejected(self):
         cfg = SolverConfig(k=2, measure=Measure.EUCLIDEAN)
+        v = np.array([[1.0, -0.5], [0.2, 0.1]])
         with pytest.raises(NegativeEntryError):
-            run(np.array([[1.0, -0.5], [0.2, 0.1]]), (None, None), cfg)
+            run(v, (None, None), cfg)
+        # objective() runs the same entry checks
+        with pytest.raises(NegativeEntryError):
+            objective(v, np.ones((2, 2)), np.ones((2, 2)), (None, None), cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, bad):
@@ -588,12 +596,15 @@ class TestRun:
         v[1, 0] = bad
         # hidden by the mask, but still rejected: V must be finite everywhere
         bits = np.array([[1.0, 1.0], [0.0, 1.0]])
+        w, h = np.ones((2, 1)), np.ones((1, 2))
         for mask in (None, MaskMatrix(bits)):
             cfg = SolverConfig(k=1, measure=Measure.DIVERGENCE, mask=mask)
-            with pytest.raises(RprNmfError) as info:
-                run(v, (None, None), cfg)
-            expected = NegativeEntryError if bad < 0 else NonFiniteEntryError
-            assert type(info.value) is expected and info.value.index == 2
+            for call in (lambda: run(v, (None, None), cfg),
+                         lambda: objective(v, w, h, (None, None), cfg)):
+                with pytest.raises(RprNmfError) as info:
+                    call()
+                expected = NegativeEntryError if bad < 0 else NonFiniteEntryError
+                assert type(info.value) is expected and info.value.index == 2
 
     def test_array_mask_coerced(self):
         rng = np.random.default_rng(21)
@@ -615,6 +626,13 @@ class TestRun:
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, lambda_w=-1.0)
         with pytest.raises(InvalidConfigError):
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, max_iters=0)
+        # a measure's value is not a measure, and counts are integers
+        for bad in ({"measure": "euc"}, {"measure": None}, {"k": 2.5}, {"k": True},
+                    {"max_iters": 3.0}, {"max_iters": False}):
+            with pytest.raises(InvalidConfigError):
+                SolverConfig(**{"k": 2, "measure": Measure.EUCLIDEAN, **bad})
+        cfg = SolverConfig(k=np.int64(2), measure=Measure.DIVERGENCE, max_iters=np.int32(3))
+        assert run(np.ones((3, 2)), None, cfg).iterations <= 3
 
     def test_adapt_lambda_follows_measure(self):
         assert not SolverConfig(k=2, measure=Measure.EUCLIDEAN).adapt_lambda
@@ -694,3 +712,29 @@ class TestRunProperties:
                 slack = solver.ACCEPT_REL_SLACK
                 tr = rep.objective_trace
                 assert all(b <= a * (1 + slack) + slack for a, b in zip(tr, tr[1:]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 9), m=st.integers(1, 9), k=st.integers(1, 4), masked=st.booleans(),
+           observed=st.floats(0.2, 1.0), iters=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_lambda_zero_is_lee_seung(self, n, m, k, masked, observed, iters, seed):
+        """At lambda = 0 both measures are classic multiplicative NMF, masked or not,
+        from the same starting draw, and no divergence iteration is rolled back."""
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0, 1, (n, m))
+        bits = None
+        if masked:
+            b = rng.random((n, m)) < observed
+            b[np.arange(n), rng.integers(0, m, n)] = True
+            b[rng.integers(0, n, m), np.arange(m)] = True
+            bits = b.astype(float)
+        for measure in Measure:
+            cfg = SolverConfig(k=k, measure=measure, max_iters=iters, rel_tol=0.0, seed=seed,
+                               mask=None if bits is None else MaskMatrix(bits))
+            rep = run(v, (None, None), cfg)
+            init = np.random.default_rng(seed)
+            w = init.uniform(solver.INIT_LOW, solver.INIT_HIGH, (n, k))
+            h = init.uniform(solver.INIT_LOW, solver.INIT_HIGH, (k, m))
+            w, h = lee_seung(v, w, h, measure, iters, bits)
+            assert rep.rollback_iters == [] and rep.iterations == iters
+            for got, want in ((rep.w.a, w), (rep.h.a, h)):
+                assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) <= 1e-10
