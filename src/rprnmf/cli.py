@@ -98,7 +98,7 @@ def _check_args(args) -> None:
     at its end for want of a writable ``--out``.
     """
     lowest = {"k": 1, "max_iters": 1, "reps": 1, "n": 1, "m": 1, "n_constraints": 1,
-              "per_class": 2, "folds": 2, "threads": 1}
+              "per_class": 2, "folds": 2, "threads": 1, "seed": 0}
     for dest, low in lowest.items():
         value = getattr(args, dest, None)
         if value is not None and value < low:
@@ -331,25 +331,13 @@ def cmd_convert(args) -> int:
 
 
 def _cv_task(task: dict) -> dict:
-    v, training, heldout = task["v"], task["training"], task["heldout"]
-    measure = Measure(task["measure"])
-    config = SolverConfig(
-        k=task["k"], measure=measure, lambda_w=task["lam_w"], lambda_h=task["lam_h"],
-        max_iters=task["max_iters"], rel_tol=task["rel_tol"],
-        seed=task["seed"] + task["fold"], mask=training,
-    )
-    report = run_solver(v, (task["set_w"], task["set_h"]), config)
+    """One fold's masked solve, trained on ``config.mask``; returns ``row`` plus its scores."""
+    v, config, heldout = task["v"], task["config"], task["heldout"]
+    report = run_solver(v, task["sets"], config)
     wh = report.w.a @ report.h.a
-    f1 = f1_score(v, wh, training, heldout)
-    return {
-        "fold": task["fold"],
-        "algorithm": "rprnmf" if (task["lam_w"] or task["lam_h"]) else "nmf",
-        "measure": task["measure"],
-        "msl_or_md": _err_metric(measure, v, report.w, report.h, training),
-        "csr": report.csr if report.csr is not None else "",
-        "rmse": rmse(v, wh, heldout),
-        "f1": f1.f1,
-    }
+    return dict(task["row"], msl_or_md=_err_metric(config.measure, v, report.w, report.h, config.mask),
+                csr=report.csr if report.csr is not None else "", rmse=rmse(v, wh, heldout),
+                f1=f1_score(v, wh, config.mask, heldout).f1)
 
 
 def cmd_crossvalidate(args) -> int:
@@ -365,13 +353,16 @@ def cmd_crossvalidate(args) -> int:
     tasks = []
     for fold in range(split.n_folds):
         for lam_w, lam_h in lambdas:
+            config = SolverConfig(
+                k=args.k, measure=Measure(args.measure), lambda_w=lam_w, lambda_h=lam_h,
+                max_iters=args.max_iters, rel_tol=args.rel_tol, seed=args.seed + fold,
+                mask=split.training_mask(fold),
+            )
             tasks.append({
-                "v": v, "training": split.training_mask(fold),
+                "config": config, "v": v, "sets": (set_w, set_h),
                 "heldout": split.fold_masks[fold],
-                "set_w": set_w, "set_h": set_h, "fold": fold,
-                "lam_w": lam_w, "lam_h": lam_h, "measure": args.measure,
-                "k": args.k, "max_iters": args.max_iters, "rel_tol": args.rel_tol,
-                "seed": args.seed,
+                "row": {"fold": fold, "algorithm": "rprnmf" if lam_w or lam_h else "nmf",
+                        "measure": args.measure},
             })
     return _experiment(args, "crossvalidate", _cv_task, tasks,
                        ["fold", "algorithm", "measure", "msl_or_md", "csr", "rmse", "f1"])
@@ -548,10 +539,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RaggedCsvError, NonNumericCsvError, MalformedLineError, UsageError) as exc:
+    except (OSError, UnicodeDecodeError, RaggedCsvError, NonNumericCsvError, MalformedLineError,
+            UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RprNmfError as exc:

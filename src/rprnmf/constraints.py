@@ -159,13 +159,14 @@ def csr(set_w: ConstraintSet | None, w, set_h: ConstraintSet | None, h, measure:
 MAX_CHAIN_LEN = 12
 
 
-def _increasing_ordering(dist: np.ndarray) -> list[int] | None:
-    """Ordering of all points whose consecutive distances strictly increase.
+def _increasing_ordering(dist: np.ndarray) -> tuple[list[int] | None, float]:
+    """Ordering of all points whose consecutive distances strictly increase, and its margin.
 
     Among all valid orderings of the candidate set, the one maximising the
-    smallest consecutive-distance gap is returned (ties broken towards the
-    lexicographically smaller path), so emitted chains carry the widest
-    margins the sample permits.  Deterministic; None when no ordering exists.
+    smallest consecutive-distance gap is returned with that gap (ties broken
+    towards the lexicographically smaller path), so emitted chains carry the
+    widest margins the sample permits.  Deterministic; (None, -inf) when no
+    ordering exists.
     """
     n = dist.shape[0]
     path = [0] * n
@@ -205,7 +206,7 @@ def _increasing_ordering(dist: np.ndarray) -> list[int] | None:
             extend(2, dist[first, second], np.inf)
             used[second] = False
         used[first] = False
-    return best
+    return best, best_gap
 
 
 # chain sampling: index sets drawn per chain before giving up, and the number
@@ -281,12 +282,7 @@ def generate_chain_plan(
             sub = np.array(cand)
             dist = np.zeros((per_chain, per_chain))
             dist[iu, ju] = dist[ju, iu] = _pair_distances(vectors, sub[iu], sub[ju], measure)
-            order = _increasing_ordering(dist)
-            if order is None:
-                continue
-            gaps = [dist[order[i], order[i + 1]] - dist[order[i - 1], order[i]]
-                    for i in range(1, per_chain - 1)]
-            gap = min(gaps) if gaps else np.inf
+            order, gap = _increasing_ordering(dist)
             if gap > ordered_gap:
                 ordered_gap = gap
                 ordered = [cand[i] for i in order]

@@ -151,15 +151,13 @@ class ObservedCells:
     def model(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """W @ H at the cells: each the dot of W's row and H's column, summed
         in ascending latent index by the compiled ``rpr_model``."""
-        n, m = self.shape
         # the compiled kernel reads both factors row by row, unchecked
-        if w.ndim != 2 or h.ndim != 2 or w.shape[0] != n or h.shape[1] != m or w.shape[1] != h.shape[0]:
-            raise ShapeMismatchError(f"factor shapes {w.shape}, {h.shape} do not fit data {self.shape}")
+        check_factors(self.shape, w, h)
         if w.dtype != np.float64 or h.dtype != np.float64:
             raise ShapeMismatchError(f"factors must be float64, got {w.dtype} and {h.dtype}")
         w, ht = np.ascontiguousarray(w), np.ascontiguousarray(h.T)
         out = np.empty(self.cols.size)
-        _load().rpr_model(w.ctypes.data, ht.ctypes.data, w.shape[1], n,
+        _load().rpr_model(w.ctypes.data, ht.ctypes.data, w.shape[1], self.shape[0],
                           self.indptr.ctypes.data, self.cols.ctypes.data, out.ctypes.data)
         return out
 
@@ -174,6 +172,12 @@ def as_array(m) -> np.ndarray:
 def as_mask(mask) -> MaskMatrix:
     """Accept a MaskMatrix, or a 0/1 DenseMatrix or array-like (checked); return the MaskMatrix."""
     return mask if isinstance(mask, MaskMatrix) else MaskMatrix(as_array(mask))
+
+
+def check_factors(shape, w: np.ndarray, h: np.ndarray) -> None:
+    """Refuse factors other than a 2-D W (N x K) and H (K x M) for data of ``shape`` (N, M)."""
+    if w.ndim != 2 or h.ndim != 2 or (w.shape[0], h.shape[1]) != tuple(shape) or w.shape[1] != h.shape[0]:
+        raise ShapeMismatchError(f"factor shapes {w.shape}, {h.shape} do not fit data {shape}")
 
 
 def _same_shape(v, wh) -> tuple[np.ndarray, np.ndarray]:
@@ -193,8 +197,9 @@ def frobenius_sq_diff(v, wh) -> float:
 def matrix_divergence(v, wh) -> float:
     """Generalised KL divergence sum(v*log(v/wh) - v + wh) of two arrays of one shape.
 
-    Zero data entries contribute ``wh`` only (0*log(0/y) = 0).  Model entries
-    below EPS are clamped; negative model entries are rejected outright.
+    Model entries below EPS are clamped to EPS in both terms, so zero data
+    entries contribute that clamped ``wh`` only (0*log(0/y) = 0); negative
+    model entries are rejected outright.
     """
     va, wa = _same_shape(v, wh)
     if np.any(wa < 0):
@@ -202,4 +207,4 @@ def matrix_divergence(v, wh) -> float:
     wc = np.maximum(wa, EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.where(va > 0, va * np.log(np.maximum(va, EPS) / wc), 0.0)
-    return float(np.sum(lg - va + wa))
+    return float(np.sum(lg - va + wc))

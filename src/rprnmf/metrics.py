@@ -20,7 +20,14 @@ from .exceptions import (
     ShapeMismatchError,
     TooFewPointsError,
 )
-from .matrix import ObservedCells, as_array, as_mask, frobenius_sq_diff, matrix_divergence
+from .matrix import (
+    ObservedCells,
+    as_array,
+    as_mask,
+    check_factors,
+    frobenius_sq_diff,
+    matrix_divergence,
+)
 
 
 @dataclass
@@ -47,6 +54,7 @@ def _fit(v, w, h, mask) -> tuple[np.ndarray, np.ndarray]:
     """``v`` and W @ H: at the observed cells only when masked, else dense."""
     va, wa, ha = as_array(v), as_array(w), as_array(h)
     if mask is None:
+        check_factors(va.shape, wa, ha)
         return va, wa @ ha
     cells = ObservedCells(va, mask)
     return cells.v, cells.model(wa, ha)

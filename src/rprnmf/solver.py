@@ -48,6 +48,7 @@ from .matrix import (
     ObservedCells,
     as_array,
     as_mask,
+    check_factors,
     frobenius_sq_diff,
     matrix_divergence,
 )
@@ -79,18 +80,20 @@ class SolverConfig:
             self.mask = as_mask(self.mask)
         if not isinstance(self.measure, Measure):
             raise InvalidConfigError(f"measure must be a Measure, got {self.measure!r}")
-        for name in ("k", "max_iters"):
+        for name in ("k", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise InvalidConfigError(f"latent dimension must be >= 1, got {self.k}")
-        if self.lambda_w < 0 or self.lambda_h < 0:
-            raise InvalidConfigError("penalty coefficients must be non-negative")
         if self.max_iters < 1:
             raise InvalidConfigError("max_iters must be >= 1")
-        if self.rel_tol < 0:
-            raise InvalidConfigError("rel_tol must be non-negative")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("lambda_w", "lambda_h", "rel_tol"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # NaN fails too
+                raise InvalidConfigError(f"{name} must be a finite number >= 0, got {value!r}")
 
     @property
     def adapt_lambda(self) -> bool:
@@ -126,7 +129,7 @@ def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, 
     wa, ha = as_array(w), as_array(h)
     if cells is None:
         va = as_array(v)
-        _check_factors(va.shape, wa, ha)
+        check_factors(va.shape, wa, ha)
         n, m = va.shape
         k = wa.shape[1]
         if measure is Measure.EUCLIDEAN:
@@ -137,7 +140,7 @@ def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, 
         if side == "w":
             return ratio @ ha.T, np.broadcast_to(ha.sum(axis=1), (n, k))
         return wa.T @ ratio, np.broadcast_to(wa.sum(axis=0)[:, None], (k, m))
-    _check_factors(cells.shape, wa, ha)
+    check_factors(cells.shape, wa, ha)
     if wh is None:
         wh = cells.model(wa, ha)
     if measure is Measure.EUCLIDEAN:
@@ -149,17 +152,12 @@ def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, 
     return (num.T @ wa).T, (den.T @ wa).T
 
 
-def _check_factors(shape, wa, ha):
-    n, m = shape
-    if wa.shape[0] != n or ha.shape[1] != m or wa.shape[1] != ha.shape[0]:
-        raise ShapeMismatchError(f"factor shapes {wa.shape}, {ha.shape} do not fit data {shape}")
-
-
 def _checked_data(v, sets, mask):
     """The entry checks of ``run`` and ``objective``: (V array, W set, H set, cells).
 
     V must be 2-D with finite non-negative entries, masked cells included;
-    each constraint set must target its own side.  ``cells`` is the
+    each constraint set must target its own side.  An empty set comes back
+    as None, so a set is either absent or has triples.  ``cells`` is the
     :class:`ObservedCells` of V under ``mask``, or None when unmasked.
     """
     va = as_array(v)
@@ -179,16 +177,19 @@ def _checked_data(v, sets, mask):
             raise InvalidConfigError(f"the {side}-side constraint set targets "
                                      f"{cset.target.name}, not {target.name}")
     cells = None if mask is None else ObservedCells(va, mask)
-    return va, set_w, set_h, cells
+    return va, set_w or None, set_h or None, cells
 
 
 def objective(v, w, h, sets, config: SolverConfig) -> float:
     """Data-fit term plus coefficient-weighted penalties of both factor sides.
 
-    ``v`` and ``sets`` are checked as :func:`run` checks them.
+    ``v`` and ``sets`` are checked as :func:`run` checks them, and ``w`` and
+    ``h`` must fit ``v``.
     """
     va, set_w, set_h, cells = _checked_data(v, sets, config.mask)
-    return _objective_value(va, as_array(w), as_array(h), set_w, set_h,
+    wa, ha = as_array(w), as_array(h)
+    check_factors(va.shape, wa, ha)
+    return _objective_value(va, wa, ha, set_w, set_h,
                             config.lambda_w, config.lambda_h, config.measure, cells)[0]
 
 
@@ -202,11 +203,11 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
         total = frobenius_sq_diff(v, wh)
         pen_value = euc_penalty_value
     else:
-        total = matrix_divergence(v, np.maximum(wh, EPS))
+        total = matrix_divergence(v, wh)
         pen_value = div_penalty_value
-    if set_w is not None and len(set_w) and lam_w > 0:
+    if set_w is not None and lam_w > 0:
         total += lam_w * pen_value(wa, set_w)
-    if set_h is not None and len(set_h) and lam_h > 0:
+    if set_h is not None and lam_h > 0:
         total += lam_h * pen_value(ha, set_h)
     return float(total), None if cells is None else wh
 
@@ -239,12 +240,12 @@ class _PreparedSet:
 
 
 def _prepare(cset: ConstraintSet | None, dim: int, lam: float) -> _PreparedSet | None:
-    """The sweep plan of a non-empty set with a positive coefficient, else None.
+    """The sweep plan of a set with a positive coefficient, else None.
 
     Coefficients only scale, so a side that starts at 0 stays unpenalised and
     needs no plan; its set's bounds are still checked before any iteration.
     """
-    if cset is None or not len(cset):
+    if cset is None:
         return None
     if lam == 0:
         cset.check_bounds(dim)
@@ -353,7 +354,7 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
             break
 
     final_csr = None
-    if (set_w is not None and len(set_w)) or (set_h is not None and len(set_h)):
+    if set_w is not None or set_h is not None:
         final_csr = csr_of(set_w, w, set_h, h, measure)
     return FactorisationReport(
         w=DenseMatrix(w),

@@ -471,6 +471,7 @@ class TestUsageErrors:
         ("convert", "--mins", "nan", "--constraints", "absent-c.txt", "--to", "weights"),
         ("convert", "--maxs", "inf", "--constraints", "absent-c.txt", "--to", "weights"),
         ("syn1", "--threads", "0"),
+        ("factorize", "--seed", "-1", "--matrix", "absent-v.csv"), ("syn1", "--seed", "-3"),
     ])
     def test_empty_or_bad_sizes(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

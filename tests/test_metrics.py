@@ -107,6 +107,10 @@ class TestApproximationMetrics:
         h = rng.uniform(0.1, 1, (3, 5))
         cfg = SolverConfig(k=3, measure=Measure.DIVERGENCE)
         assert md(v, w, h) == pytest.approx(objective(v, w, h, (None, None), cfg) / 30, rel=1e-12)
+        # a zero row of W gives model cells below EPS: both clamp them alike
+        w[2] = 0.0
+        v = w @ h
+        assert md(v, w, h) * 30 == pytest.approx(objective(v, w, h, (None, None), cfg), rel=1e-12)
 
     def test_masked_msl_is_the_solver_fit_at_the_cells(self):
         # masked, msl forms W @ H at the observed cells only, as the solver's
@@ -121,6 +125,11 @@ class TestApproximationMetrics:
         assert msl(v, report.w, report.h, mask) * v.size == report.final_objective
         with pytest.raises(ShapeMismatchError):
             msl(v, report.w.a[1:], report.h, mask)
+        # unmasked, factors that do not fit meet the same check
+        for fit in (msl, md):
+            for bad_w, bad_h in ((report.w.a, report.h.a[1:]), (report.w.a[:, 0], report.h.a)):
+                with pytest.raises(ShapeMismatchError, match="factor shapes"):
+                    fit(v, bad_w, bad_h)
 
 
 class TestRmse:

@@ -109,6 +109,16 @@ class TestUpdateTerms:
         v, w, h = random_instance(rng)
         with pytest.raises(ShapeMismatchError):
             masked_update_terms(v, ObservedCells(v, np.ones((3, 3))), w, h, Measure.EUCLIDEAN, "w")
+        # a 1-D factor meets the same check, masked or not
+        for cells in (None, ObservedCells(v, np.ones(v.shape))):
+            for bad_w, bad_h in ((w[:, 0], h), (w, h[0])):
+                with pytest.raises(ShapeMismatchError, match="factor shapes"):
+                    masked_update_terms(v, cells, bad_w, bad_h, Measure.DIVERGENCE, "h")
+        # and so do factors objective() is given
+        for mask in (None, MaskMatrix(np.ones(v.shape))):
+            cfg = SolverConfig(k=w.shape[1], measure=Measure.EUCLIDEAN, mask=mask)
+            with pytest.raises(ShapeMismatchError, match="factor shapes"):
+                objective(v, w, h[:-1], (None, None), cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 9), m=st.integers(1, 9), k=st.integers(1, 4),
@@ -626,9 +636,12 @@ class TestRun:
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, lambda_w=-1.0)
         with pytest.raises(InvalidConfigError):
             SolverConfig(k=2, measure=Measure.EUCLIDEAN, max_iters=0)
-        # a measure's value is not a measure, and counts are integers
+        # a measure's value is not a measure, counts and the seed are integers,
+        # and the seed, coefficients and rel_tol are finite and non-negative
         for bad in ({"measure": "euc"}, {"measure": None}, {"k": 2.5}, {"k": True},
-                    {"max_iters": 3.0}, {"max_iters": False}):
+                    {"max_iters": 3.0}, {"max_iters": False}, {"seed": -1}, {"seed": 1.0},
+                    {"lambda_w": np.nan}, {"lambda_h": np.inf}, {"rel_tol": np.nan},
+                    {"rel_tol": np.inf}):
             with pytest.raises(InvalidConfigError):
                 SolverConfig(**{"k": 2, "measure": Measure.EUCLIDEAN, **bad})
         cfg = SolverConfig(k=np.int64(2), measure=Measure.DIVERGENCE, max_iters=np.int32(3))
@@ -690,7 +703,8 @@ class TestRunProperties:
         """Finite non-negative factors in both measures; divergence never accepts an increase.
 
         The Euclidean solver has no rollback, and its trace can rise once the
-        penalty is on, so only the divergence trace is held to descent here.
+        penalty is on, so only the divergence trace is held to descent here;
+        the Euclidean one is held to it at lambda = 0 below.
         """
         rng = np.random.default_rng(seed)
         v = rng.uniform(0, 1, (n, m))
@@ -712,6 +726,26 @@ class TestRunProperties:
                 slack = solver.ACCEPT_REL_SLACK
                 tr = rep.objective_trace
                 assert all(b <= a * (1 + slack) + slack for a, b in zip(tr, tr[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 9), m=st.integers(1, 9), k=st.integers(1, 4), masked=st.booleans(),
+           observed=st.floats(0.2, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_lambda_zero_euclidean_trace_never_rises(self, n, m, k, masked, observed, seed):
+        """At lambda = 0 the Euclidean trace is non-increasing, masked or not, to the
+        divergence accept test's slack; with a penalty on it may rise (no rollback)."""
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0, 1, (n, m))
+        mask = None
+        if masked:
+            bits = rng.random((n, m)) < observed
+            bits[np.arange(n), rng.integers(0, m, n)] = True
+            bits[rng.integers(0, n, m), np.arange(m)] = True
+            mask = MaskMatrix(bits.astype(float))
+        cfg = SolverConfig(k=k, measure=Measure.EUCLIDEAN, max_iters=60, rel_tol=0.0, seed=seed,
+                           mask=mask)
+        tr = run(v, (None, None), cfg).objective_trace
+        slack = solver.ACCEPT_REL_SLACK
+        assert all(b <= a * (1 + slack) + slack for a, b in zip(tr, tr[1:]))
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 9), m=st.integers(1, 9), k=st.integers(1, 4), masked=st.booleans(),
