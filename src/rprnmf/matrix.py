@@ -9,6 +9,8 @@ compiled ``rpr_model`` in ``_sweep.c`` (see :mod:`rprnmf._kernels`), so a
 masked run builds the C library even when no penalty is on.  The two fits,
 :func:`frobenius_sq_diff` and :func:`matrix_divergence`, compare two arrays
 of one shape: V and W @ H whole, or their values at the observed cells.
+Each works in one fresh array (the divergence also clamps the model into a
+second) and never writes into its arguments, so a caller can reuse its W @ H.
 
 ``EPS`` is the single clamping constant shared by every divisor and log
 argument in this package.
@@ -21,6 +23,8 @@ import scipy.sparse as sp
 
 from .exceptions import (
     DegenerateMaskError,
+    NegativeEntryError,
+    NonFiniteEntryError,
     NonPositiveModelEntryError,
     ShapeMismatchError,
 )
@@ -180,6 +184,23 @@ def check_factors(shape, w: np.ndarray, h: np.ndarray) -> None:
         raise ShapeMismatchError(f"factor shapes {w.shape}, {h.shape} do not fit data {shape}")
 
 
+def check_data(v) -> np.ndarray:
+    """The package's one entry check: ``v`` as a 2-D float array of finite
+    non-negative entries, else a typed error naming the first bad entry."""
+    va = as_array(v)
+    if va.ndim != 2:
+        raise ShapeMismatchError(f"expected 2-D data, got ndim={va.ndim}")
+    # min and max propagate NaN, so the two reductions catch every bad entry
+    if va.size and not (va.min() >= 0 and va.max() < np.inf):
+        flat = va.ravel()
+        neg = np.flatnonzero(flat < 0)
+        if neg.size:
+            raise NegativeEntryError(int(neg[0]), float(flat[neg[0]]))
+        i = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise NonFiniteEntryError(i, float(flat[i]))
+    return va
+
+
 def _same_shape(v, wh) -> tuple[np.ndarray, np.ndarray]:
     va, wa = as_array(v), as_array(wh)
     if va.shape != wa.shape:
@@ -190,8 +211,9 @@ def _same_shape(v, wh) -> tuple[np.ndarray, np.ndarray]:
 def frobenius_sq_diff(v, wh) -> float:
     """Sum of squared differences of two arrays of one shape."""
     va, wa = _same_shape(v, wh)
-    d = va - wa
-    return float(np.sum(d * d))
+    d = np.subtract(va, wa)
+    d *= d
+    return float(np.sum(d))
 
 
 def matrix_divergence(v, wh) -> float:
@@ -205,6 +227,12 @@ def matrix_divergence(v, wh) -> float:
     if np.any(wa < 0):
         raise NonPositiveModelEntryError("model matrix has negative entries at observed cells")
     wc = np.maximum(wa, EPS)
+    terms = np.maximum(va, EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.where(va > 0, va * np.log(np.maximum(va, EPS) / wc), 0.0)
-    return float(np.sum(lg - va + wc))
+        terms /= wc
+        np.log(terms, out=terms)
+        terms *= va
+    terms[~(va > 0)] = 0.0
+    terms -= va
+    terms += wc
+    return float(np.sum(terms))

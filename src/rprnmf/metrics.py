@@ -24,6 +24,7 @@ from .matrix import (
     ObservedCells,
     as_array,
     as_mask,
+    check_data,
     check_factors,
     frobenius_sq_diff,
     matrix_divergence,
@@ -51,8 +52,11 @@ class F1Result(NamedTuple):
 
 
 def _fit(v, w, h, mask) -> tuple[np.ndarray, np.ndarray]:
-    """``v`` and W @ H: at the observed cells only when masked, else dense."""
-    va, wa, ha = as_array(v), as_array(w), as_array(h)
+    """``v`` and W @ H: at the observed cells only when masked, else dense.
+
+    ``v`` passes the entry check of ``objective()``, masked cells included.
+    """
+    va, wa, ha = check_data(v), as_array(w), as_array(h)
     if mask is None:
         check_factors(va.shape, wa, ha)
         return va, wa @ ha

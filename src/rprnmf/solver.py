@@ -12,10 +12,16 @@ just changed.  The constrained entries are therefore walked one at a time,
 by ``rpr_sweep`` in the compiled kernel library (``_sweep.c``, built and
 loaded by :mod:`rprnmf._kernels`).  It reads flat link tables built once per
 run and applies each link's rule per role (q, r, s), as the reference
-oracles in ``tests/oracles.py`` state them.  Unconstrained entries and the
-start-of-sweep pair distances stay numpy steps.  A masked run computes
-W @ H at its observed cells with the same library's ``rpr_model``, so it
-needs the library even with zero coefficients.
+oracles in ``tests/oracles.py`` state them.  Unconstrained entries stay a
+numpy step.  A masked run computes W @ H at its observed cells with the same
+library's ``rpr_model``, so it needs the library even with zero coefficients.
+
+Each accepted factor state is evaluated once.  The objective forms W @ H (at
+the observed cells when masked) and each penalised side's triple distances;
+the next W-side data-fit terms reuse that W @ H, and each side's sweep starts
+from that side's distances, which the other side's sweep leaves unchanged.
+A rolled-back iteration restores them along with the factors.  The fits and
+the divergence ratio work in place, in one fresh array each.
 
 Each iteration ends in one accept step.  In divergence mode an iteration
 that increases the objective is rolled back and both coefficients are
@@ -32,14 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintSet, Measure, Target, _pair_distances, csr as csr_of
-from .exceptions import (
-    InvalidConfigError,
-    NegativeEntryError,
-    NonFiniteEntryError,
-    PenaltyOverflowError,
-    ShapeMismatchError,
-)
+from .constraints import ConstraintSet, Measure, Target, csr as csr_of, triple_distances
+from .exceptions import InvalidConfigError, PenaltyOverflowError, ShapeMismatchError
 from ._kernels import _load
 from .matrix import (
     EPS,
@@ -48,11 +48,17 @@ from .matrix import (
     ObservedCells,
     as_array,
     as_mask,
+    check_data,
     check_factors,
     frobenius_sq_diff,
     matrix_divergence,
 )
-from .penalties import MAX_EXP, div_penalty_value, euc_penalty_value
+from .penalties import MAX_EXP, penalty_value
+
+# perfbench/tracing.py looks the penalty layer up under these names here; the
+# objective takes its penalties from the distances it computes itself, so
+# run() makes no calls through them
+from .penalties import div_penalty_value, euc_penalty_value  # noqa: F401
 
 # Objective comparisons tolerate this much relative float noise before a
 # divergence-mode iteration is treated as an increase and rolled back.
@@ -123,8 +129,8 @@ def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, 
     ``cells`` these are the classic multiplicative-update terms; given the
     :class:`ObservedCells` of ``v``, only those cells contribute, including
     the plain row/column sums of the divergence denominator, so unobserved
-    cells are inert.  ``wh``, if given, is W @ H at the cells, so the
-    caller's copy is used instead of a new one.
+    cells are inert.  ``wh``, if given, is W @ H (at the cells when masked),
+    so the caller's copy is used instead of a new one; it is not written to.
     """
     wa, ha = as_array(w), as_array(h)
     if cells is None:
@@ -136,7 +142,7 @@ def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, 
             if side == "w":
                 return va @ ha.T, wa @ (ha @ ha.T)
             return wa.T @ va, (wa.T @ wa) @ ha
-        ratio = va / np.maximum(wa @ ha, EPS)
+        ratio = _divergence_ratio(va, wa @ ha if wh is None else wh)
         if side == "w":
             return ratio @ ha.T, np.broadcast_to(ha.sum(axis=1), (n, k))
         return wa.T @ ratio, np.broadcast_to(wa.sum(axis=0)[:, None], (k, m))
@@ -146,31 +152,28 @@ def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, 
     if measure is Measure.EUCLIDEAN:
         num, den = cells.csr(cells.v), cells.csr(wh)
     else:
-        num, den = cells.csr(cells.v / np.maximum(wh, EPS)), cells.csr(np.ones(wh.size))
+        num, den = cells.csr(_divergence_ratio(cells.v, wh)), cells.csr(np.ones(wh.size))
     if side == "w":
         return num @ ha.T, den @ ha.T
     return (num.T @ wa).T, (den.T @ wa).T
 
 
+def _divergence_ratio(v, wh) -> np.ndarray:
+    """v / max(wh, EPS), formed in one fresh array."""
+    ratio = np.maximum(wh, EPS)
+    np.divide(v, ratio, out=ratio)
+    return ratio
+
+
 def _checked_data(v, sets, mask):
     """The entry checks of ``run`` and ``objective``: (V array, W set, H set, cells).
 
-    V must be 2-D with finite non-negative entries, masked cells included;
-    each constraint set must target its own side.  An empty set comes back
-    as None, so a set is either absent or has triples.  ``cells`` is the
-    :class:`ObservedCells` of V under ``mask``, or None when unmasked.
+    V passes :func:`check_data`, masked cells included; each constraint set
+    must target its own side.  An empty set comes back as None, so a set is
+    either absent or has triples.  ``cells`` is the :class:`ObservedCells` of
+    V under ``mask``, or None when unmasked.
     """
-    va = as_array(v)
-    if va.ndim != 2:
-        raise ShapeMismatchError(f"expected 2-D data, got ndim={va.ndim}")
-    # min and max propagate NaN, so the two reductions catch every bad entry
-    if va.size and not (va.min() >= 0 and va.max() < np.inf):
-        flat = va.ravel()
-        neg = np.flatnonzero(flat < 0)
-        if neg.size:
-            raise NegativeEntryError(int(neg[0]), float(flat[neg[0]]))
-        i = int(np.flatnonzero(~np.isfinite(flat))[0])
-        raise NonFiniteEntryError(i, float(flat[i]))
+    va = check_data(v)
     set_w, set_h = sets if sets is not None else (None, None)
     for cset, side, target in ((set_w, "W", Target.W_ROWS), (set_h, "H", Target.H_COLS)):
         if cset is not None and cset.target is not target:
@@ -194,22 +197,28 @@ def objective(v, w, h, sets, config: SolverConfig) -> float:
 
 
 def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
-    """Objective at (W, H), and W @ H at the observed cells (None if unmasked)."""
+    """Objective at (W, H), and what the next iteration reuses of it.
+
+    That is (wh, dist_w, dist_h): W @ H, at the observed cells when masked,
+    and each penalised side's triple distances (d1, d2), None for a side
+    without a set or with a zero coefficient.
+    """
     if cells is None:
         v, wh = va, wa @ ha
     else:
         v, wh = cells.v, cells.model(wa, ha)
     if measure is Measure.EUCLIDEAN:
         total = frobenius_sq_diff(v, wh)
-        pen_value = euc_penalty_value
     else:
         total = matrix_divergence(v, wh)
-        pen_value = div_penalty_value
+    dist_w = dist_h = None
     if set_w is not None and lam_w > 0:
-        total += lam_w * pen_value(wa, set_w)
+        dist_w = triple_distances(set_w, wa, measure)
+        total += lam_w * penalty_value(*dist_w, measure)
     if set_h is not None and lam_h > 0:
-        total += lam_h * pen_value(ha, set_h)
-    return float(total), None if cells is None else wh
+        dist_h = triple_distances(set_h, ha, measure)
+        total += lam_h * penalty_value(*dist_h, measure)
+    return float(total), (wh, dist_w, dist_h)
 
 
 class _PreparedSet:
@@ -258,15 +267,18 @@ def _strides(a: np.ndarray) -> tuple[int, int]:
 
 
 def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
-           prep: _PreparedSet | None, lam: float, measure: Measure) -> None:
+           prep: _PreparedSet | None, lam: float, measure: Measure,
+           dist: tuple[np.ndarray, np.ndarray] | None) -> None:
     """One full in-place sweep of ``fac`` (vectors x latent orientation, float64).
 
     ``num``/``den`` are the sweep-start data-fit terms in the same
-    orientation; any strides do, zero strides included.  Untouched vectors
-    take the plain multiplicative step in one numpy step.  The touched ones
-    are then walked by the compiled ``rpr_sweep``, latent column by latent
-    column, with the pair distances d1 = dis(q, r) and d2 = dis(q, s) kept up
-    to date, so penalties always see the freshest values.
+    orientation; any strides do, zero strides included.  ``dist`` is the
+    pair (d1, d2) of ``triple_distances`` of the sweep-start factor, read
+    only when the side is penalised.  Untouched vectors take the plain
+    multiplicative step in one numpy step.  The touched ones are then walked
+    by the compiled ``rpr_sweep``, latent column by latent column, with a
+    copy of the pair distances d1 = dis(q, r) and d2 = dis(q, s) kept up to
+    date, so penalties always see the freshest values.
     """
     if prep is None or lam == 0.0:
         fac *= num / np.maximum(den, EPS)
@@ -274,18 +286,18 @@ def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
     sweep = _load().rpr_sweep
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
+    dd = np.concatenate(dist, dtype=np.float64)
     nvec, kdim = fac.shape
     # the compiled walk reads and writes through these unchecked
     if (fac.dtype != np.float64 or num.shape != fac.shape or den.shape != fac.shape
-            or prep.touched[-1] >= nvec):
+            or prep.touched[-1] >= nvec or dd.shape != (2 * prep.n,)):
         raise ShapeMismatchError(f"sweep of a {fac.dtype} {fac.shape} factor with terms {num.shape} "
-                                 f"and {den.shape} and constraint index {prep.touched[-1] + 1}")
+                                 f"and {den.shape}, constraint index {prep.touched[-1] + 1} "
+                                 f"and {dd.size} distances for {prep.n} triples")
     untouched = np.ones(nvec, dtype=bool)
     untouched[prep.touched] = False
     fac[untouched, :] *= num[untouched, :] / np.maximum(den[untouched, :], EPS)
 
-    q, r, s = prep.qrs
-    dd = np.concatenate([_pair_distances(fac, q, r, measure), _pair_distances(fac, q, s, measure)])
     exponent = ctypes.c_double()
     status = sweep(fac.ctypes.data, *_strides(fac), kdim,
                    num.ctypes.data, *_strides(num), den.ctypes.data, *_strides(den),
@@ -322,30 +334,31 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
     def current_objective():
         return _objective_value(va, w, h, set_w, set_h, lam_w, lam_h, measure, cells)
 
-    # wh is W @ H at the observed cells for the current factors (None if
-    # unmasked): the objective computes it, the next W-side terms reuse it
-    accepted, wh = current_objective()
+    # the accepted state's objective and its evaluation: W @ H, which the
+    # next W-side terms reuse, and each penalised side's sweep-start distances
+    accepted, evaluation = current_objective()
     trace = [accepted]
     rollback_iters = []
 
     for it in range(1, config.max_iters + 1):
         if config.adapt_lambda:
             last_accepted = (w.copy(), h.copy())
+        wh, dist_w, dist_h = evaluation
         num, den = masked_update_terms(va, cells, w, h, measure, "w", wh)
-        _sweep(w, num, den, prep_w, lam_w, measure)
+        _sweep(w, num, den, prep_w, lam_w, measure, dist_w)
         num, den = masked_update_terms(va, cells, w, h, measure, "h")
-        _sweep(h.T, num.T, den.T, prep_h, lam_h, measure)
-        obj, new_wh = current_objective()
+        _sweep(h.T, num.T, den.T, prep_h, lam_h, measure, dist_h)
+        obj, new_evaluation = current_objective()
         # written so that a NaN objective is rolled back too
         if config.adapt_lambda and not obj <= accepted * (1.0 + ACCEPT_REL_SLACK) + ACCEPT_REL_SLACK:
-            w[:], h[:] = last_accepted  # wh still matches them
+            w[:], h[:] = last_accepted  # evaluation still matches them
             lam_w *= 0.5
             lam_h *= 0.5
             rollback_iters.append(it)
             trace.append(accepted)
             continue
         rel_change = abs(obj - accepted) / max(abs(accepted), EPS)
-        accepted, wh = obj, new_wh
+        accepted, evaluation = obj, new_evaluation
         trace.append(obj)
         if config.adapt_lambda:
             lam_w *= 1.01

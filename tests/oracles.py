@@ -3,9 +3,11 @@
 Each is a literal transcription of a rule, written for clarity rather than
 speed: the two vector distances, the two penalty gradients, the
 triple-satisfaction test, the sequential entry rule of one constrained
-sweep, and classic (lambda = 0) multiplicative NMF with an optional mask.
+sweep, classic (lambda = 0) multiplicative NMF with an optional mask, and
+the two data fits as plain array expressions.
 The package itself applies each rule in one place only: the distances in
-``constraints._pair_distances``, the entry rules in ``solver._sweep``.
+``constraints._pair_distances``, the entry rules in ``solver._sweep``, the
+fits in ``matrix.frobenius_sq_diff`` and ``matrix.matrix_divergence``.
 """
 
 from __future__ import annotations
@@ -204,3 +206,18 @@ def lee_seung(v, w, h, measure, iters, bits=None):
             w = w * ((v / np.maximum(w @ h, EPS)) @ h.T) / np.maximum(h.sum(axis=1), EPS)
             h = h * (w.T @ (v / np.maximum(w @ h, EPS))) / np.maximum(w.sum(axis=0)[:, None], EPS)
     return w, h
+
+
+def sq_diff_fit(v, wh) -> float:
+    """sum((v - wh)^2) as one expression, a fresh array per step."""
+    d = v - wh
+    return float(np.sum(d * d))
+
+
+def divergence_fit(v, wh) -> float:
+    """sum(v*log(v/wh) - v + wh) as one expression, a fresh array per step:
+    model entries clamped at EPS in both terms, 0*log(0/y) taken as 0."""
+    wc = np.maximum(wh, EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.where(v > 0, v * np.log(np.maximum(v, EPS) / wc), 0.0)
+    return float(np.sum(lg - v + wc))

@@ -3,11 +3,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rprnmf import DenseMatrix, MaskMatrix, frobenius_sq_diff, matrix_divergence, md, rmse
 from rprnmf import matrix
 from rprnmf.exceptions import NonPositiveModelEntryError, ShapeMismatchError
-from rprnmf.matrix import ObservedCells
+from rprnmf.matrix import EPS, ObservedCells
+
+from oracles import divergence_fit, sq_diff_fit
 
 
 class TestConstruction:
@@ -118,6 +123,45 @@ class TestDivergence:
         assert base > 0.0
         v2 = v + (1 - bits) * 7.0
         assert md(v2, w, h, mask) == pytest.approx(base, rel=1e-12)
+
+
+# data entries: zero, below EPS and ordinary; model entries: those, -0.0, NaN and +inf
+DATA_ENTRIES = st.one_of(st.just(0.0), st.floats(0.0, EPS), st.floats(EPS, 1e3))
+MODEL_ENTRIES = st.one_of(DATA_ENTRIES, st.sampled_from([-0.0, np.nan, np.inf]))
+
+
+@st.composite
+def fit_operands(draw):
+    """V and a model of one shape: a 1-D run of cells, or a 2-D matrix."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 12)),
+                           st.tuples(st.integers(1, 5), st.integers(1, 5))))
+    return (draw(arrays(np.float64, shape, elements=DATA_ENTRIES)),
+            draw(arrays(np.float64, shape, elements=MODEL_ENTRIES)))
+
+
+class TestFitsInPlace:
+    """The in-place fits against the plain expressions of ``tests/oracles.py``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands=fit_operands())
+    def test_fits_equal_the_plain_expressions(self, operands):
+        v, wh = operands
+        v0, wh0 = v.copy(), wh.copy()
+        for fit, oracle in ((frobenius_sq_diff, sq_diff_fit), (matrix_divergence, divergence_fit)):
+            # inf - inf at an infinite model entry is NaN in both, by design
+            with np.errstate(invalid="ignore"):
+                got, want = fit(v, wh), oracle(v, wh)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+            # neither fit writes into its operands
+            assert np.array_equal(v, v0) and np.array_equal(wh, wh0, equal_nan=True)
+
+    @settings(max_examples=50, deadline=None)
+    @given(operands=fit_operands(), data=st.data())
+    def test_negative_model_entry_still_refused(self, operands, data):
+        v, wh = operands
+        wh.flat[data.draw(st.integers(0, wh.size - 1))] = -data.draw(st.floats(1e-300, 1e3))
+        with pytest.raises(NonPositiveModelEntryError):
+            matrix_divergence(v, wh)
 
 
 class TestObservedModel:

@@ -23,7 +23,9 @@ from rprnmf import (
 from rprnmf.exceptions import (
     EmptyMaskError,
     LengthMismatchError,
+    NegativeEntryError,
     NoObservedRatingsError,
+    NonFiniteEntryError,
     ShapeMismatchError,
     TooFewPointsError,
 )
@@ -130,6 +132,20 @@ class TestApproximationMetrics:
             for bad_w, bad_h in ((report.w.a, report.h.a[1:]), (report.w.a[:, 0], report.h.a)):
                 with pytest.raises(ShapeMismatchError, match="factor shapes"):
                     fit(v, bad_w, bad_h)
+
+    @pytest.mark.parametrize("bad, error", [(-1.0, NegativeEntryError), (np.nan, NonFiniteEntryError)])
+    def test_bad_data_refused_as_objective_refuses_it(self, bad, error):
+        # msl and md are the lambda = 0 objective / N*M, so they take the
+        # objective's entry check, masked cells included
+        v = np.array([[1.0, bad], [0.5, 2.0]])
+        w, h = np.ones((2, 1)), np.ones((1, 2))
+        unobserved = np.array([[1.0, 0.0], [1.0, 1.0]])
+        for fit, measure in ((msl, Measure.EUCLIDEAN), (md, Measure.DIVERGENCE)):
+            with pytest.raises(error):
+                objective(v, w, h, (None, None), SolverConfig(k=1, measure=measure))
+            for mask in (None, unobserved):
+                with pytest.raises(error):
+                    fit(v, w, h, mask)
 
 
 class TestRmse:

@@ -23,7 +23,7 @@ from rprnmf import (
     objective,
     run,
 )
-from rprnmf.constraints import generate_chain_constraints
+from rprnmf.constraints import generate_chain_constraints, triple_distances
 from rprnmf.exceptions import (
     InvalidConfigError,
     NegativeEntryError,
@@ -34,7 +34,7 @@ from rprnmf.exceptions import (
     SweepBuildError,
 )
 from rprnmf.matrix import EPS, ObservedCells
-from rprnmf import _kernels, solver
+from rprnmf import _kernels, constraints, solver
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
 
 from oracles import dense_masked_terms, div_penalty_grad, lee_seung, reference_ordered_sweep
@@ -158,12 +158,14 @@ def sweep_side(v, w, h, cset, lam, measure, side):
     """One sweep of one side, as run() does it: terms at the sweep start, H
     swept through its transposed view.  Updates ``w`` or ``h`` in place."""
     num, den = masked_update_terms(v, None, w, h, measure, side)
+    fac = w if side == "w" else h
+    dist = triple_distances(cset, fac, measure) if cset is not None else None
     if side == "w":
         prep = _PreparedSet(cset, w.shape[0]) if cset is not None else None
-        _sweep(w, num, den, prep, lam, measure)
+        _sweep(w, num, den, prep, lam, measure, dist)
     else:
         prep = _PreparedSet(cset, h.shape[1]) if cset is not None else None
-        _sweep(h.T, num.T, den.T, prep, lam, measure)
+        _sweep(h.T, num.T, den.T, prep, lam, measure, dist)
 
 
 class TestEntryUpdates:
@@ -256,7 +258,8 @@ class TestOrderedSweep:
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (3, 4, 5), (5, 2, 7), (8, 9, 1)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
             fast = w.copy()
-            _sweep(fast, num, den, _PreparedSet(cset, 12), 0.7, measure)
+            _sweep(fast, num, den, _PreparedSet(cset, 12), 0.7, measure,
+                   triple_distances(cset, w, measure))
             slow = w.copy()
             reference_ordered_sweep(slow, np.asarray(num), np.asarray(den), cset, 0.7, measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
@@ -285,7 +288,7 @@ class TestOrderedSweep:
             reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, lam, measure)
             fast = start.copy()
             _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset, dim), lam,
-                   measure)
+                   measure, triple_distances(cset, start, measure))
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
 
     @pytest.mark.parametrize("side", ["w", "h"])
@@ -303,9 +306,28 @@ class TestOrderedSweep:
             prep = _PreparedSet(cset, 300)
             num, den = masked_update_terms(v, None, w, h, measure, side)
             fast, slow = start.copy(), start.copy()
-            _sweep(orient(fast), orient(num), orient(den), prep, 0.7, measure)
+            _sweep(orient(fast), orient(num), orient(den), prep, 0.7, measure,
+                   triple_distances(cset, start, measure))
             reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, 0.7, measure)
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
+
+    def test_exact_hinge_tie_counts_as_unsatisfied(self):
+        # r and s are identical columns of H, so d1 == d2 exactly when r, the
+        # lowest index, is updated first: a tie is not satisfied, so r takes
+        # its hinge term
+        rng = np.random.default_rng(21)
+        v, w, h = random_instance(rng, 6, 7, 3)
+        h[:, 4] = h[:, 0]
+        cset = ConstraintSet(Target.H_COLS, [(3, 1, 5)])
+        d1, d2 = triple_distances(cset, h, Measure.DIVERGENCE)
+        assert d1[0] == d2[0]
+        num, den = masked_update_terms(v, None, w, h, Measure.DIVERGENCE, "h")
+        slow, fast = h.copy(), h.copy()
+        reference_ordered_sweep(slow.T, num.T, den.T, cset, 2.0, Measure.DIVERGENCE)
+        _sweep(fast.T, num.T, den.T, _PreparedSet(cset, 7), 2.0, Measure.DIVERGENCE, (d1, d2))
+        plain = h[0, 0] * num[0, 0] / den[0, 0]
+        assert abs(slow[0, 0] - plain) > 1e-3 * plain  # the hinge term moved r
+        assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
 
     def test_link_tables_match_triples(self):
         rng = np.random.default_rng(12)
@@ -330,19 +352,23 @@ class TestOrderedSweep:
     def test_overflow_carries_exponent(self):
         w = np.array([[0.0], [30.0], [1.0]])
         num = den = np.ones_like(w)
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)
+        cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
+        prep = _PreparedSet(cset, 3)
         with pytest.raises(PenaltyOverflowError, match="exp argument 900 exceeds 700") as exc:
-            _sweep(w, num, den, prep, 1.0, Measure.EUCLIDEAN)
+            _sweep(w, num, den, prep, 1.0, Measure.EUCLIDEAN,
+                   triple_distances(cset, w, Measure.EUCLIDEAN))
         assert exc.value.exponent == 900.0
 
     def test_operands_that_do_not_fit_are_refused(self):
         # checked before the compiled walk reads or writes through them
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 4)]), 4)
+        cset = ConstraintSet(Target.W_ROWS, [(1, 2, 4)])
+        prep = _PreparedSet(cset, 4)
         w = np.ones((4, 2))
-        for fac, num in ((np.ones((3, 2)), np.ones((3, 2))), (w.astype(np.float32), w),
-                         (w.copy(), np.ones((4, 1)))):
+        dist = triple_distances(cset, w, Measure.EUCLIDEAN)
+        for fac, num, d in ((np.ones((3, 2)), np.ones((3, 2)), dist), (w.astype(np.float32), w, dist),
+                            (w.copy(), np.ones((4, 1)), dist), (w.copy(), w, (dist[0], dist[1][:0]))):
             with pytest.raises(ShapeMismatchError):
-                _sweep(fac, num, num, prep, 1.0, Measure.EUCLIDEAN)
+                _sweep(fac, num, num, prep, 1.0, Measure.EUCLIDEAN, d)
 
     @pytest.mark.parametrize("compiler", ["no-such-cc", "false"])
     def test_failed_build_raises_typed_error(self, tmp_path, monkeypatch, compiler):
@@ -353,9 +379,11 @@ class TestOrderedSweep:
         cache = _kernels._SOURCE.parent / "__pycache__"
         before = set(cache.glob("*.so"))
         w = np.ones((3, 1))
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)
+        cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
+        prep = _PreparedSet(cset, 3)
+        dist = triple_distances(cset, w, Measure.EUCLIDEAN)
         config = SolverConfig(k=1, measure=Measure.EUCLIDEAN, max_iters=1, mask=np.ones((3, 3)))
-        for call in (lambda: _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN),
+        for call in (lambda: _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN, dist),
                      lambda: run(np.ones((3, 3)), None, config)):
             monkeypatch.setattr(_kernels, "_compiled", None)
             with pytest.raises(SweepBuildError, match=cc) as exc:
@@ -369,10 +397,12 @@ class TestOrderedSweep:
         script = ("import numpy as np\n"
                   "from rprnmf import ConstraintSet, Measure, Target\n"
                   "from rprnmf.matrix import ObservedCells\n"
+                  "from rprnmf.constraints import triple_distances\n"
                   "from rprnmf.solver import _PreparedSet, _sweep\n"
                   "w = np.ones((3, 2))\n"
-                  "prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)\n"
-                  "_sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.DIVERGENCE)\n"
+                  "cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])\n"
+                  "_sweep(w, w.copy(), w.copy(), _PreparedSet(cset, 3), 1.0, Measure.DIVERGENCE,\n"
+                  "       triple_distances(cset, w, Measure.DIVERGENCE))\n"
                   "cells = ObservedCells(np.ones((3, 3)), np.eye(3))\n"
                   "print(w.sum(), cells.model(w, w.T).sum())\n")
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
@@ -393,10 +423,12 @@ class TestOrderedSweep:
         stale.write_bytes(b"a library of an older source")
         script = ("import numpy as np\n"
                   "from rprnmf import ConstraintSet, Measure, Target\n"
+                  "from rprnmf.constraints import triple_distances\n"
                   "from rprnmf.solver import _PreparedSet, _sweep\n"
                   "w = np.ones((3, 2))\n"
-                  "prep = _PreparedSet(ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), 3)\n"
-                  "_sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN)\n")
+                  "cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])\n"
+                  "_sweep(w, w.copy(), w.copy(), _PreparedSet(cset, 3), 1.0, Measure.EUCLIDEAN,\n"
+                  "       triple_distances(cset, w, Measure.EUCLIDEAN))\n")
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
         proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
@@ -416,7 +448,8 @@ class TestOrderedSweep:
             v, w, h = random_instance(rng)
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (4, 5, 6)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
-            _sweep(w, num, den, _PreparedSet(cset, 12), 1.0, measure)
+            _sweep(w, num, den, _PreparedSet(cset, 12), 1.0, measure,
+                   triple_distances(cset, w, measure))
             assert np.all(w >= 0.0)
 
 
@@ -529,7 +562,7 @@ class TestRun:
         v = w0 @ h0
         num, den = masked_update_terms(v, None, w0, h0, Measure.EUCLIDEAN, "w")
         w1 = w0.copy()
-        _sweep(w1, num, den, None, 0.0, Measure.EUCLIDEAN)
+        _sweep(w1, num, den, None, 0.0, Measure.EUCLIDEAN, None)
         assert np.max(np.abs(w1 - w0) / np.abs(w0)) < 1e-10
 
     def test_fixed_point_divergence_with_satisfied_constraints(self):
@@ -541,7 +574,8 @@ class TestRun:
         num, den = masked_update_terms(v, None, w0, h0, Measure.DIVERGENCE, "w")
         w1 = w0.copy()
         prep = _PreparedSet(set_w, 8)
-        _sweep(w1, np.asarray(num), np.asarray(den), prep, 5.0, Measure.DIVERGENCE)
+        _sweep(w1, np.asarray(num), np.asarray(den), prep, 5.0, Measure.DIVERGENCE,
+               triple_distances(set_w, w1, Measure.DIVERGENCE))
         assert np.max(np.abs(w1 - w0) / np.abs(w0)) < 1e-10
 
     def test_divergence_rollback_logged_and_trace_monotone(self):
@@ -559,14 +593,72 @@ class TestRun:
         assert len(rep.rollback_iters) > 0
         assert all(1 <= i <= rep.iterations for i in rep.rollback_iters)
 
+    @pytest.mark.parametrize("measure, rollback", [(Measure.EUCLIDEAN, False),
+                                                   (Measure.DIVERGENCE, False),
+                                                   (Measure.DIVERGENCE, True)])
+    def test_each_state_evaluated_once(self, monkeypatch, measure, rollback):
+        # every sweep starts from its own factor's distances, bit for bit, and
+        # the W-side terms from that state's W @ H; only the objective forms
+        # distances, two pairs per penalised side
+        real_sweep, real_terms = solver._sweep, solver.masked_update_terms
+        real_objective, real_pairs = solver._objective_value, constraints._pair_distances
+        calls = {"pairs": 0, "pairs_in_sweep": 0, "objective": 0, "checked": 0}
+        in_sweep = []
+
+        def pairs(*args):
+            calls["pairs"] += 1
+            calls["pairs_in_sweep"] += bool(in_sweep)
+            return real_pairs(*args)
+
+        def sweep(fac, num, den, prep, lam, measure, dist):
+            q, r, s = prep.qrs
+            want = real_pairs(fac, q, r, measure), real_pairs(fac, q, s, measure)
+            assert [d.tobytes() for d in dist] == [d.tobytes() for d in want]
+            calls["checked"] += 1
+            in_sweep.append(True)
+            try:
+                return real_sweep(fac, num, den, prep, lam, measure, dist)
+            finally:
+                in_sweep.pop()
+
+        def terms(v, cells, w, h, measure, side, wh=None):
+            assert (wh is not None) == (side == "w")
+            if wh is not None:
+                assert np.array_equal(wh, w @ h)
+            return real_terms(v, cells, w, h, measure, side, wh)
+
+        def objective(*args):
+            # with rollback, iteration 2 is refused: its objective reads NaN
+            calls["objective"] += 1
+            value, evaluation = real_objective(*args)
+            return (np.nan if rollback and calls["objective"] == 3 else value), evaluation
+
+        monkeypatch.setattr(constraints, "_pair_distances", pairs)
+        monkeypatch.setattr(solver, "_sweep", sweep)
+        monkeypatch.setattr(solver, "masked_update_terms", terms)
+        monkeypatch.setattr(solver, "_objective_value", objective)
+        rng = np.random.default_rng(24)
+        v, w0, h0 = random_instance(rng, 12, 10, 3)
+        sets = (ConstraintSet(Target.W_ROWS, [(1, 2, 3), (3, 4, 5), (6, 2, 9), (10, 11, 12)]),
+                ConstraintSet(Target.H_COLS, [(1, 2, 3), (4, 6, 5), (8, 9, 10)]))
+        cfg = SolverConfig(k=3, measure=measure, lambda_w=1.0, lambda_h=2.0, max_iters=6,
+                           rel_tol=0.0, seed=3)
+        rep = run(v, sets, cfg)
+        assert (2 in rep.rollback_iters) == rollback
+        assert calls["objective"] == rep.iterations + 1
+        assert calls["checked"] == 2 * rep.iterations
+        # two pairs per penalised side per objective, then two per set for the CSR
+        assert calls["pairs"] == 4 * calls["objective"] + 4
+        assert calls["pairs_in_sweep"] == 0
+
     def test_nan_objective_rolled_back(self, monkeypatch):
         # the accept test is written so that NaN fails it
         real, values = solver._objective_value, []
 
         def nan_at_iteration_2(*args):
-            value, wh = real(*args)
+            value, evaluation = real(*args)
             values.append(value)
-            return (np.nan if len(values) == 3 else value), wh
+            return (np.nan if len(values) == 3 else value), evaluation
 
         monkeypatch.setattr(solver, "_objective_value", nan_at_iteration_2)
         v = np.random.default_rng(23).uniform(0.1, 1, (6, 5))
