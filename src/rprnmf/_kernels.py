@@ -2,8 +2,12 @@
 
 The library holds ``rpr_sweep``, the constrained walk of a sweep
 (:func:`rprnmf.solver._sweep`), and ``rpr_model``, W @ H at the observed
-cells (:meth:`rprnmf.matrix.ObservedCells.model`).  Both modules import this
-one, and the library is built and loaded once per process.
+cells (:meth:`rprnmf.matrix.ObservedCells.model`).  ``rpr_model`` reads the
+cells' int64 row pointer and int32 columns and walks a row's cells four at
+a time, one accumulator per cell, so each sum is bit for bit the one-cell
+loop's.  Both modules import this one, and the library is built and loaded
+once per process.  ``tests/mutate_kernels.py`` checks that the sweep and
+model tests fail on each of a list of mutants of the source.
 """
 
 from __future__ import annotations

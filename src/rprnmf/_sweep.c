@@ -109,13 +109,34 @@ int rpr_sweep(double *fac, int64_t f0, int64_t f1, int64_t kdim,
 
 /* W is nrows x k and ht (H transposed) is ncols x k, both C-contiguous.  The
  * cells are in CSR order: row i holds cells indptr[i] .. indptr[i + 1] - 1,
- * at columns cols[..].  out[c] sums W[i, l] * H[l, cols[c]] over ascending l. */
+ * at the int32 columns cols[..].  out[c] sums W[i, l] * H[l, cols[c]] over
+ * ascending l.  A row's cells go four at a time, each in its own
+ * accumulator, so each block reads W's row once; each sum is the one a
+ * single cell's loop forms, bit for bit.  The last one to three cells of a
+ * row take that loop. */
 void rpr_model(const double *w, const double *ht, int64_t k, int64_t nrows,
-               const int64_t *indptr, const int64_t *cols, double *out)
+               const int64_t *indptr, const int32_t *cols, double *out)
 {
     for (int64_t i = 0; i < nrows; i++) {
         const double *wi = w + i * k;
-        for (int64_t c = indptr[i]; c < indptr[i + 1]; c++) {
+        int64_t c = indptr[i], end = indptr[i + 1];
+        for (; c + 4 <= end; c += 4) {
+            const double *h0 = ht + cols[c] * k, *h1 = ht + cols[c + 1] * k,
+                         *h2 = ht + cols[c + 2] * k, *h3 = ht + cols[c + 3] * k;
+            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+            for (int64_t l = 0; l < k; l++) {
+                double x = wi[l];
+                a0 += x * h0[l];
+                a1 += x * h1[l];
+                a2 += x * h2[l];
+                a3 += x * h3[l];
+            }
+            out[c] = a0;
+            out[c + 1] = a1;
+            out[c + 2] = a2;
+            out[c + 3] = a3;
+        }
+        for (; c < end; c++) {
             const double *hj = ht + cols[c] * k;
             double acc = 0.0;
             for (int64_t l = 0; l < k; l++)

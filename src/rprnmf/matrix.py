@@ -2,11 +2,15 @@
 
 Matrices are thin wrappers around row-major float64 numpy arrays.  The
 :class:`DenseMatrix` constructor accepts signed values; non-negativity of
-data is checked where it matters, by the solver.  A masked data matrix
-reduces to :class:`ObservedCells`, so work on it scales with the observed
-cells rather than with N x M.  Its model W @ H at the cells comes from the
-compiled ``rpr_model`` in ``_sweep.c`` (see :mod:`rprnmf._kernels`), so a
-masked run builds the C library even when no penalty is on.  The two fits,
+data is checked where it matters, by :func:`check_data`, the package's one
+entry check.  It passes an array of +0.0 and positive finite entries on one
+integer reduction of its bits and scans exactly only when that fails.  A
+masked data matrix reduces to :class:`ObservedCells`, so work on it scales
+with the observed cells rather than with N x M.  The cells are laid out as
+CSR with int32 columns, which scipy takes as they are and the compiled
+``rpr_model`` in ``_sweep.c`` (see :mod:`rprnmf._kernels`) reads for the
+model W @ H at the cells, so a masked run builds the C library even when no
+penalty is on.  The two fits,
 :func:`frobenius_sq_diff` and :func:`matrix_divergence`, compare two arrays
 of one shape: V and W @ H whole, or their values at the observed cells.
 Each works in one fresh array (the divergence also clamps the model into a
@@ -119,9 +123,9 @@ class ObservedCells:
     """A data matrix reduced to the cells its mask observes.
 
     The cells are in row-major order, the layout of CSR storage: ``indptr`` is
-    the CSR row pointer, ``cols`` holds each cell's column and ``v`` the data
-    there.  Cells of ``v`` outside the mask are never read, so they may
-    hold anything.
+    the CSR row pointer (int64), ``cols`` holds each cell's column (int32, so
+    M must be below 2**31) and ``v`` the data there.  Cells of ``v`` outside
+    the mask are never read, so they may hold anything.
     """
 
     __slots__ = ("shape", "cols", "indptr", "v")
@@ -131,9 +135,15 @@ class ObservedCells:
         if ma.shape != va.shape:
             raise ShapeMismatchError(f"mask shape {ma.shape} vs data shape {va.shape}")
         n, m = self.shape = va.shape
-        rows, self.cols = np.divmod(ma.flat, m)
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        self.v = va.take(ma.flat)
+        # the compiled model reads the int32 columns unchecked
+        if m > np.iinfo(np.int32).max:
+            raise ShapeMismatchError(f"{m} columns do not fit the int32 cell layout")
+        flat = ma.flat
+        starts = np.arange(n + 1) * m
+        self.indptr = np.searchsorted(flat, starts)
+        cols = np.repeat(starts[:-1], np.diff(self.indptr))
+        self.cols = np.subtract(flat, cols, out=cols).astype(np.int32)
+        self.v = va.take(flat)
 
     def require_coverage(self) -> None:
         """Reject masks with an all-zero row or column.
@@ -149,12 +159,15 @@ class ObservedCells:
             )
 
     def csr(self, values) -> sp.csr_matrix:
-        """N x M sparse matrix holding ``values`` (one per cell) at the cells."""
+        """N x M sparse matrix holding ``values`` (one per cell) at the cells.
+
+        scipy takes the int32 columns without scanning or copying them."""
         return sp.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
 
     def model(self, w: np.ndarray, h: np.ndarray) -> np.ndarray:
         """W @ H at the cells: each the dot of W's row and H's column, summed
-        in ascending latent index by the compiled ``rpr_model``."""
+        in ascending latent index by the compiled ``rpr_model``, which walks
+        a row's cells four at a time."""
         # the compiled kernel reads both factors row by row, unchecked
         check_factors(self.shape, w, h)
         if w.dtype != np.float64 or h.dtype != np.float64:
@@ -190,8 +203,12 @@ def check_data(v) -> np.ndarray:
     va = as_array(v)
     if va.ndim != 2:
         raise ShapeMismatchError(f"expected 2-D data, got ndim={va.ndim}")
-    # min and max propagate NaN, so the two reductions catch every bad entry
-    if va.size and not (va.min() >= 0 and va.max() < np.inf):
+    # read as unsigned integers, +0.0 and the positive finite floats are
+    # exactly the bit patterns below +inf's, 0x7FF0..0, so one reduction
+    # passes them all; the rest (negatives, -0.0, NaN, infinities) take the
+    # exact scan, where min and max propagate NaN and -0.0 alone passes
+    if (va.size and not va.view(np.uint64).max() < 0x7FF0000000000000
+            and not (va.min() >= 0 and va.max() < np.inf)):
         flat = va.ravel()
         neg = np.flatnonzero(flat < 0)
         if neg.size:

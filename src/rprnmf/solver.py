@@ -15,6 +15,9 @@ run and applies each link's rule per role (q, r, s), as the reference
 oracles in ``tests/oracles.py`` state them.  Unconstrained entries stay a
 numpy step.  A masked run computes W @ H at its observed cells with the same
 library's ``rpr_model``, so it needs the library even with zero coefficients.
+Its update terms are ``scipy.sparse`` products over the cells' int32 layout,
+which scipy takes without a copy; the W side shares one C-contiguous H.T
+between its two products.
 
 Each accepted factor state is evaluated once.  The objective forms W @ H (at
 the observed cells when masked) and each penalised side's triple distances;
@@ -154,7 +157,9 @@ def masked_update_terms(v, cells: ObservedCells | None, w, h, measure: Measure, 
     else:
         num, den = cells.csr(_divergence_ratio(cells.v, wh)), cells.csr(np.ones(wh.size))
     if side == "w":
-        return num @ ha.T, den @ ha.T
+        # scipy would copy a non-contiguous H.T for each product; make one to share
+        ht = np.ascontiguousarray(ha.T)
+        return num @ ht, den @ ht
     return (num.T @ wa).T, (den.T @ wa).T
 
 

@@ -3,11 +3,14 @@
 Each is a literal transcription of a rule, written for clarity rather than
 speed: the two vector distances, the two penalty gradients, the
 triple-satisfaction test, the sequential entry rule of one constrained
-sweep, classic (lambda = 0) multiplicative NMF with an optional mask, and
-the two data fits as plain array expressions.
+sweep, classic (lambda = 0) multiplicative NMF with an optional mask, the
+two data fits as plain array expressions, the two-reduction entry check of
+the data, the CSR layout of observed cells and W @ H at those cells.
 The package itself applies each rule in one place only: the distances in
 ``constraints._pair_distances``, the entry rules in ``solver._sweep``, the
-fits in ``matrix.frobenius_sq_diff`` and ``matrix.matrix_divergence``.
+fits in ``matrix.frobenius_sq_diff`` and ``matrix.matrix_divergence``, the
+entry check in ``matrix.check_data``, the layout and the model in
+``matrix.ObservedCells``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from rprnmf.constraints import (
     Target,
     constrained_vectors,
 )
-from rprnmf.exceptions import IndexOutOfRangeError, LengthMismatchError, PenaltyOverflowError
+from rprnmf.exceptions import (
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    NegativeEntryError,
+    NonFiniteEntryError,
+    PenaltyOverflowError,
+)
 from rprnmf.matrix import EPS
 from rprnmf.penalties import MAX_EXP
 
@@ -221,3 +230,36 @@ def divergence_fit(v, wh) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.where(v > 0, v * np.log(np.maximum(v, EPS) / wc), 0.0)
     return float(np.sum(lg - v + wc))
+
+
+def two_reduction_check(v: np.ndarray) -> None:
+    """Refuse a float array unless min >= 0 and max < inf, naming the first
+    bad entry in row-major order: the first negative if there is one, else
+    the first non-finite.  min and max propagate NaN, and -0.0 passes."""
+    if v.size and not (v.min() >= 0 and v.max() < np.inf):
+        flat = v.ravel()
+        neg = np.flatnonzero(flat < 0)
+        if neg.size:
+            raise NegativeEntryError(int(neg[0]), float(flat[neg[0]]))
+        i = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise NonFiniteEntryError(i, float(flat[i]))
+
+
+def cell_layout(flat, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, cols) of the ascending row-major flat indices ``flat`` in an
+    N x M matrix: each cell's row and column by divmod, rows counted."""
+    n, m = shape
+    rows, cols = np.divmod(np.asarray(flat, dtype=np.int64), m)
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols
+
+
+def ordered_model(w, h, bits) -> np.ndarray:
+    """W @ H at the nonzero cells of ``bits``, row-major: each cell's products
+    added one at a time in ascending latent index, from 0.0."""
+    out = []
+    for i, j in zip(*np.nonzero(bits)):
+        acc = 0.0
+        for l in range(w.shape[1]):
+            acc += float(w[i, l]) * float(h[l, j])
+        out.append(acc)
+    return np.array(out)

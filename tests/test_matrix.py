@@ -9,10 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from rprnmf import DenseMatrix, MaskMatrix, frobenius_sq_diff, matrix_divergence, md, rmse
 from rprnmf import matrix
-from rprnmf.exceptions import NonPositiveModelEntryError, ShapeMismatchError
-from rprnmf.matrix import EPS, ObservedCells
+from rprnmf.exceptions import NonPositiveModelEntryError, RprNmfError, ShapeMismatchError
+from rprnmf.matrix import EPS, ObservedCells, check_data
 
-from oracles import divergence_fit, sq_diff_fit
+from oracles import cell_layout, divergence_fit, ordered_model, sq_diff_fit, two_reduction_check
 
 
 class TestConstruction:
@@ -164,6 +164,76 @@ class TestFitsInPlace:
             matrix_divergence(v, wh)
 
 
+# float64 bit patterns check_data must treat as the two-reduction rule does
+SPECIAL_BITS = st.one_of(
+    st.just(0x8000000000000000),                                  # -0.0
+    st.integers(0x8000000000000001, 0x800FFFFFFFFFFFFF),          # negative subnormals
+    st.integers(0x8010000000000000, 0xFFEFFFFFFFFFFFFF),          # negative normals
+    st.sampled_from([0xFFF0000000000000, 0x7FF0000000000000]),    # -inf, +inf
+    st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF),          # NaN, sign bit clear
+    st.integers(0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF),          # NaN, sign bit set
+    st.integers(1, 0x000FFFFFFFFFFFFF),                           # positive subnormals
+    st.just(0x7FEFFFFFFFFFFFFF),                                  # the largest finite
+)
+
+
+def _outcome(check, v):
+    """None when ``check`` accepts ``v``, else the error's type, index and value bits."""
+    try:
+        check(v)
+    except RprNmfError as exc:
+        return type(exc), exc.index, np.float64(exc.value).view(np.uint64)
+    return None
+
+
+class TestEntryCheck:
+    """``check_data`` against the two-reduction rule of ``tests/oracles.py``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                       elements=st.floats(0.0, 1e300)),
+           data=st.data(), layout=st.sampled_from(["c", "transposed", "strided"]))
+    def test_accepts_and_refuses_as_the_two_reductions(self, base, data, layout):
+        bits = base.view(np.uint64)
+        for _ in range(data.draw(st.integers(0, 3))):
+            bits.flat[data.draw(st.integers(0, base.size - 1))] = data.draw(SPECIAL_BITS)
+        v = {"c": base, "transposed": base.T, "strided": base[::-1, ::2]}[layout]
+        want = _outcome(two_reduction_check, v)
+        assert _outcome(check_data, v) == want
+        if want is None:
+            assert check_data(v) is v
+
+
+class TestCellLayout:
+    """The CSR layout of ``ObservedCells`` against the divmod/bincount oracle."""
+
+    @pytest.mark.parametrize("rows", [
+        [[], [], [1, 3], [], [0], [], []],   # leading, interior and trailing empty rows
+        [[0, 1, 2, 3, 4], [2]],              # a full row
+        [[], [], [4]],                       # a single cell
+        [[0, 4], [1, 2, 3], [0, 1, 2, 3, 4]],
+    ])
+    def test_layout_matches_divmod_oracle(self, rows):
+        bits = np.zeros((len(rows), 5))
+        for i, cols in enumerate(rows):
+            bits[i, cols] = 1.0
+        v = np.arange(bits.size, dtype=float).reshape(bits.shape)
+        mask = MaskMatrix(bits)
+        cells = ObservedCells(v, mask)
+        indptr, cols = cell_layout(mask.flat, bits.shape)
+        assert cells.cols.dtype == np.int32
+        assert np.array_equal(cells.indptr, indptr) and np.array_equal(cells.cols, cols)
+        assert np.array_equal(cells.v, v.ravel()[mask.flat])
+
+    def test_columns_beyond_int32_refused(self, monkeypatch):
+        # zero strides: V does not allocate its 2**31 entries, and the
+        # refusal comes before anything reads them
+        monkeypatch.setattr(matrix, "_load", lambda: pytest.fail("kernel reached"))
+        v = np.broadcast_to(0.0, (1, 2**31))
+        with pytest.raises(ShapeMismatchError, match="int32"):
+            ObservedCells(v, MaskMatrix.from_flat(v.shape, [0, 2**31 - 1]))
+
+
 class TestObservedModel:
     """``ObservedCells.model`` against each cell's dot product summed exactly."""
 
@@ -200,6 +270,21 @@ class TestObservedModel:
         assert not w.flags.c_contiguous and not h.flags.c_contiguous
         self.check(w, h, bits)
         self.check(rng.uniform(0, 1, (50, 12))[::2, ::2], h, bits)  # strided slices
+
+    @pytest.mark.parametrize("k", [1, 2, 20])
+    def test_bit_for_bit_ascending_sums(self, k):
+        # rows of 0 to 9 cells: every remainder of the four-cell block, twice over
+        rng = np.random.default_rng(16 + k)
+        bits = np.zeros((20, 12))
+        for i in range(20):
+            bits[i, rng.choice(12, i % 10, replace=False)] = 1.0
+        # mixed signs over twelve orders of magnitude, so that an order other
+        # than ascending l rounds differently
+        w, h = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+                for shape in ((20, k), (k, 12)))
+        got = ObservedCells(np.zeros(bits.shape), MaskMatrix(bits)).model(w, h)
+        want = ordered_model(w, h, bits)
+        assert got.shape == want.shape and np.all(got == want)
 
     def test_factors_that_do_not_fit_refused_before_the_kernel(self, monkeypatch):
         cells = ObservedCells(np.ones((4, 3)), np.ones((4, 3)))
