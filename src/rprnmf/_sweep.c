@@ -16,9 +16,20 @@
  * Returns 0, or 1 with *exponent set when an exp argument exceeds max_exp.
  *
  * rpr_model is W @ H at the observed cells (rprnmf.matrix.ObservedCells.model).
+ *
+ * rpr_read_ratings parses a ratings file's bytes whole, in one pass
+ * (rprnmf.io._ratings_whole).  It accepts a strict subset of what the line
+ * loop rprnmf.io._ratings_by_line accepts, with the same values bit for
+ * bit, and returns -1 for everything else, which that loop then reads.
+ * Values go through strtod_l in the C locale, so the process's locale
+ * cannot change them.
  */
+#define _GNU_SOURCE /* strtod_l */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* max(x, eps), NaN kept */
 static inline double at_least(double x, double eps) { return x < eps ? eps : x; }
@@ -144,4 +155,186 @@ void rpr_model(const double *w, const double *ht, int64_t k, int64_t nrows,
             out[c] = acc;
         }
     }
+}
+
+static int is_digit(char c) { return c >= '0' && c <= '9'; }
+static int is_pad(char c) { return c == ' ' || c == '\t'; }
+static int is_eol(char c) { return c == '\n' || c == '\r'; }
+
+/* p is at the end of a field's token: a space, a tab, a line end, the
+ * separator's first byte or the end of the text */
+static int at_stop(const char *p, const char *end, char sep0)
+{
+    return p == end || is_pad(*p) || is_eol(*p) || *p == sep0;
+}
+
+/* the token s .. e - 1 is word, compared without case */
+static int is_word(const char *s, const char *e, const char *word)
+{
+    size_t len = strlen(word);
+    if ((size_t)(e - s) != len)
+        return 0;
+    for (size_t i = 0; i < len; i++)
+        if ((s[i] | 0x20) != word[i])
+            return 0;
+    return 1;
+}
+
+/* The digits at *p, at most max of them, into *u; how many there were, or
+ * -1 if there were more.  *p moves past them. */
+static int64_t digits(const char **p, const char *end, int64_t max, uint64_t *u)
+{
+    const char *s = *p, *t = s;
+    uint64_t v = 0;
+    for (; t < end && is_digit(*t); t++) {
+        if (t - s == max)
+            return -1;
+        v = v * 10 + (uint64_t)(*t - '0');
+    }
+    *p = t;
+    *u = v;
+    return t - s;
+}
+
+/* how many digits start at *p, which moves past them */
+static int64_t skip_digits(const char **p, const char *end)
+{
+    const char *s = *p, *t = s;
+    while (t < end && is_digit(*t))
+        t++;
+    *p = t;
+    return t - s;
+}
+
+/* An id at *p, [+-]?[0-9]+ as int() reads it, into *out; 0, or -1 when it
+ * is not one or does not fit int64.  *p moves past it. */
+static int parse_id(const char **p, const char *end, char sep0, int64_t *out)
+{
+    const char *t = *p;
+    int neg = t < end && *t == '-';
+    t += t < end && (*t == '+' || *t == '-');
+    uint64_t u;
+    /* 19 digits fit uint64, and the limits below are 19 digits long */
+    if (digits(&t, end, 19, &u) < 1 || !at_stop(t, end, sep0)
+        || u > (neg ? (uint64_t)INT64_MAX + 1 : (uint64_t)INT64_MAX))
+        return -1;
+    *out = neg && u ? -(int64_t)(u - 1) - 1 : (int64_t)u;
+    *p = t;
+    return 0;
+}
+
+/* A value at *p, as float() reads it, into *out; 0, or -1 when it is not
+ * one this accepts.  *p moves past it.  An integer of 1 to 15 digits is
+ * exact as a double; anything else goes to strtod_l in the C locale, once
+ * the token passes the grammar [+-]? then nan, inf or infinity in any case,
+ * or digits with an optional point and exponent.  That is float()'s
+ * grammar less underscores, so hex and nan(...), which float() refuses
+ * and strtod reads, are refused. */
+static int parse_value(const char **p, const char *end, char sep0, locale_t c_locale,
+                       double *out)
+{
+    const char *s = *p, *t = s + (s < end && (*s == '+' || *s == '-'));
+    uint64_t u;
+    if (digits(&t, end, 15, &u) > 0 && at_stop(t, end, sep0)) {
+        *out = *s == '-' ? -(double)u : (double)u;
+        *p = t;
+        return 0;
+    }
+    const char *e = t;
+    while (!at_stop(e, end, sep0))
+        e++;
+    t = s + (s < e && (*s == '+' || *s == '-'));
+    if (!is_word(t, e, "nan") && !is_word(t, e, "inf") && !is_word(t, e, "infinity")) {
+        int64_t n = skip_digits(&t, e);
+        if (t < e && *t == '.') {
+            t++;
+            n += skip_digits(&t, e);
+        }
+        if (n == 0)
+            return -1;
+        if (t < e && (*t == 'e' || *t == 'E')) {
+            t++;
+            t += t < e && (*t == '+' || *t == '-');
+            if (skip_digits(&t, e) == 0)
+                return -1;
+        }
+        if (t != e)
+            return -1;
+    }
+    char buf[64], *stop;
+    size_t len = (size_t)(e - s);
+    if (len >= sizeof buf)
+        return -1;
+    memcpy(buf, s, len);
+    buf[len] = '\0';
+    *out = strtod_l(buf, &stop, c_locale);
+    if (stop != buf + len)
+        return -1;
+    *p = e;
+    return 0;
+}
+
+/* text is a ratings file's len bytes, with \n, \r\n or \r line ends.  A
+ * line holds only spaces and tabs, or the fields user, item, rating and an
+ * optional timestamp, separated by the seplen bytes of sep, each field
+ * padded by spaces and tabs.  Ids are parsed as int64 and values as
+ * doubles.  Every data line must have the field count of the first, 3 or
+ * 4, written to *fields.  The columns go to users, items, ratings and
+ * stamps, which hold cap entries.
+ *
+ * Returns the number of data lines, or -1 for a text without one or with
+ * anything else: a '#', any other byte, an id beyond int64, a value token
+ * of 64 bytes or more, more than cap data lines.  Those are left to the
+ * line loop. */
+int64_t rpr_read_ratings(const char *text, int64_t len, const char *sep, int64_t seplen,
+                         int64_t cap, int64_t *users, int64_t *items, double *ratings,
+                         double *stamps, int64_t *fields)
+{
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    const char *p = text, *end = text + len;
+    int64_t rows = 0, want = 0;
+    while (p < end) {
+        while (p < end && is_pad(*p))
+            p++;
+        if (p == end)
+            break;
+        if (is_eol(*p)) {
+            p++;
+            continue;
+        }
+        if (rows == cap)
+            goto undecided;
+        int64_t f = 0;
+        for (;;) {
+            int bad = f == 0 ? parse_id(&p, end, sep[0], users + rows)
+                    : f == 1 ? parse_id(&p, end, sep[0], items + rows)
+                    : f == 2 ? parse_value(&p, end, sep[0], c_locale, ratings + rows)
+                    : f == 3 ? parse_value(&p, end, sep[0], c_locale, stamps + rows) : -1;
+            if (bad)
+                goto undecided;
+            f++;
+            while (p < end && is_pad(*p))
+                p++;
+            if (end - p < seplen || memcmp(p, sep, (size_t)seplen) != 0)
+                break;
+            p += seplen;
+            while (p < end && is_pad(*p))
+                p++;
+        }
+        if (p < end && !is_eol(*p))
+            goto undecided;
+        if (want == 0)
+            want = f;
+        if (f != want || (f != 3 && f != 4))
+            goto undecided;
+        rows++;
+    }
+    freelocale(c_locale);
+    *fields = want;
+    return rows > 0 ? rows : -1;
+undecided:
+    freelocale(c_locale);
+    return -1;
 }

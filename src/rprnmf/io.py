@@ -1,20 +1,23 @@
 """File formats: dense CSV matrices, ratings tables, CV splits, JSON reports.
 
 Readers reject malformed input rather than coercing it, and error messages
-carry 1-based line numbers.  Splitters are deterministic functions of their
-seed.
+carry 1-based line numbers.  A ratings file goes first to the compiled
+``rpr_read_ratings``, so a ratings read builds the compiled kernels; a file
+that scan does not take whole goes through the line loop, which names the
+first bad line.  Splitters are deterministic functions of their seed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import _load
 from .exceptions import (
     InvalidRangeError,
     MalformedLineError,
@@ -112,44 +115,38 @@ def read_ratings(path, fmt: str = "ml1m") -> RatingsTable:
     if fmt not in ("ml1m", "csv"):
         raise InvalidRangeError(f"unknown ratings format {fmt!r}")
     sep = "::" if fmt == "ml1m" else ","
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    columns = _ratings_whole(text, sep)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    columns = _ratings_whole(data, sep)
     if columns is None:
-        columns = _ratings_by_line(text, sep)
+        # the text open(path, encoding="utf-8").read() gives: universal newlines
+        columns = _ratings_by_line(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(), sep)
+    del data  # freed before the table's temporaries, which lowers the heap's high-water mark
     return _ratings_table(*columns)
 
 
-_RATINGS_DTYPE = [("user", "i8"), ("item", "i8"), ("rating", "f8"), ("stamp", "f8")]
-
-
-def _ratings_whole(text: str, sep: str):
-    """The columns of a ratings text parsed whole, or None where the line
-    loop must decide.
+def _ratings_whole(data: bytes, sep: str):
+    """The columns of a ratings file's bytes, parsed whole by the compiled
+    ``rpr_read_ratings``, or None where the line loop must decide.
 
     This accepts a subset of what :func:`_ratings_by_line` accepts, with the
-    same values: every line empty or with the field count of the first
-    non-blank line, ids that parse as int64 and no ``#`` anywhere.  Timestamps
-    are None when the lines have three fields.
+    same values: lines empty or with the field count, 3 or 4, of the first
+    data line, fields padded by spaces and tabs, int64 ids and values in
+    ``float()``'s grammar less underscores, hex and ``nan(...)``.
+    Timestamps are None when the lines have three fields.
     """
-    if "#" in text:
+    # one row per line at most; a text with lone \r line ends may have more
+    # lines, and is then left to the loop
+    cap = data.count(b"\n") + 1
+    users, items = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+    ratings, stamps = np.empty(cap), np.empty(cap)
+    fields = ctypes.c_int64()
+    rows = _load().rpr_read_ratings(data, len(data), sep.encode(), len(sep), cap, users.ctypes.data,
+                                    items.ctypes.data, ratings.ctypes.data, stamps.ctypes.data,
+                                    ctypes.byref(fields))
+    if rows < 0:
         return None
-    if sep != ",":
-        # the separator's split points become the commas; a comma already
-        # there would not split a field in the loop
-        if "," in text:
-            return None
-        text = text.replace(sep, ",")
-    first = re.search(r"\S[^\n]*", text)
-    fields = first.group().count(",") + 1 if first else 0
-    if fields not in (3, 4):
-        return None
-    try:
-        a = np.loadtxt(io.StringIO(text), dtype=_RATINGS_DTYPE[:fields], delimiter=",",
-                       comments=None, ndmin=1)
-    except ValueError:
-        return None
-    return a["user"], a["item"], a["rating"], a["stamp"] if fields == 4 else None
+    return users[:rows], items[:rows], ratings[:rows], stamps[:rows] if fields.value == 4 else None
 
 
 def _ratings_by_line(text: str, sep: str):
@@ -176,18 +173,23 @@ def _ratings_by_line(text: str, sep: str):
 def _ratings_table(users, items, ratings, stamps) -> RatingsTable:
     user_ids, users = np.unique(users, return_inverse=True)
     item_ids, items = np.unique(items, return_inverse=True)
-    # the first of each key in reverse line order is its last line
     key = users * item_ids.size + items
-    _, first = np.unique(key[::-1], return_index=True)
-    keep = key.size - 1 - first
+    # a stable sort keeps each key's lines in file order, so the last line
+    # of each run of equal keys is the one kept
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.ones(key.size, dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    keep = order[last]
     dupes = key.size - keep.size
     if dupes:
         log.warning("read_ratings: %d duplicate (user, item) pairs dropped (last wins)", dupes)
     timestamps = None
     if stamps is not None and keep.size:
         stamps = stamps[keep]
-        if None not in stamps:
-            timestamps = stamps.astype(float)
+        # only the line loop's object array can hold None
+        if stamps.dtype != object or None not in stamps:
+            timestamps = stamps.astype(float, copy=False)
     return RatingsTable(users[keep] + 1, items[keep] + 1, ratings[keep], timestamps,
                         user_ids.tolist(), item_ids.tolist(), dupes)
 
@@ -195,10 +197,11 @@ def _ratings_table(users, items, ratings, stamps) -> RatingsTable:
 def ratings_to_matrix(table: RatingsTable) -> tuple[DenseMatrix, MaskMatrix]:
     """Dense matrix with zeros at unobserved cells, plus the observation mask."""
     shape = (table.n_users, table.n_items)
-    cells = (table.users - 1, table.items - 1)
+    # the table's rows are in ascending (user, item) order, so flat ascends
+    flat = (table.users - 1) * shape[1] + (table.items - 1)
     v = np.zeros(shape)
-    v[cells] = table.ratings
-    return DenseMatrix(v), MaskMatrix.from_flat(shape, np.ravel_multi_index(cells, shape))
+    v.ravel()[flat] = table.ratings
+    return DenseMatrix.wrap(v), MaskMatrix.from_flat(shape, flat)
 
 
 @dataclass
@@ -214,8 +217,10 @@ class CvSplit:
         return len(self.fold_masks)
 
     def training_mask(self, fold: int) -> MaskMatrix:
-        return MaskMatrix.from_flat(self.observed.shape, np.setdiff1d(
-            self.observed.flat, self.fold_masks[fold].flat, assume_unique=True))
+        """The observed cells outside fold ``fold``'s held-out cells, which are among them."""
+        train = np.ones(self.observed.count, dtype=bool)
+        train[np.searchsorted(self.observed.flat, self.fold_masks[fold].flat)] = False
+        return MaskMatrix.from_flat(self.observed.shape, self.observed.flat[train])
 
 
 def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
@@ -233,29 +238,36 @@ def make_cv_split(mask, folds: int, seed: int) -> CvSplit:
     cells = observed.flat
     if len(cells) < folds:
         raise TooSparseError(f"{len(cells)} observed entries cannot fill {folds} folds")
-    rows, cols = np.divmod(cells, m)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(cells))
+    indptr, cols = observed.csr_layout()
+    row_size = np.diff(indptr)
+    rows = np.repeat(np.arange(n), row_size)
+    order = np.random.default_rng(seed).permutation(len(cells))
     # the entry at position p of the permutation goes to fold p % folds
-    fold_of = np.empty(len(cells), dtype=int)
-    fold_of[order] = np.arange(len(cells)) % folds
-
-    reassigned = 0
-    fold_masks = []
+    fold_of = np.empty(len(cells), dtype=np.intp)
     for f in range(folds):
-        held = fold_of == f
-        # a row (then column) with no training entry has all its entries held:
-        # the first of them, in row-major order, goes back to training
-        for line, count in ((rows, n), (cols, m)):
-            training = np.bincount(line[~held], minlength=count)
-            gaps = np.flatnonzero(training[line] == 0)
-            _, first = np.unique(line[gaps], return_index=True)
-            held[gaps[first]] = False
-            reassigned += first.size
-        fold_masks.append(MaskMatrix.from_flat((n, m), cells[held]))
+        fold_of[order[f::folds]] = f
+
+    # a row with no training entry in its fold has all its entries held
+    # there: the first of them, in row-major order, goes back to training
+    held_rows = np.bincount(fold_of * n + rows, minlength=folds * n).reshape(folds, n)
+    moved_rows = indptr[np.flatnonzero((held_rows == row_size).any(axis=0) & (row_size > 0))]
+    # then the same for columns, counted without the entries just moved
+    col_size = np.bincount(cols, minlength=m)
+    held_cols = np.bincount(fold_of * m + cols, minlength=folds * m)
+    held_cols -= np.bincount(fold_of[moved_rows] * m + cols[moved_rows], minlength=folds * m)
+    gap = (held_cols.reshape(folds, m) == col_size).any(axis=0) & (col_size > 0)
+    # every entry of a gap column is held, so its first is the column's first
+    in_gap = np.flatnonzero(gap[cols])
+    _, first = np.unique(cols[in_gap], return_index=True)
+    moved = np.concatenate([moved_rows, in_gap[first]])
+    fold_of[moved] = folds  # always train
+
+    reassigned = moved.size
     if reassigned:
         log.info("make_cv_split: %d entries moved to always-train for coverage", reassigned)
-    return CvSplit(observed, fold_masks, reassigned)
+    # on a scattered mask, flatnonzero then a take is faster than a boolean index
+    return CvSplit(observed, [MaskMatrix.from_flat((n, m), cells[np.flatnonzero(fold_of == f)])
+                              for f in range(folds)], reassigned)
 
 
 def _config_echo(config: SolverConfig | None) -> dict | None:

@@ -50,12 +50,23 @@ class DenseMatrix:
     __slots__ = ("a",)
 
     def __init__(self, array):
-        a = np.array(array, dtype=float, order="C")
+        self.a = self._checked(np.array(array, dtype=float, order="C"))
+
+    @classmethod
+    def wrap(cls, a: np.ndarray) -> DenseMatrix:
+        """Matrix over ``a``, a C-contiguous float64 array the package built
+        itself, held without a copy; its shape is checked as the constructor's."""
+        m = cls.__new__(cls)
+        m.a = cls._checked(a)
+        return m
+
+    @staticmethod
+    def _checked(a: np.ndarray) -> np.ndarray:
         if a.ndim != 2:
             raise ShapeMismatchError(f"expected a 2-D array, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ShapeMismatchError(f"matrix dimensions must be positive, got {a.shape}")
-        self.a = a
+        return a
 
     @property
     def rows(self) -> int:
@@ -114,6 +125,15 @@ class MaskMatrix:
         """Number of observed entries."""
         return self.flat.size
 
+    def csr_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cells in CSR layout: the int64 row pointer, found by a binary
+        search of ``flat`` for each row's start, and each cell's int64 column."""
+        n, m = self.shape
+        starts = np.arange(n + 1) * m
+        indptr = np.searchsorted(self.flat, starts)
+        cols = np.repeat(starts[:-1], np.diff(indptr))
+        return indptr, np.subtract(self.flat, cols, out=cols)
+
     def __repr__(self) -> str:
         n, m = self.shape
         return f"MaskMatrix({n}x{m}, observed={self.count})"
@@ -138,12 +158,12 @@ class ObservedCells:
         # the compiled model reads the int32 columns unchecked
         if m > np.iinfo(np.int32).max:
             raise ShapeMismatchError(f"{m} columns do not fit the int32 cell layout")
-        flat = ma.flat
-        starts = np.arange(n + 1) * m
-        self.indptr = np.searchsorted(flat, starts)
-        cols = np.repeat(starts[:-1], np.diff(self.indptr))
-        self.cols = np.subtract(flat, cols, out=cols).astype(np.int32)
-        self.v = va.take(flat)
+        self.indptr, cols = ma.csr_layout()
+        self.cols = cols.astype(np.int32)
+        if va.flags.c_contiguous:
+            self.v = va.take(ma.flat)
+        else:  # take() would first copy V whole
+            self.v = va[np.repeat(np.arange(n), np.diff(self.indptr)), self.cols]
 
     def require_coverage(self) -> None:
         """Reject masks with an all-zero row or column.

@@ -3,10 +3,10 @@
     python tests/mutate_kernels.py      # exits 0 when the gate holds
 
 Each mutant is one textual edit of ``_sweep.c``: a plausible slip in
-``rpr_sweep`` or ``rpr_model``.  The unmutated source and then each mutant
+``rpr_sweep``, ``rpr_model`` or ``rpr_read_ratings``.  The unmutated source and then each mutant
 are written to a temporary directory, and a fresh Python process (a loaded
 library cannot be unloaded) points ``rprnmf._kernels._SOURCE`` at that copy,
-builds it and runs the sweep and model tests with pytest, hypothesis
+builds it and runs the sweep, model and ratings tests with pytest, hypothesis
 derandomised and without its example database.  The gate holds when the
 unmutated source passes and every mutant fails.  A mutant whose text is no
 longer in the source stops the script, so the list follows the kernels.  The
@@ -25,11 +25,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "rprnmf" / "_sweep.c"
 
-# the sweep, masked-terms and model tests, less those that build the library
-# another way (another compiler, a copy of the package, -Werror)
+# the sweep, masked-terms, model and ratings tests, less those that build the
+# library another way (another compiler, a copy of the package, -Werror)
 TESTS = [str(ROOT / "tests" / t) for t in (
     "test_solver.py::TestEntryUpdates", "test_solver.py::TestOrderedSweep",
-    "test_solver.py::TestUpdateTerms", "test_matrix.py::TestObservedModel")]
+    "test_solver.py::TestUpdateTerms", "test_matrix.py::TestObservedModel",
+    "test_io.py::TestRatingsWholeFile", "test_io.py::TestRatings")]
 DESELECT = "not build and not compiles and not two_processes"
 
 TAIL_LOOP = """        for (; c < end; c++) {
@@ -63,6 +64,16 @@ MUTANTS = [
     ("the tail loop dropped", TAIL_LOOP, ""),
     ("the tail skips the last latent index", "l < k; l++)\n", "l < k - 1; l++)\n"),
     ("the block sums in descending latent index", "l = 0; l < k; l++) {", "l = k - 1; l >= 0; l--) {"),
+    # rpr_read_ratings
+    ("the value fast path takes 20 digits", "digits(&t, end, 15, &u)", "digits(&t, end, 20, &u)"),
+    ("an id's sign dropped", "int neg = t < end && *t == '-';", "int neg = 0;"),
+    ("a value's sign dropped", "*out = *s == '-' ? -(double)u : (double)u;", "*out = (double)u;"),
+    ("no int64 limit on ids", "\n        || u > (neg ? (uint64_t)INT64_MAX + 1 : (uint64_t)INT64_MAX))", ")"),
+    ("the end-of-line check dropped", "        if (p < end && !is_eol(*p))\n            goto undecided;\n", ""),
+    ("the separator compared one byte short", "memcmp(p, sep, (size_t)seplen)",
+     "memcmp(p, sep, (size_t)seplen - 1)"),
+    ("nan(...) accepted: words matched as prefixes", "if ((size_t)(e - s) != len)", "if ((size_t)(e - s) < len)"),
+    ("mixed field counts accepted", "if (f != want || (f != 3 && f != 4))", "if (f != 3 && f != 4)"),
 ]
 
 RUNNER = """import sys

@@ -5,9 +5,9 @@
 
 It imports ``rprnmf`` from the ``src/`` of its own checkout.  It runs a fixed
 list of CLI commands (``syn1``, ``syn2``, ``param-sweep``, ``factorize`` with
-and without ``--mask``, ``crossvalidate --threads 2`` and ``convert``) on
-inputs it writes into a temporary directory, which it runs them in so that
-every path they name is relative, then a seeded set of ``run()``
+and without ``--mask``, ``crossvalidate`` on a CSV and on a ``::`` ratings
+file, and ``convert``) on inputs it writes into a temporary directory, which
+it runs them in so that every path they name is relative, then a seeded set of ``run()``
 configurations: masked and unmasked, both measures, zero and positive
 coefficients, some with rollbacks.  Two checkouts that print the same digest
 wrote byte-identical outputs on all of them.  Each output is hashed with its
@@ -56,6 +56,16 @@ def write_inputs(d: Path) -> None:
             for item in range(1, M + 1):
                 if rng.random() < 0.8:
                     fh.write(f"{user},{item},{rng.integers(1, 6)},{rng.integers(10**8)}\n")
+    # a "::" file with raw ids that skip values, lines out of order,
+    # duplicate pairs (the last wins), and one user and one item with a
+    # single rating, so that both repair phases of the CV split run
+    lines = [f"{3 * u + 1}::{5 * i + 2}::{rng.integers(1, 6)}::{rng.integers(10**8)}"
+             for u in range(N - 1) for i in range(M - 1) if rng.random() < 0.7]
+    lines += [f"{line.rsplit('::', 2)[0]}::{rng.integers(1, 6)}::{rng.integers(10**8)}"
+              for line in rng.choice(lines, 6, replace=False)]
+    lines += [f"{3 * (N - 1) + 1}::2::4::7", f"1::{5 * (M - 1) + 2}::2::9"]
+    rng.shuffle(lines)
+    (d / "ratings.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cli_argv() -> list[list[str]]:
@@ -72,6 +82,8 @@ def cli_argv() -> list[list[str]]:
          "--mins", "0.1", "--maxs", "0.9", "--out", out],
         ["convert", "--constraints", "c.txt", "--to", "labels", "--out", out],
     ]
+    argv.append(["crossvalidate", "--ratings", "ratings.dat", "--folds", "4", "--k", "2",
+                 "--seed", "19", "--out", out, *solve])
     for measure in ("euc", "div"):
         fact = ["factorize", "--matrix", "v.csv", "--k", "3", "--measure", measure,
                 "--seed", "11", "--out", out, *solve]

@@ -168,17 +168,22 @@ def assert_same_table(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None), name
         if x is not None:
-            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
     assert (a.user_ids, a.item_ids, a.duplicates_dropped) == (b.user_ids, b.item_ids,
                                                               b.duplicates_dropped)
 
 
 _PAD = st.sampled_from(["", " ", "  ", "\t"])
-_GOOD_IDS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["+4", "007", "-0"]))
-_GOOD_VALUES = st.one_of(st.integers(0, 5).map(str),
-                         st.sampled_from(["3.5", "-0.0", "1e3", ".5", "5.", "+2", "1E-2", "nan", "inf"]))
-_BAD = st.sampled_from(["1.0", "1e3", "1_0", "", "x", "99999999999999999999", "1,5", "1:5", "#3",
-                        "1 2", "\u0661"])
+# ids and values at the compiled scan's digit limits: int64's ends, and
+# values of 15 digits (its exact integer path), 16 and 20 digits
+_GOOD_IDS = st.one_of(st.integers(-3, 12).map(str),
+                      st.sampled_from(["+4", "007", "-0", "9223372036854775807", "-9223372036854775808"]))
+_GOOD_VALUES = st.one_of(st.integers(-2, 5).map(str),
+                         st.sampled_from(["3.5", "-0.0", "1e3", ".5", "5.", "+2", "1E-2", "nan", "inf", "-0",
+                                          "-NaN", "Infinity", "999999999999999", "9007199254740993",
+                                          "-99999999999999999999"]))
+_BAD = st.sampled_from(["1.0", "1e3", "1_0", "", "x", "99999999999999999999", "9223372036854775808",
+                        "1,5", "1:5", "#3", "1 2", "\u0661", "nan(1)", "0x1p3", "1e"])
 
 
 @st.composite
@@ -208,14 +213,14 @@ def ratings_texts(draw):
 
 
 class TestRatingsWholeFile:
-    """The whole-file parse of read_ratings against its line loop."""
+    """The whole-file parse of read_ratings, the compiled scan, against its line loop."""
 
     @settings(max_examples=300, deadline=None)
     @given(ratings_texts())
     def test_whole_file_parse_matches_line_loop(self, case):
         text, sep, clean = case
         want = by_line(text, sep)
-        whole = rio._ratings_whole(text, sep)
+        whole = rio._ratings_whole(text.encode(), sep)
         if clean and text.strip():
             assert whole is not None
         if whole is not None:
@@ -238,11 +243,40 @@ class TestRatingsWholeFile:
         path = tmp_path / "r.dat"
         text = "3::7::4::11\r\n1::7::2::12\r\n3::7::5::13\r\n\r\n1::2::1::14\r\n"
         path.write_bytes(text.encode())
-        assert rio._ratings_whole(text.replace("\r\n", "\n"), "::") is not None
+        assert rio._ratings_whole(text.encode(), "::") is not None
         table = read_ratings(path, "ml1m")
         assert_same_table(table, by_line(text.replace("\r\n", "\n"), "::"))
         assert table.duplicates_dropped == 1 and table.ratings.tolist() == [1.0, 2.0, 5.0]
         assert table.timestamps.tolist() == [14.0, 12.0, 13.0]
+
+    @pytest.mark.parametrize("text, sep, decided", [
+        ("9223372036854775807::-9223372036854775808::999999999999999::9007199254740993\n"
+         "-0::+7::-000000000000001::99999999999999999999\n", "::", True),
+        ("1,2,-0\n3,4,0000000000000009007199254740993e-3\n", ",", True),
+        ("9223372036854775808::1::3\n", "::", False),  # the loop reads float ids
+        ("1::-9223372036854775809::3\n", "::", False),
+        ("1::2::3 4::5::6\n", "::", False),
+        ("1: 2::3::4\n", "::", False),
+        ("1::2::nan(1)\n", "::", False),  # strtod reads these, float() does not
+        ("1::2::0x1p3\n", "::", False),
+        ("1::2::3\n1::3::4::5\n", "::", False),
+        ("1,2,3\r4,5,6\r", ",", False),  # more lines than \n bytes
+    ], ids=["digit-limits", "csv-digit-limits", "id-above-int64", "id-below-int64",
+            "text-after-last-field", "half-separator", "nan-payload", "hex", "mixed-field-counts",
+            "lone-cr"])
+    def test_decided_or_left_to_the_loop(self, tmp_path, text, sep, decided):
+        assert (rio._ratings_whole(text.encode(), sep) is not None) == decided
+        path = tmp_path / "r.dat"
+        path.write_bytes(text.encode())
+        want = by_line(text.replace("\r", "\n"), sep)
+        try:
+            got = read_ratings(path, "ml1m" if sep == "::" else "csv")
+        except MalformedLineError as exc:
+            got = exc.line
+        if isinstance(want, int):
+            assert got == want
+        else:
+            assert_same_table(got, want)
 
 
 class TestCvSplit:
@@ -304,6 +338,24 @@ class TestCvSplit:
             reassigned.append(moved)
         # sparse masks leave lonely cells, so the repair path runs too
         assert sum(r > 0 for r in reassigned) >= 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.floats(0.05, 0.9), st.integers(2, 5),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_cell_reference_property(self, n, m, density, folds, seed):
+        # sparse masks with empty rows and columns and lonely cells, so that
+        # both repair phases run
+        bits = (np.random.default_rng(seed).uniform(0, 1, (n, m)) < density).astype(float)
+        if bits.sum() < folds:
+            return
+        split = make_cv_split(MaskMatrix(bits), folds, seed=seed)
+        want, moved = loop_cv_folds(bits, folds, seed)
+        assert split.reassigned == moved
+        for f, ref in enumerate(want):
+            assert np.array_equal(split.fold_masks[f].bits, ref)
+            train = split.training_mask(f)
+            assert train.flat.dtype == np.intp and not train.flat.flags.writeable
+            assert np.array_equal(train.flat, np.setdiff1d(np.flatnonzero(bits), np.flatnonzero(ref)))
 
     def test_too_sparse(self):
         bits = np.zeros((3, 3))

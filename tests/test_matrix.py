@@ -233,6 +233,20 @@ class TestCellLayout:
         with pytest.raises(ShapeMismatchError, match="int32"):
             ObservedCells(v, MaskMatrix.from_flat(v.shape, [0, 2**31 - 1]))
 
+    @pytest.mark.parametrize("layout", ["transposed", "strided"])
+    def test_cells_of_a_v_that_is_not_c_contiguous(self, layout):
+        base = np.arange(7.0 * 12).reshape(7, 12)
+        v = base.T if layout == "transposed" else base[::2, ::3]
+        bits = (np.arange(v.size).reshape(v.shape) % 3 != 1).astype(float)
+        cells = ObservedCells(v, MaskMatrix(bits))
+        assert np.array_equal(cells.v, np.ascontiguousarray(v).ravel()[np.flatnonzero(bits)])
+
+    def test_two_cells_of_a_broadcast_v_read_alone(self):
+        # zero strides: a copy of V whole would allocate 16 GiB
+        v = np.broadcast_to(np.float64(2.5), (1, 2**31 - 1))
+        cells = ObservedCells(v, MaskMatrix.from_flat(v.shape, [3, 2**31 - 2]))
+        assert cells.v.tolist() == [2.5, 2.5] and cells.cols.tolist() == [3, 2**31 - 2]
+
 
 class TestObservedModel:
     """``ObservedCells.model`` against each cell's dot product summed exactly."""

@@ -33,6 +33,7 @@ from rprnmf.exceptions import (
     ShapeMismatchError,
     SweepBuildError,
 )
+from rprnmf.io import read_ratings
 from rprnmf.matrix import EPS, ObservedCells
 from rprnmf import _kernels, constraints, solver
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
@@ -373,8 +374,11 @@ class TestOrderedSweep:
     @pytest.mark.parametrize("compiler", ["no-such-cc", "false"])
     def test_failed_build_raises_typed_error(self, tmp_path, monkeypatch, compiler):
         # a missing compiler, and one that exits non-zero, met by a penalised
-        # sweep and by a masked run with no penalty
+        # sweep, by a masked run with no penalty and by a clean ratings read,
+        # which does not fall back to the line loop
         cc = str(tmp_path / compiler) if compiler == "no-such-cc" else compiler
+        ratings = tmp_path / "r.dat"
+        ratings.write_text("1::2::3::4\n")
         monkeypatch.setattr(_kernels, "CC", cc)
         cache = _kernels._SOURCE.parent / "__pycache__"
         before = set(cache.glob("*.so"))
@@ -384,7 +388,8 @@ class TestOrderedSweep:
         dist = triple_distances(cset, w, Measure.EUCLIDEAN)
         config = SolverConfig(k=1, measure=Measure.EUCLIDEAN, max_iters=1, mask=np.ones((3, 3)))
         for call in (lambda: _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN, dist),
-                     lambda: run(np.ones((3, 3)), None, config)):
+                     lambda: run(np.ones((3, 3)), None, config),
+                     lambda: read_ratings(ratings)):
             monkeypatch.setattr(_kernels, "_compiled", None)
             with pytest.raises(SweepBuildError, match=cc) as exc:
                 call()
