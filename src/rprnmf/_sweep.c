@@ -21,8 +21,8 @@
  * (rprnmf.io._ratings_whole).  It accepts a strict subset of what the line
  * loop rprnmf.io._ratings_by_line accepts, with the same values bit for
  * bit, and returns -1 for everything else, which that loop then reads.
- * Values go through strtod_l in the C locale, so the process's locale
- * cannot change them.
+ * strtod_l in the C locale decides which value tokens are numbers, and
+ * their values, so the process's locale cannot change either.
  */
 #define _GNU_SOURCE /* strtod_l */
 #include <locale.h>
@@ -168,18 +168,6 @@ static int at_stop(const char *p, const char *end, char sep0)
     return p == end || is_pad(*p) || is_eol(*p) || *p == sep0;
 }
 
-/* the token s .. e - 1 is word, compared without case */
-static int is_word(const char *s, const char *e, const char *word)
-{
-    size_t len = strlen(word);
-    if ((size_t)(e - s) != len)
-        return 0;
-    for (size_t i = 0; i < len; i++)
-        if ((s[i] | 0x20) != word[i])
-            return 0;
-    return 1;
-}
-
 /* The digits at *p, at most max of them, into *u; how many there were, or
  * -1 if there were more.  *p moves past them. */
 static int64_t digits(const char **p, const char *end, int64_t max, uint64_t *u)
@@ -193,16 +181,6 @@ static int64_t digits(const char **p, const char *end, int64_t max, uint64_t *u)
     }
     *p = t;
     *u = v;
-    return t - s;
-}
-
-/* how many digits start at *p, which moves past them */
-static int64_t skip_digits(const char **p, const char *end)
-{
-    const char *s = *p, *t = s;
-    while (t < end && is_digit(*t))
-        t++;
-    *p = t;
     return t - s;
 }
 
@@ -225,11 +203,11 @@ static int parse_id(const char **p, const char *end, char sep0, int64_t *out)
 
 /* A value at *p, as float() reads it, into *out; 0, or -1 when it is not
  * one this accepts.  *p moves past it.  An integer of 1 to 15 digits is
- * exact as a double; anything else goes to strtod_l in the C locale, once
- * the token passes the grammar [+-]? then nan, inf or infinity in any case,
- * or digits with an optional point and exponent.  That is float()'s
- * grammar less underscores, so hex and nan(...), which float() refuses
- * and strtod reads, are refused. */
+ * exact as a double; any other token goes to strtod_l in the C locale, and
+ * counts only if strtod_l reads the whole of it.  In the C locale strtod
+ * reads decimals, inf, infinity and nan, which float() reads too, and hex
+ * and nan(...), which float() refuses: so a token with an x, an X or a (
+ * is refused, and so is an empty one, which strtod reads as 0. */
 static int parse_value(const char **p, const char *end, char sep0, locale_t c_locale,
                        double *out)
 {
@@ -243,27 +221,10 @@ static int parse_value(const char **p, const char *end, char sep0, locale_t c_lo
     const char *e = t;
     while (!at_stop(e, end, sep0))
         e++;
-    t = s + (s < e && (*s == '+' || *s == '-'));
-    if (!is_word(t, e, "nan") && !is_word(t, e, "inf") && !is_word(t, e, "infinity")) {
-        int64_t n = skip_digits(&t, e);
-        if (t < e && *t == '.') {
-            t++;
-            n += skip_digits(&t, e);
-        }
-        if (n == 0)
-            return -1;
-        if (t < e && (*t == 'e' || *t == 'E')) {
-            t++;
-            t += t < e && (*t == '+' || *t == '-');
-            if (skip_digits(&t, e) == 0)
-                return -1;
-        }
-        if (t != e)
-            return -1;
-    }
     char buf[64], *stop;
     size_t len = (size_t)(e - s);
-    if (len >= sizeof buf)
+    if (len == 0 || len >= sizeof buf || memchr(s, 'x', len) || memchr(s, 'X', len)
+        || memchr(s, '(', len))
         return -1;
     memcpy(buf, s, len);
     buf[len] = '\0';
@@ -284,8 +245,8 @@ static int parse_value(const char **p, const char *end, char sep0, locale_t c_lo
  *
  * Returns the number of data lines, or -1 for a text without one or with
  * anything else: a '#', any other byte, an id beyond int64, a value token
- * of 64 bytes or more, more than cap data lines.  Those are left to the
- * line loop. */
+ * that is empty, 64 bytes or more long or not wholly read by strtod_l, more
+ * than cap data lines.  Those are left to the line loop. */
 int64_t rpr_read_ratings(const char *text, int64_t len, const char *sep, int64_t seplen,
                          int64_t cap, int64_t *users, int64_t *items, double *ratings,
                          double *stamps, int64_t *fields)

@@ -347,6 +347,10 @@ def cmd_crossvalidate(args) -> int:
     v, observed = ratings_to_matrix(table)
     set_w, set_h = read_constraints(args.constraints) if args.constraints else (None, None)
     split = make_cv_split(observed, args.folds, args.seed)
+    empty = [f for f, heldout in enumerate(split.fold_masks) if not heldout.count]
+    if empty:
+        raise UsageError(f"--folds {args.folds}: fold {empty[0]} holds no entries once "
+                         f"{split.reassigned} are moved to always-train for coverage")
     lambdas = [(0.0, 0.0)]
     if args.lambda_w or args.lambda_h:  # positive, so --constraints is given (_check_args)
         lambdas.append((args.lambda_w, args.lambda_h))

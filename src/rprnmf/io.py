@@ -131,9 +131,10 @@ def _ratings_whole(data: bytes, sep: str):
 
     This accepts a subset of what :func:`_ratings_by_line` accepts, with the
     same values: lines empty or with the field count, 3 or 4, of the first
-    data line, fields padded by spaces and tabs, int64 ids and values in
-    ``float()``'s grammar less underscores, hex and ``nan(...)``.
-    Timestamps are None when the lines have three fields.
+    data line, fields padded by spaces and tabs, int64 ids and values that
+    ``strtod_l`` reads whole in the C locale, less empty ones, hex and
+    ``nan(...)``: ``float()``'s grammar less underscores.  Timestamps are
+    None when the lines have three fields.
     """
     # one row per line at most; a text with lone \r line ends may have more
     # lines, and is then left to the loop
@@ -162,10 +163,15 @@ def _ratings_by_line(text: str, sep: str):
         if len(parts) not in (3, 4):
             raise MalformedLineError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
         try:
-            rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
-                         float(parts[3]) if len(parts) == 4 else None))
+            row = (int(parts[0]), int(parts[1]), float(parts[2]),
+                   float(parts[3]) if len(parts) == 4 else None)
+            # the scan's id domain; a wider id would make its column float or object
+            for i in row[:2]:
+                if not -2**63 <= i < 2**63:
+                    raise ValueError(f"id {i} does not fit int64")
         except ValueError as exc:
             raise MalformedLineError(lineno, str(exc)) from exc
+        rows.append(row)
     # stamps is an object array when some line has no timestamp
     return tuple(np.array([row[c] for row in rows]) for c in range(4))
 

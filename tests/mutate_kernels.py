@@ -72,7 +72,10 @@ MUTANTS = [
     ("the end-of-line check dropped", "        if (p < end && !is_eol(*p))\n            goto undecided;\n", ""),
     ("the separator compared one byte short", "memcmp(p, sep, (size_t)seplen)",
      "memcmp(p, sep, (size_t)seplen - 1)"),
-    ("nan(...) accepted: words matched as prefixes", "if ((size_t)(e - s) != len)", "if ((size_t)(e - s) < len)"),
+    ("an empty value read as 0", "len == 0 || ", ""),
+    ("hex accepted: no x refusal", "memchr(s, 'x', len) || ", ""),
+    ("hex accepted: no X refusal", " || memchr(s, 'X', len)", ""),
+    ("nan(...) accepted: no ( refusal", "\n        || memchr(s, '(', len))", ")"),
     ("mixed field counts accepted", "if (f != want || (f != 3 && f != 4))", "if (f != 3 && f != 4)"),
 ]
 
@@ -114,11 +117,15 @@ def first_failure(text: str, workdir: Path) -> str | None:
     return failed[0].split("::", 1)[1]
 
 
+def orphans(source: str) -> list[str]:
+    """The mutants whose text does not occur exactly once in ``source``."""
+    return [name for name, old, _ in MUTANTS if source.count(old) != 1]
+
+
 def main() -> int:
     original = SOURCE.read_text()
-    for name, old, _ in MUTANTS:
-        if original.count(old) != 1:
-            raise SystemExit(f"mutant {name!r}: its text occurs {original.count(old)} times")
+    if orphans(original):
+        raise SystemExit(f"mutants whose text does not occur once: {orphans(original)}")
     with tempfile.TemporaryDirectory(prefix="rprnmf-mutants-") as tmp:
         failure = first_failure(original, Path(tmp, "original"))
         print(f"unmutated source: {'passes' if failure is None else 'FAILS ' + failure}")

@@ -484,6 +484,16 @@ class TestUsageErrors:
         self._exit_2_naming(capsys, str(ratings), "crossvalidate", "--ratings", ratings,
                             "--out", tmp_path / "cv.csv")
 
+    def test_fold_emptied_by_coverage_repair(self, tmp_path, capsys):
+        # each entry is its row's only one, so both move to always-train
+        ratings = tmp_path / "r.dat"
+        ratings.write_text("1::2::3\n2::3::4\n")
+        out = tmp_path / "cv.csv"
+        err = self._exit_2_naming(capsys, "fold 0", "crossvalidate", "--ratings", ratings,
+                                  "--folds", 2, "--out", out)
+        assert "2 are moved" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["factorize", "crossvalidate"])
     @pytest.mark.parametrize("flag, value", [
         ("--k", 0), ("--max-iters", 0), ("--rel-tol", -1), ("--lambda-w", -1),

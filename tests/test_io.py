@@ -146,6 +146,15 @@ class TestRatings:
             read_ratings(path, "ml1m")
         assert exc.value.line == 2
 
+    def test_id_beyond_int64_refused(self, tmp_path):
+        # mixed with int64 ids, such ids would make a float column that merges
+        # 2**63 and 2**63 + 1
+        path = tmp_path / "r.dat"
+        path.write_text("9223372036854775808::1::3\n9223372036854775809::1::4\n1::2::5\n")
+        with pytest.raises(MalformedLineError) as exc:
+            read_ratings(path, "ml1m")
+        assert exc.value.line == 1 and "9223372036854775808" in str(exc.value)
+
     def test_matrix_values_at_observed_cells(self, tmp_path):
         path = tmp_path / "r.dat"
         path.write_text("1::1::5::1\n2::2::3::2\n")
@@ -181,9 +190,9 @@ _GOOD_IDS = st.one_of(st.integers(-3, 12).map(str),
 _GOOD_VALUES = st.one_of(st.integers(-2, 5).map(str),
                          st.sampled_from(["3.5", "-0.0", "1e3", ".5", "5.", "+2", "1E-2", "nan", "inf", "-0",
                                           "-NaN", "Infinity", "999999999999999", "9007199254740993",
-                                          "-99999999999999999999"]))
+                                          "-99999999999999999999", "\v5", "\f-1.5"]))
 _BAD = st.sampled_from(["1.0", "1e3", "1_0", "", "x", "99999999999999999999", "9223372036854775808",
-                        "1,5", "1:5", "#3", "1 2", "\u0661", "nan(1)", "0x1p3", "1e"])
+                        "1,5", "1:5", "#3", "1 2", "\u0661", "nan(1)", "0x1p3", "1e", "0X1P3", "nan()"])
 
 
 @st.composite
@@ -253,17 +262,24 @@ class TestRatingsWholeFile:
         ("9223372036854775807::-9223372036854775808::999999999999999::9007199254740993\n"
          "-0::+7::-000000000000001::99999999999999999999\n", "::", True),
         ("1,2,-0\n3,4,0000000000000009007199254740993e-3\n", ",", True),
-        ("9223372036854775808::1::3\n", "::", False),  # the loop reads float ids
+        ("9223372036854775808::1::3\n", "::", False),  # the loop refuses it too
         ("1::-9223372036854775809::3\n", "::", False),
         ("1::2::3 4::5::6\n", "::", False),
         ("1: 2::3::4\n", "::", False),
         ("1::2::nan(1)\n", "::", False),  # strtod reads these, float() does not
         ("1::2::0x1p3\n", "::", False),
+        ("1::2::0X1P3\n", "::", False),
+        ("1::2::nan()\n", "::", False),
+        ("1::2::\n", "::", False),  # strtod reads an empty token as 0
+        ("1::2::3::\n", "::", False),
+        ("1::2::\v5\n3::4::\f-1.5\n5::6::INFINITY\n", "::", True),  # strtod skips \v and \f
+        ("1::2::1_000\n", "::", False),  # float() reads it, strtod does not
         ("1::2::3\n1::3::4::5\n", "::", False),
         ("1,2,3\r4,5,6\r", ",", False),  # more lines than \n bytes
     ], ids=["digit-limits", "csv-digit-limits", "id-above-int64", "id-below-int64",
-            "text-after-last-field", "half-separator", "nan-payload", "hex", "mixed-field-counts",
-            "lone-cr"])
+            "text-after-last-field", "half-separator", "nan-payload", "hex", "hex-upper",
+            "nan-empty-payload", "empty-rating", "empty-timestamp", "leading-vt-ff-infinity",
+            "underscore", "mixed-field-counts", "lone-cr"])
     def test_decided_or_left_to_the_loop(self, tmp_path, text, sep, decided):
         assert (rio._ratings_whole(text.encode(), sep) is not None) == decided
         path = tmp_path / "r.dat"

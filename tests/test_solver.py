@@ -38,6 +38,7 @@ from rprnmf.matrix import EPS, ObservedCells
 from rprnmf import _kernels, constraints, solver
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
 
+import mutate_kernels
 from oracles import dense_masked_terms, div_penalty_grad, lee_seung, reference_ordered_sweep
 
 # ---------------------------------------------------------------- oracles
@@ -456,6 +457,11 @@ class TestOrderedSweep:
             _sweep(w, num, den, _PreparedSet(cset, 12), 1.0, measure,
                    triple_distances(cset, w, measure))
             assert np.all(w >= 0.0)
+
+
+def test_mutation_gate_texts_each_occur_once():
+    # the gate stops on a text the kernels no longer hold; this finds it sooner
+    assert mutate_kernels.orphans(_kernels._SOURCE.read_text()) == []
 
 
 # -------------------------------------------------------------- objective
