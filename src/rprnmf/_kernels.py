@@ -93,7 +93,7 @@ def _load() -> ctypes.CDLL:
     lib.rpr_sweep.restype = ctypes.c_int
     lib.rpr_model.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr]
     lib.rpr_model.restype = None
-    lib.rpr_read_ratings.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p, i64, i64] + [ptr] * 5
+    lib.rpr_read_ratings.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p, i64, i64] + [ptr] * 3
     lib.rpr_read_ratings.restype = i64
     _compiled = lib
     return lib

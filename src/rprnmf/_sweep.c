@@ -20,9 +20,10 @@
  * rpr_read_ratings parses a ratings file's bytes whole, in one pass
  * (rprnmf.io._ratings_whole).  It accepts a strict subset of what the line
  * loop rprnmf.io._ratings_by_line accepts, with the same values bit for
- * bit, and returns -1 for everything else, which that loop then reads.
- * strtod_l in the C locale decides which value tokens are numbers, and
- * their values, so the process's locale cannot change either.
+ * bit, and returns -1 for everything else, which that loop then reads.  A
+ * timestamp is checked as a value and not kept.  strtod_l in the C locale
+ * decides which value tokens are numbers, and their values, so the
+ * process's locale cannot change either.
  */
 #define _GNU_SOURCE /* strtod_l */
 #include <locale.h>
@@ -239,23 +240,22 @@ static int parse_value(const char **p, const char *end, char sep0, locale_t c_lo
  * line holds only spaces and tabs, or the fields user, item, rating and an
  * optional timestamp, separated by the seplen bytes of sep, each field
  * padded by spaces and tabs.  Ids are parsed as int64 and values as
- * doubles.  Every data line must have the field count of the first, 3 or
- * 4, written to *fields.  The columns go to users, items, ratings and
- * stamps, which hold cap entries.
+ * doubles; the timestamp is parsed and dropped.  Lines of 3 and 4 fields
+ * may mix.  The columns go to users, items and ratings, which hold cap
+ * entries.
  *
  * Returns the number of data lines, or -1 for a text without one or with
  * anything else: a '#', any other byte, an id beyond int64, a value token
  * that is empty, 64 bytes or more long or not wholly read by strtod_l, more
  * than cap data lines.  Those are left to the line loop. */
 int64_t rpr_read_ratings(const char *text, int64_t len, const char *sep, int64_t seplen,
-                         int64_t cap, int64_t *users, int64_t *items, double *ratings,
-                         double *stamps, int64_t *fields)
+                         int64_t cap, int64_t *users, int64_t *items, double *ratings)
 {
     locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
     if (c_locale == (locale_t)0)
         return -1;
     const char *p = text, *end = text + len;
-    int64_t rows = 0, want = 0;
+    int64_t rows = 0;
     while (p < end) {
         while (p < end && is_pad(*p))
             p++;
@@ -268,11 +268,12 @@ int64_t rpr_read_ratings(const char *text, int64_t len, const char *sep, int64_t
         if (rows == cap)
             goto undecided;
         int64_t f = 0;
+        double stamp;
         for (;;) {
             int bad = f == 0 ? parse_id(&p, end, sep[0], users + rows)
                     : f == 1 ? parse_id(&p, end, sep[0], items + rows)
                     : f == 2 ? parse_value(&p, end, sep[0], c_locale, ratings + rows)
-                    : f == 3 ? parse_value(&p, end, sep[0], c_locale, stamps + rows) : -1;
+                    : f == 3 ? parse_value(&p, end, sep[0], c_locale, &stamp) : -1;
             if (bad)
                 goto undecided;
             f++;
@@ -286,14 +287,11 @@ int64_t rpr_read_ratings(const char *text, int64_t len, const char *sep, int64_t
         }
         if (p < end && !is_eol(*p))
             goto undecided;
-        if (want == 0)
-            want = f;
-        if (f != want || (f != 3 && f != 4))
+        if (f != 3 && f != 4)
             goto undecided;
         rows++;
     }
     freelocale(c_locale);
-    *fields = want;
     return rows > 0 ? rows : -1;
 undecided:
     freelocale(c_locale);

@@ -45,6 +45,7 @@ from .exceptions import (
 from .io import (
     make_cv_split,
     read_dense_csv,
+    read_labels_file,
     read_mask_csv,
     read_ratings,
     ratings_to_matrix,
@@ -309,7 +310,7 @@ def cmd_convert(args) -> int:
     set_w, set_h = read_constraints(args.constraints)
     cset = set_h if set_h is not None else set_w
     if cset is None:
-        raise RprNmfError(f"no constraints found in {args.constraints}")
+        raise UsageError(f"--constraints {args.constraints}: no constraints in the file")
     if cset.target is not Target.H_COLS:
         cset = ConstraintSet(Target.H_COLS, cset.triples)
     if args.m is not None and args.m < cset.max_index():
@@ -373,20 +374,6 @@ def cmd_crossvalidate(args) -> int:
 
 
 # ---------------------------------------------------- extract-constraints
-
-
-def read_labels_file(path) -> list[int]:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError as exc:
-                raise RprNmfError(f"line {lineno}: labels must be integers") from exc
-    return labels
 
 
 def cmd_extract_constraints(args) -> int:

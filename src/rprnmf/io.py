@@ -9,7 +9,6 @@ first bad line.  Splitters are deterministic functions of their seed.
 
 from __future__ import annotations
 
-import ctypes
 import io
 import json
 import logging
@@ -82,15 +81,30 @@ def zeros_as_missing(m) -> MaskMatrix:
     return MaskMatrix((as_array(m) != 0).astype(float))
 
 
+def read_labels_file(path) -> list[int]:
+    """One integer label per line; blank lines and ``#`` lines are skipped."""
+    labels = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                labels.append(int(line))
+            except ValueError:
+                raise MalformedLineError(lineno, "labels must be integers") from None
+    return labels
+
+
 @dataclass
 class RatingsTable:
     """Sparse ratings with densified contiguous 1-based user/item ids, one per
-    (user, item) pair in ascending order, which :func:`ratings_to_matrix` relies on."""
+    (user, item) pair in ascending order, which :func:`ratings_to_matrix` relies on.
+    A file's timestamps are checked on reading and not kept."""
 
     users: np.ndarray
     items: np.ndarray
     ratings: np.ndarray
-    timestamps: np.ndarray | None
     user_ids: list[int]
     item_ids: list[int]
     duplicates_dropped: int = 0
@@ -107,10 +121,11 @@ class RatingsTable:
 def read_ratings(path, fmt: str = "ml1m") -> RatingsTable:
     """Parse ``user::item::rating[::timestamp]`` lines or the CSV equivalent.
 
-    Blank lines and lines starting with ``#`` are skipped.  Duplicate (user,
-    item) pairs keep the last occurrence; ids are densified to contiguous
-    1-based indices in ascending raw-id order, which drops any user/item that
-    no surviving rating references.
+    A timestamp must read as a number and is then dropped; lines with and
+    without one may mix.  Blank lines and lines starting with ``#`` are
+    skipped.  Duplicate (user, item) pairs keep the last occurrence; ids are
+    densified to contiguous 1-based indices in ascending raw-id order, which
+    drops any user/item that no surviving rating references.
     """
     if fmt not in ("ml1m", "csv"):
         raise InvalidRangeError(f"unknown ratings format {fmt!r}")
@@ -130,31 +145,27 @@ def _ratings_whole(data: bytes, sep: str):
     ``rpr_read_ratings``, or None where the line loop must decide.
 
     This accepts a subset of what :func:`_ratings_by_line` accepts, with the
-    same values: lines empty or with the field count, 3 or 4, of the first
-    data line, fields padded by spaces and tabs, int64 ids and values that
-    ``strtod_l`` reads whole in the C locale, less empty ones, hex and
-    ``nan(...)``: ``float()``'s grammar less underscores.  Timestamps are
-    None when the lines have three fields.
+    same values: lines empty or of 3 or 4 fields, in any mix, fields padded
+    by spaces and tabs, int64 ids and values that ``strtod_l`` reads whole
+    in the C locale, less empty ones, hex and ``nan(...)``: ``float()``'s
+    grammar less underscores.  A timestamp is checked as a value and dropped.
     """
     # one row per line at most; a text with lone \r line ends may have more
     # lines, and is then left to the loop
     cap = data.count(b"\n") + 1
-    users, items = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
-    ratings, stamps = np.empty(cap), np.empty(cap)
-    fields = ctypes.c_int64()
+    users, items, ratings = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64), np.empty(cap)
     rows = _load().rpr_read_ratings(data, len(data), sep.encode(), len(sep), cap, users.ctypes.data,
-                                    items.ctypes.data, ratings.ctypes.data, stamps.ctypes.data,
-                                    ctypes.byref(fields))
+                                    items.ctypes.data, ratings.ctypes.data)
     if rows < 0:
         return None
-    return users[:rows], items[:rows], ratings[:rows], stamps[:rows] if fields.value == 4 else None
+    return users[:rows], items[:rows], ratings[:rows]
 
 
 def _ratings_by_line(text: str, sep: str):
-    """The columns of a ratings text, line by line; raises
-    :class:`MalformedLineError` naming the first bad line.  Timestamps are an
-    object array holding None for each line without one."""
-    rows: list[tuple[int, int, float, float | None]] = []
+    """The user, item and rating columns of a ratings text, line by line;
+    raises :class:`MalformedLineError` naming the first bad line.  A
+    timestamp is checked by ``float()`` and dropped."""
+    rows: list[tuple[int, int, float]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -163,8 +174,9 @@ def _ratings_by_line(text: str, sep: str):
         if len(parts) not in (3, 4):
             raise MalformedLineError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
         try:
-            row = (int(parts[0]), int(parts[1]), float(parts[2]),
-                   float(parts[3]) if len(parts) == 4 else None)
+            row = (int(parts[0]), int(parts[1]), float(parts[2]))
+            if len(parts) == 4:
+                float(parts[3])
             # the scan's id domain; a wider id would make its column float or object
             for i in row[:2]:
                 if not -2**63 <= i < 2**63:
@@ -172,11 +184,10 @@ def _ratings_by_line(text: str, sep: str):
         except ValueError as exc:
             raise MalformedLineError(lineno, str(exc)) from exc
         rows.append(row)
-    # stamps is an object array when some line has no timestamp
-    return tuple(np.array([row[c] for row in rows]) for c in range(4))
+    return tuple(np.array([row[c] for row in rows]) for c in range(3))
 
 
-def _ratings_table(users, items, ratings, stamps) -> RatingsTable:
+def _ratings_table(users, items, ratings) -> RatingsTable:
     user_ids, users = np.unique(users, return_inverse=True)
     item_ids, items = np.unique(items, return_inverse=True)
     key = users * item_ids.size + items
@@ -190,13 +201,7 @@ def _ratings_table(users, items, ratings, stamps) -> RatingsTable:
     dupes = key.size - keep.size
     if dupes:
         log.warning("read_ratings: %d duplicate (user, item) pairs dropped (last wins)", dupes)
-    timestamps = None
-    if stamps is not None and keep.size:
-        stamps = stamps[keep]
-        # only the line loop's object array can hold None
-        if stamps.dtype != object or None not in stamps:
-            timestamps = stamps.astype(float, copy=False)
-    return RatingsTable(users[keep] + 1, items[keep] + 1, ratings[keep], timestamps,
+    return RatingsTable(users[keep] + 1, items[keep] + 1, ratings[keep],
                         user_ids.tolist(), item_ids.tolist(), dupes)
 
 

@@ -20,15 +20,9 @@ from .exceptions import (
     ShapeMismatchError,
     TooFewPointsError,
 )
-from .matrix import (
-    ObservedCells,
-    as_array,
-    as_mask,
-    check_data,
-    check_factors,
-    frobenius_sq_diff,
-    matrix_divergence,
-)
+from .constraints import Measure
+from .matrix import as_array, as_mask, frobenius_sq_diff
+from .solver import _evaluate
 
 
 @dataclass
@@ -51,27 +45,14 @@ class F1Result(NamedTuple):
     undefined: bool
 
 
-def _fit(v, w, h, mask) -> tuple[np.ndarray, np.ndarray]:
-    """``v`` and W @ H: at the observed cells only when masked, else dense.
-
-    ``v`` passes the entry check of ``objective()``, masked cells included.
-    """
-    va, wa, ha = check_data(v), as_array(w), as_array(h)
-    if mask is None:
-        check_factors(va.shape, wa, ha)
-        return va, wa @ ha
-    cells = ObservedCells(va, mask)
-    return cells.v, cells.model(wa, ha)
-
-
 def msl(v, w, h, mask=None) -> float:
     """Mean squared loss: squared residual sum divided by the full N*M."""
-    return frobenius_sq_diff(*_fit(v, w, h, mask)) / as_array(v).size
+    return _evaluate(v, w, h, None, mask, 0.0, 0.0, Measure.EUCLIDEAN) / as_array(v).size
 
 
 def md(v, w, h, mask=None) -> float:
     """Mean divergence: generalised KL residual divided by the full N*M."""
-    return matrix_divergence(*_fit(v, w, h, mask)) / as_array(v).size
+    return _evaluate(v, w, h, None, mask, 0.0, 0.0, Measure.DIVERGENCE) / as_array(v).size
 
 
 def rmse(v, wh, mask) -> float:

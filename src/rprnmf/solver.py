@@ -194,11 +194,16 @@ def objective(v, w, h, sets, config: SolverConfig) -> float:
     ``v`` and ``sets`` are checked as :func:`run` checks them, and ``w`` and
     ``h`` must fit ``v``.
     """
-    va, set_w, set_h, cells = _checked_data(v, sets, config.mask)
+    return _evaluate(v, w, h, sets, config.mask, config.lambda_w, config.lambda_h, config.measure)
+
+
+def _evaluate(v, w, h, sets, mask, lam_w, lam_h, measure) -> float:
+    """:func:`objective` with its settings given one by one; ``msl`` and ``md``
+    are its value at zero coefficients, divided by N*M."""
+    va, set_w, set_h, cells = _checked_data(v, sets, mask)
     wa, ha = as_array(w), as_array(h)
     check_factors(va.shape, wa, ha)
-    return _objective_value(va, wa, ha, set_w, set_h,
-                            config.lambda_w, config.lambda_h, config.measure, cells)[0]
+    return _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells)[0]
 
 
 def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):

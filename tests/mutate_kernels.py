@@ -76,7 +76,8 @@ MUTANTS = [
     ("hex accepted: no x refusal", "memchr(s, 'x', len) || ", ""),
     ("hex accepted: no X refusal", " || memchr(s, 'X', len)", ""),
     ("nan(...) accepted: no ( refusal", "\n        || memchr(s, '(', len))", ")"),
-    ("mixed field counts accepted", "if (f != want || (f != 3 && f != 4))", "if (f != 3 && f != 4)"),
+    ("a line of two fields accepted", "if (f != 3 && f != 4)", "if (f < 2 || f > 4)"),
+    ("the timestamp written over the rating", "c_locale, &stamp)", "c_locale, ratings + rows)"),
 ]
 
 RUNNER = """import sys

@@ -5,8 +5,9 @@
 
 It imports ``rprnmf`` from the ``src/`` of its own checkout.  It runs a fixed
 list of CLI commands (``syn1``, ``syn2``, ``param-sweep``, ``factorize`` with
-and without ``--mask``, ``crossvalidate`` on a CSV and on a ``::`` ratings
-file, and ``convert``) on inputs it writes into a temporary directory, which
+and without ``--mask``, ``crossvalidate`` on a CSV, on a ``::`` ratings
+file and on one that mixes lines with and without a timestamp, and
+``convert``) on inputs it writes into a temporary directory, which
 it runs them in so that every path they name is relative, then a seeded set of ``run()``
 configurations: masked and unmasked, both measures, zero and positive
 coefficients, some with rollbacks.  Two checkouts that print the same digest
@@ -66,6 +67,9 @@ def write_inputs(d: Path) -> None:
     lines += [f"{3 * (N - 1) + 1}::2::4::7", f"1::{5 * (M - 1) + 2}::2::9"]
     rng.shuffle(lines)
     (d / "ratings.dat").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # the same lines, every third one without its timestamp
+    mixed = [line.rsplit("::", 1)[0] if i % 3 == 0 else line for i, line in enumerate(lines)]
+    (d / "mixed.dat").write_text("\n".join(mixed) + "\n", encoding="utf-8")
 
 
 def cli_argv() -> list[list[str]]:
@@ -84,6 +88,8 @@ def cli_argv() -> list[list[str]]:
     ]
     argv.append(["crossvalidate", "--ratings", "ratings.dat", "--folds", "4", "--k", "2",
                  "--seed", "19", "--out", out, *solve])
+    argv.append(["crossvalidate", "--ratings", "mixed.dat", "--folds", "3", "--k", "2",
+                 "--measure", "div", "--seed", "23", "--out", out, *solve])
     for measure in ("euc", "div"):
         fact = ["factorize", "--matrix", "v.csv", "--k", "3", "--measure", measure,
                 "--seed", "11", "--out", out, *solve]

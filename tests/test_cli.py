@@ -484,6 +484,23 @@ class TestUsageErrors:
         self._exit_2_naming(capsys, str(ratings), "crossvalidate", "--ratings", ratings,
                             "--out", tmp_path / "cv.csv")
 
+    def test_constraints_file_without_triples(self, tmp_path, capsys):
+        cfile = tmp_path / "c.txt"
+        cfile.write_text("# no triples\n")
+        out = tmp_path / "w.csv"
+        self._exit_2_naming(capsys, str(cfile), "convert", "--constraints", cfile,
+                            "--to", "weights", "--out", out)
+        assert not out.exists()
+
+    def test_malformed_labels_file(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1\nx\n")
+        out = tmp_path / "c.txt"
+        err = self._exit_2_naming(capsys, "line 2", "extract-constraints", "--labels", labels,
+                                  "--out", out)
+        assert "labels must be integers" in err
+        assert not out.exists()
+
     def test_fold_emptied_by_coverage_repair(self, tmp_path, capsys):
         # each entry is its row's only one, so both move to always-train
         ratings = tmp_path / "r.dat"

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rprnmf import (
     ConstraintSet,
@@ -371,6 +375,28 @@ class TestFileFormat:
         rw, rh = read_constraints(path)
         assert rw.triples == (ConstraintTriple(1, 2, 3),)
         assert rh.triples == (ConstraintTriple(4, 5, 6),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        # both sides, either possibly empty, read back through comments and blank lines
+        triple = st.lists(st.integers(1, 10**9), min_size=3, max_size=3, unique=True)
+        w_triples, h_triples = (data.draw(st.lists(triple, max_size=6)) for _ in range(2))
+        # an empty set is written as no set, and read back as None
+        sets = tuple(cset or None for cset in (ConstraintSet(Target.W_ROWS, w_triples),
+                                               ConstraintSet(Target.H_COLS, h_triples)))
+        noise = st.sampled_from(["", "  ", "\t", "# a comment", "  # W 1 2 3", "#"])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "c.txt")
+            write_constraints(path, *sets)
+            lines = []
+            for line in path.read_text(encoding="utf-8").splitlines():
+                lines += data.draw(st.lists(noise, max_size=2))
+                lines.append(line + data.draw(st.sampled_from(["", " ", "  # trailing"])))
+            lines += data.draw(st.lists(noise, max_size=2))
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            back = read_constraints(path)
+        assert back == sets
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "c.txt"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from rprnmf import DenseMatrix, MaskMatrix, Measure, SolverConfig, run
+from rprnmf import DenseMatrix, FactorisationReport, MaskMatrix, Measure, SolverConfig, run
 from rprnmf.exceptions import (
     DegenerateMaskError,
     InvalidRangeError,
@@ -73,6 +74,18 @@ class TestDenseCsv:
             back = read_dense_csv(path)
             assert np.array_equal(back.a, m.a)
 
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5), elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals and zeros
+        st.floats(1e300, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x])))))
+    def test_round_trip_property(self, a):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.csv")
+            write_dense_csv(path, DenseMatrix(a))
+            back = read_dense_csv(path).a
+        assert back.shape == a.shape and back.tobytes() == a.tobytes()
+
     def test_small_literal(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,4\n")
@@ -137,7 +150,6 @@ class TestRatings:
         path.write_text("1,10,5\n2,10,3\n")
         table = read_ratings(path, "csv")
         assert table.n_users == 2
-        assert table.timestamps is None
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "r.dat"
@@ -173,11 +185,9 @@ def by_line(text, sep):
 
 
 def assert_same_table(a, b):
-    for name in ("users", "items", "ratings", "timestamps"):
+    for name in ("users", "items", "ratings"):
         x, y = getattr(a, name), getattr(b, name)
-        assert (x is None) == (y is None), name
-        if x is not None:
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
     assert (a.user_ids, a.item_ids, a.duplicates_dropped) == (b.user_ids, b.item_ids,
                                                               b.duplicates_dropped)
 
@@ -198,12 +208,11 @@ _BAD = st.sampled_from(["1.0", "1e3", "1_0", "", "x", "99999999999999999999", "9
 @st.composite
 def ratings_texts(draw):
     """A ratings text, its separator and whether it is clean.  A clean text
-    has only well-formed data lines of one field count and empty lines; the
-    others may also have blank, ``#`` and mis-sized lines and malformed
-    fields."""
+    has only empty lines and well-formed data lines of 3 or 4 fields, in any
+    mix; the others may also have blank, ``#`` and mis-sized lines and
+    malformed fields."""
     sep = draw(st.sampled_from(["::", ","]))
     clean = draw(st.booleans())
-    width = draw(st.sampled_from([3, 4]))
     ids = _GOOD_IDS if clean else st.one_of(_GOOD_IDS, _BAD)
     values = _GOOD_VALUES if clean else st.one_of(_GOOD_VALUES, _BAD)
     kinds = ["data"] * 4 + ["empty"] + ([] if clean else ["blank", "comment", "width"])
@@ -211,7 +220,7 @@ def ratings_texts(draw):
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(kinds))
         if kind in ("data", "width"):
-            n = width if kind == "data" else draw(st.sampled_from([2, 7 - width, 5]))
+            n = draw(st.sampled_from([3, 4] if kind == "data" else [2, 5]))
             tokens = [draw(ids), draw(ids)] + [draw(values) for _ in range(n - 2)]
             lines.append(sep.join(draw(_PAD) + t + draw(_PAD) for t in tokens))
         else:
@@ -256,7 +265,6 @@ class TestRatingsWholeFile:
         table = read_ratings(path, "ml1m")
         assert_same_table(table, by_line(text.replace("\r\n", "\n"), "::"))
         assert table.duplicates_dropped == 1 and table.ratings.tolist() == [1.0, 2.0, 5.0]
-        assert table.timestamps.tolist() == [14.0, 12.0, 13.0]
 
     @pytest.mark.parametrize("text, sep, decided", [
         ("9223372036854775807::-9223372036854775808::999999999999999::9007199254740993\n"
@@ -274,12 +282,15 @@ class TestRatingsWholeFile:
         ("1::2::3::\n", "::", False),
         ("1::2::\v5\n3::4::\f-1.5\n5::6::INFINITY\n", "::", True),  # strtod skips \v and \f
         ("1::2::1_000\n", "::", False),  # float() reads it, strtod does not
-        ("1::2::3\n1::3::4::5\n", "::", False),
+        ("1::2::3\n1::3::4::5\n", "::", True),
+        ("1::2::3::x\n", "::", False),  # a timestamp is checked, though not kept
+        ("1::2::3::4.5\n", "::", True),
         ("1,2,3\r4,5,6\r", ",", False),  # more lines than \n bytes
     ], ids=["digit-limits", "csv-digit-limits", "id-above-int64", "id-below-int64",
             "text-after-last-field", "half-separator", "nan-payload", "hex", "hex-upper",
             "nan-empty-payload", "empty-rating", "empty-timestamp", "leading-vt-ff-infinity",
-            "underscore", "mixed-field-counts", "lone-cr"])
+            "underscore", "mixed-field-counts", "non-numeric-timestamp", "fractional-timestamp",
+            "lone-cr"])
     def test_decided_or_left_to_the_loop(self, tmp_path, text, sep, decided):
         assert (rio._ratings_whole(text.encode(), sep) is not None) == decided
         path = tmp_path / "r.dat"
@@ -403,6 +414,40 @@ class TestReport:
         assert doc["final_objective"] == report.final_objective
         assert doc["config"]["k"] == 2
         assert doc["config"]["measure"] == "euc"
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_property(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        at_least_0 = st.floats(0.0, 1e300)
+        trace = data.draw(st.lists(finite, min_size=1, max_size=6))
+        report = FactorisationReport(
+            w=DenseMatrix(np.ones((2, 1))), h=DenseMatrix(np.ones((1, 2))),
+            iterations=len(trace) - 1, final_objective=trace[-1], objective_trace=trace,
+            csr=data.draw(st.none() | st.floats(0.0, 1.0)),
+            rollback_iters=data.draw(st.lists(st.integers(1, 10**6), max_size=3)),
+            wall_time_s=data.draw(at_least_0))
+        config = data.draw(st.none() | st.builds(
+            SolverConfig, k=st.integers(1, 10**6), measure=st.sampled_from(Measure),
+            lambda_w=at_least_0, lambda_h=at_least_0, max_iters=st.integers(1, 10**6),
+            rel_tol=at_least_0, seed=st.integers(0, 2**63),
+            mask=st.sampled_from([None, MaskMatrix(np.ones((2, 2)))])))
+        metrics = data.draw(st.dictionaries(st.sampled_from(["msl", "md", "csr", "rmse", "f1"]),
+                                            st.none() | finite))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "r.json")
+            write_report(path, report, config, metrics)
+            doc = read_report(path)
+        echo = None if config is None else {
+            "k": config.k, "measure": config.measure.value, "lambda_w": config.lambda_w,
+            "lambda_h": config.lambda_h, "max_iters": config.max_iters, "rel_tol": config.rel_tol,
+            "seed": config.seed, "masked": config.mask is not None}
+        assert doc == {
+            "schema": REPORT_SCHEMA, "config": echo, "seed": None if config is None else config.seed,
+            "iterations": report.iterations, "final_objective": report.final_objective,
+            "objective_trace": report.objective_trace, "rollback_iters": report.rollback_iters,
+            "wall_time_s": report.wall_time_s, "msl": metrics.get("msl"), "md": metrics.get("md"),
+            "csr": metrics.get("csr", report.csr), "rmse": metrics.get("rmse"), "f1": metrics.get("f1")}
 
     def test_absent_metrics_serialised_null(self, tmp_path):
         report, cfg = self._report()
