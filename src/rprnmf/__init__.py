@@ -38,10 +38,11 @@ from .metrics import (
     nmi,
     rmse,
 )
-from .penalties import div_penalty_value, euc_penalty_value
 from .solver import (
     FactorisationReport,
     SolverConfig,
+    div_penalty_value,
+    euc_penalty_value,
     masked_update_terms,
     objective,
     run,

@@ -40,6 +40,7 @@ from .exceptions import (
     NonNumericCsvError,
     RaggedCsvError,
     RprNmfError,
+    ShapeMismatchError,
     TooFewPointsError,
 )
 from .io import (
@@ -162,7 +163,10 @@ def _chain_plan(n_triples: int, per_chain: int = 5) -> list[int]:
 
 def cmd_factorize(args) -> int:
     v = read_dense_csv(args.matrix)
-    mask = read_mask_csv(args.mask) if args.mask else None
+    try:
+        mask = read_mask_csv(args.mask) if args.mask else None
+    except ShapeMismatchError as exc:  # an entry other than 0 or 1
+        raise UsageError(f"--mask {args.mask}: {exc}") from None
     if mask is not None and mask.shape != v.a.shape:
         raise UsageError(f"--mask {args.mask} has shape {mask.shape}, "
                          f"--matrix {args.matrix} has shape {v.a.shape}")
@@ -343,8 +347,9 @@ def _cv_task(task: dict) -> dict:
 
 def cmd_crossvalidate(args) -> int:
     table = read_ratings(args.ratings, args.format)
-    if not table.ratings.size:
-        raise UsageError(f"--ratings {args.ratings}: no ratings in the file")
+    if table.ratings.size < args.folds:
+        raise UsageError(f"--folds {args.folds} is more than the {table.ratings.size} "
+                         f"distinct ratings in --ratings {args.ratings}")
     v, observed = ratings_to_matrix(table)
     set_w, set_h = read_constraints(args.constraints) if args.constraints else (None, None)
     split = make_cv_split(observed, args.folds, args.seed)

@@ -79,18 +79,17 @@ class ConstraintSet:
                 kept.append(t)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "triples", tuple(kept))
-        # 0-based (q, r, s) rows; not a field, so equality and hash ignore it
-        idx = np.array([(t.q, t.r, t.s) for t in kept], dtype=int).reshape(-1, 3) - 1
+        # 0-based q, r and s rows; not a field, so equality and hash ignore it
+        idx = np.array([(t.q, t.r, t.s) for t in kept], dtype=np.int64).reshape(-1, 3).T.copy() - 1
         idx.flags.writeable = False
         object.__setattr__(self, "_idx", idx)
 
     def __len__(self) -> int:
         return len(self.triples)
 
-    def index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """0-based (q, r, s) index vectors (read-only)."""
-        q, r, s = self._idx.T
-        return q, r, s
+    def index_arrays(self) -> np.ndarray:
+        """0-based q, r and s rows of one read-only, C-contiguous int64 3 x n array."""
+        return self._idx
 
     def max_index(self) -> int:
         return int(self._idx.max()) + 1 if len(self) else 0
@@ -108,28 +107,33 @@ def constrained_vectors(target: Target, m) -> np.ndarray:
 
 
 def _pair_distances(vectors: np.ndarray, i: np.ndarray, j: np.ndarray, measure: Measure) -> np.ndarray:
-    """dis(vectors[i], vectors[j]) row by row: the package's one distance.
+    """dis(vectors[i], vectors[j]), ``i`` broadcast over ``j``: the package's one distance.
 
     Squared Euclidean, or the symmetric divergence 0.5*sum((x-y)*log(x/y))
-    with entries clamped at EPS.
+    with entries clamped at EPS, worked out in place in the fresh gathers.
     """
     a, b = vectors[i], vectors[j]
     if measure is Measure.EUCLIDEAN:
-        d = a - b
-        return np.sum(d * d, axis=1)
+        b -= a
+        b *= b
+        return np.sum(b, axis=-1)
     if measure is not Measure.DIVERGENCE:
         raise InvalidConfigError(f"measure must be a Measure, got {measure!r}")
-    ac = np.maximum(a, EPS)
-    bc = np.maximum(b, EPS)
-    return 0.5 * np.sum((ac - bc) * np.log(ac / bc), axis=1)
+    np.maximum(a, EPS, out=a)
+    np.maximum(b, EPS, out=b)
+    log_ratio = np.divide(a, b)
+    np.log(log_ratio, out=log_ratio)
+    np.subtract(a, b, out=b)
+    b *= log_ratio
+    return 0.5 * np.sum(b, axis=-1)
 
 
-def triple_distances(cset: ConstraintSet, m, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """Per triple of ``cset``: d1 = dis(q, r) and d2 = dis(q, s) in ``m``."""
+def triple_distances(cset: ConstraintSet, m, measure: Measure) -> np.ndarray:
+    """Per triple of ``cset`` in ``m``, one 2 x n array: d1 = dis(q, r), d2 = dis(q, s)."""
     vectors = constrained_vectors(cset.target, m)
     cset.check_bounds(vectors.shape[0])
-    q, r, s = cset.index_arrays()
-    return _pair_distances(vectors, q, r, measure), _pair_distances(vectors, q, s, measure)
+    idx = cset.index_arrays()
+    return _pair_distances(vectors, idx[0], idx[1:], measure)
 
 
 def satisfaction_flags(cset: ConstraintSet, m, measure: Measure) -> np.ndarray:
@@ -168,11 +172,11 @@ def _increasing_ordering(dist: np.ndarray) -> tuple[list[int] | None, float]:
     widest margins the sample permits.  Deterministic; (None, -inf) when no
     ordering exists.
     """
-    n = dist.shape[0]
+    dist = dist.tolist()  # the same doubles as Python floats, read faster
+    n = len(dist)
     path = [0] * n
     used = [False] * n
-    best: list[int] | None = None
-    best_gap = -np.inf
+    best, best_gap = None, -np.inf
 
     def extend(depth: int, last_d: float, min_gap: float) -> None:
         nonlocal best, best_gap
@@ -181,30 +185,25 @@ def _increasing_ordering(dist: np.ndarray) -> tuple[list[int] | None, float]:
                 best_gap = min_gap
                 best = list(path)
             return
-        prev = path[depth - 1]
+        row = dist[path[depth - 1]]
         for cand in range(n):
             if used[cand]:
                 continue
-            d = dist[prev, cand]
-            gap = d - last_d
-            if gap <= 0 or min(min_gap, gap) <= best_gap:
+            d = row[cand]
+            # min_gap > 0, so the smallest gap is <= 0 only when this one is
+            gap = min(min_gap, d - last_d)
+            if gap <= 0 or gap <= best_gap:
                 continue
             path[depth] = cand
             used[cand] = True
-            extend(depth + 1, d, min(min_gap, gap))
+            extend(depth + 1, d, gap)
             used[cand] = False
 
-    # the first hop has no predecessor distance, so its gap is unbounded
+    # a path starts at last distance -inf, so its first hop's gap is +inf
     for first in range(n):
         path[0] = first
         used[first] = True
-        for second in range(n):
-            if used[second]:
-                continue
-            path[1] = second
-            used[second] = True
-            extend(2, dist[first, second], np.inf)
-            used[second] = False
+        extend(1, -np.inf, np.inf)
         used[first] = False
     return best, best_gap
 

@@ -12,10 +12,11 @@ just changed.  The constrained entries are therefore walked one at a time,
 by ``rpr_sweep`` in the compiled kernel library (``_sweep.c``, built and
 loaded by :mod:`rprnmf._kernels`).  It reads flat link tables built once per
 run and applies each link's rule per role (q, r, s), as the reference
-oracles in ``tests/oracles.py`` state them.  Unconstrained entries stay a
-numpy step.  A masked run computes W @ H at its observed cells with the same
-library's ``rpr_model``, so it needs the library even with zero coefficients.
-Its update terms are ``scipy.sparse`` products over the cells' int32 layout,
+oracles in ``tests/oracles.py`` state them; its q, r, s table is the set's
+own 3 x n index array.  Unconstrained entries stay a numpy step.  A masked
+run computes W @ H at its observed cells with the same library's
+``rpr_model``, so it needs the library even with zero coefficients.  Its
+update terms are ``scipy.sparse`` products over the cells' int32 layout,
 which scipy takes without a copy; the W side shares one C-contiguous H.T
 between its two products.
 
@@ -56,12 +57,6 @@ from .matrix import (
     frobenius_sq_diff,
     matrix_divergence,
 )
-from .penalties import MAX_EXP, penalty_value
-
-# perfbench/tracing.py looks the penalty layer up under these names here; the
-# objective takes its penalties from the distances it computes itself, so
-# run() makes no calls through them
-from .penalties import div_penalty_value, euc_penalty_value  # noqa: F401
 
 # Objective comparisons tolerate this much relative float noise before a
 # divergence-mode iteration is treated as an increase and rolled back.
@@ -69,6 +64,9 @@ ACCEPT_REL_SLACK = 1e-12
 
 # run() draws the starting W, then H, uniformly on [INIT_LOW, INIT_HIGH) from the seed
 INIT_LOW, INIT_HIGH = 0.01, 1.0
+
+# largest d1 whose exp() the Euclidean penalty and sweep take
+MAX_EXP = 700.0
 
 
 @dataclass
@@ -210,7 +208,7 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
     """Objective at (W, H), and what the next iteration reuses of it.
 
     That is (wh, dist_w, dist_h): W @ H, at the observed cells when masked,
-    and each penalised side's triple distances (d1, d2), None for a side
+    and each penalised side's 2 x n ``triple_distances``, None for a side
     without a set or with a zero coefficient.
     """
     if cells is None:
@@ -224,11 +222,33 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
     dist_w = dist_h = None
     if set_w is not None and lam_w > 0:
         dist_w = triple_distances(set_w, wa, measure)
-        total += lam_w * penalty_value(*dist_w, measure)
+        total += lam_w * penalty_value(dist_w, measure)
     if set_h is not None and lam_h > 0:
         dist_h = triple_distances(set_h, ha, measure)
-        total += lam_h * penalty_value(*dist_h, measure)
+        total += lam_h * penalty_value(dist_h, measure)
     return float(total), (wh, dist_w, dist_h)
+
+
+def penalty_value(dist: np.ndarray, measure: Measure) -> float:
+    """Sum over the triples of ``dist = triple_distances(...)`` of exp(d1) + exp(-d2)
+    (Euclidean), or of the hinge max(0, d1 - d2) (divergence)."""
+    d1, d2 = dist
+    if measure is Measure.EUCLIDEAN:
+        top = float(np.max(d1, initial=0.0))
+        if top > MAX_EXP:
+            raise PenaltyOverflowError(top)
+        return float(np.sum(np.exp(d1) + np.exp(-d2)))
+    return float(np.sum(np.maximum(0.0, d1 - d2)))
+
+
+def euc_penalty_value(factor, cset: ConstraintSet) -> float:
+    """Sum over triples of exp(E(q,r)) + exp(-E(q,s))."""
+    return penalty_value(triple_distances(cset, factor, Measure.EUCLIDEAN), Measure.EUCLIDEAN)
+
+
+def div_penalty_value(factor, cset: ConstraintSet) -> float:
+    """Sum over triples of the hinge max(0, SD(q,r) - SD(q,s))."""
+    return penalty_value(triple_distances(cset, factor, Measure.DIVERGENCE), Measure.DIVERGENCE)
 
 
 class _PreparedSet:
@@ -236,9 +256,9 @@ class _PreparedSet:
 
     ``touched`` lists the vectors some triple names, ascending; ``first``
     cuts ``tri``/``role`` into each one's links, in triple order, where role
-    0/1/2 means the vector is its triple's q/r/s.  ``qrs`` is 3 x n: the q,
-    r and s of each triple.  ``args`` are these tables as the compiled sweep
-    takes them.
+    0/1/2 means the vector is its triple's q/r/s.  ``qrs`` is the set's own
+    3 x n table of each triple's q, r and s.  ``args`` are these tables as
+    the compiled sweep takes them.
     """
 
     __slots__ = ("touched", "n", "qrs", "first", "tri", "role", "args")
@@ -246,12 +266,11 @@ class _PreparedSet:
     def __init__(self, cset: ConstraintSet, dim: int):
         cset.check_bounds(dim)
         n = self.n = len(cset)
-        self.qrs = np.vstack(cset.index_arrays()).astype(np.int64)
-        # one link per (vector, triple, role), ordered by vector, then triple
+        self.qrs = cset.index_arrays()
+        # one link per entry role * n + triple of qrs, by vector, then triple
         vec = self.qrs.ravel()
-        order = np.lexsort((np.tile(np.arange(n), 3), vec))
-        self.tri = np.tile(np.arange(n, dtype=np.int64), 3)[order]
-        self.role = np.repeat(np.arange(3, dtype=np.int64), n)[order]
+        order = np.argsort(vec * n + np.tile(np.arange(n), 3))
+        self.tri, self.role = order % n, order // n
         self.touched, counts = np.unique(vec, return_counts=True)
         self.first = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.args = (self.touched.size, self.touched.ctypes.data, self.first.ctypes.data,
@@ -278,17 +297,17 @@ def _strides(a: np.ndarray) -> tuple[int, int]:
 
 def _sweep(fac: np.ndarray, num: np.ndarray, den: np.ndarray,
            prep: _PreparedSet | None, lam: float, measure: Measure,
-           dist: tuple[np.ndarray, np.ndarray] | None) -> None:
+           dist: np.ndarray | None) -> None:
     """One full in-place sweep of ``fac`` (vectors x latent orientation, float64).
 
     ``num``/``den`` are the sweep-start data-fit terms in the same
     orientation; any strides do, zero strides included.  ``dist`` is the
-    pair (d1, d2) of ``triple_distances`` of the sweep-start factor, read
-    only when the side is penalised.  Untouched vectors take the plain
-    multiplicative step in one numpy step.  The touched ones are then walked
-    by the compiled ``rpr_sweep``, latent column by latent column, with a
-    copy of the pair distances d1 = dis(q, r) and d2 = dis(q, s) kept up to
-    date, so penalties always see the freshest values.
+    2 x n ``triple_distances`` of the sweep-start factor, rows d1 = dis(q, r)
+    and d2 = dis(q, s), read only when the side is penalised.  Untouched
+    vectors take the plain multiplicative step in one numpy step.  The
+    touched ones are then walked by the compiled ``rpr_sweep``, latent column
+    by latent column, with a flat copy of ``dist`` kept up to date, so
+    penalties always see the freshest values.
     """
     if prep is None or lam == 0.0:
         fac *= num / np.maximum(den, EPS)

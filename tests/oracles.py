@@ -5,16 +5,19 @@ speed: the two vector distances, the two penalty gradients, the
 triple-satisfaction test, the sequential entry rule of one constrained
 sweep, classic (lambda = 0) multiplicative NMF with an optional mask, the
 two data fits as plain array expressions, the two-reduction entry check of
-the data, the CSR layout of observed cells and W @ H at those cells.
+the data, the CSR layout of observed cells, W @ H at those cells and the
+widest-margin ordering of a chain.
 The package itself applies each rule in one place only: the distances in
 ``constraints._pair_distances``, the entry rules in ``solver._sweep``, the
 fits in ``matrix.frobenius_sq_diff`` and ``matrix.matrix_divergence``, the
 entry check in ``matrix.check_data``, the layout and the model in
-``matrix.ObservedCells``.
+``matrix.ObservedCells``, and the ordering in
+``constraints._increasing_ordering``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -35,7 +38,7 @@ from rprnmf.exceptions import (
     PenaltyOverflowError,
 )
 from rprnmf.matrix import EPS
-from rprnmf.penalties import MAX_EXP
+from rprnmf.solver import MAX_EXP
 
 
 def euclidean_sq(x, y) -> float:
@@ -263,3 +266,17 @@ def ordered_model(w, h, bits) -> np.ndarray:
             acc += float(w[i, l]) * float(h[l, j])
         out.append(acc)
     return np.array(out)
+
+
+def widest_increasing_ordering(dist) -> tuple[list[int] | None, float]:
+    """Every ordering of the points, in lexicographic order: the first whose
+    consecutive distances strictly increase with the widest smallest gap
+    between them, and that gap; (None, -inf) when none does.  A path's first
+    hop has no predecessor, so it counts as a gap of +inf."""
+    best, best_gap = None, -math.inf
+    for path in itertools.permutations(range(len(dist))):
+        hops = [dist[a, b] for a, b in zip(path, path[1:])]
+        gap = min([math.inf] + [d - c for c, d in zip(hops, hops[1:])])
+        if gap > 0 and gap > best_gap:
+            best, best_gap = list(path), gap
+    return best, best_gap

@@ -10,7 +10,8 @@ file and on one that mixes lines with and without a timestamp, and
 ``convert``) on inputs it writes into a temporary directory, which
 it runs them in so that every path they name is relative, then a seeded set of ``run()``
 configurations: masked and unmasked, both measures, zero and positive
-coefficients, some with rollbacks.  Two checkouts that print the same digest
+coefficients, some with rollbacks, and 24 triples on each of 8 W rows and
+8 H columns in both measures.  Two checkouts that print the same digest
 wrote byte-identical outputs on all of them.  Each output is hashed with its
 wall times taken out: the ``wall_time_s`` column and report key, and
 ``factorize``'s ``wall_time_s=`` line.  Pytest does not collect this file.
@@ -152,12 +153,26 @@ def run_outputs():
                 ConstraintSet(Target.H_COLS, [tuple(rng.choice(m, 3, replace=False) + 1) for _ in range(5)]))
         config = SolverConfig(k=k, measure=measure, lambda_w=lam_w, lambda_h=lam_h, max_iters=60,
                               rel_tol=0.0 if case % 3 else 1e-5, seed=case, mask=mask)
-        report = run(v, sets if case % 8 else (None, None), config)
-        fit = (msl if measure is Measure.EUCLIDEAN else md)(v, report.w, report.h, config.mask)
-        blob = b"".join([report.w.a.tobytes(), report.h.a.tobytes(),
-                         repr((report.objective_trace, report.rollback_iters, report.csr,
-                               report.final_objective, report.iterations, fit)).encode()])
-        yield f"run case {case}", blob
+        yield f"run case {case}", run_blob(v, sets if case % 8 else (None, None), config)
+    # 24 triples on 8 W rows and on 8 H columns, out of vector order: every
+    # vector plays several roles, which pins the order of the sweep's links
+    rng = np.random.default_rng(21)
+    v = rng.uniform(0.0, 1.0, (8, 3)) @ rng.uniform(0.0, 1.0, (3, 8)) + rng.uniform(0.0, 0.1, (8, 8))
+    sets = tuple(ConstraintSet(target, [tuple(rng.choice(8, 3, replace=False) + 1) for _ in range(24)])
+                 for target in (Target.W_ROWS, Target.H_COLS))
+    for measure in Measure:
+        config = SolverConfig(k=3, measure=measure, lambda_w=0.3, lambda_h=0.6, max_iters=60,
+                              rel_tol=0.0, seed=5)
+        yield f"run dense triples {measure.value}", run_blob(v, sets, config)
+
+
+def run_blob(v, sets, config: SolverConfig) -> bytes:
+    """A ``run()`` report's factors, trace, rollbacks, CSR and msl or md, as bytes."""
+    report = run(v, sets, config)
+    fit = (msl if config.measure is Measure.EUCLIDEAN else md)(v, report.w, report.h, config.mask)
+    return b"".join([report.w.a.tobytes(), report.h.a.tobytes(),
+                     repr((report.objective_trace, report.rollback_iters, report.csr,
+                           report.final_objective, report.iterations, fit)).encode()])
 
 
 def main_parity(verbose: bool) -> str:

@@ -561,6 +561,23 @@ class TestUsageErrors:
         err = self._exit_2_naming(capsys, "--mask", "factorize", "--matrix", matrix, "--mask", mask)
         assert str(matrix) in err and str(mask) in err
 
+    def test_mask_entry_not_0_or_1(self, tmp_path, capsys):
+        matrix, mask = tmp_path / "v.csv", tmp_path / "m.csv"
+        write_dense_csv(matrix, DenseMatrix(np.ones((2, 2))))
+        write_dense_csv(mask, DenseMatrix(np.array([[1.0, 0.5], [1.0, 1.0]])))
+        err = self._exit_2_naming(capsys, "--mask", "factorize", "--matrix", matrix, "--mask", mask)
+        assert str(mask) in err and "0 or 1" in err
+
+    def test_folds_above_ratings_count(self, tmp_path, capsys):
+        # a duplicate pair counts once
+        ratings = tmp_path / "r.dat"
+        ratings.write_text("1::2::3\n2::3::4\n1::3::5\n1::2::4\n")
+        out = tmp_path / "cv.csv"
+        err = self._exit_2_naming(capsys, "--folds", "crossvalidate", "--ratings", ratings,
+                                  "--folds", 4, "--out", out)
+        assert str(ratings) in err and "3 distinct ratings" in err
+        assert not out.exists()
+
     def test_help_and_version_exit_0(self, capsys):
         assert run_cli("--help") == 0
         assert run_cli("--version") == 0

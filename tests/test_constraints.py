@@ -22,7 +22,12 @@ from rprnmf import (
     write_constraints,
 )
 from rprnmf import constraints
-from rprnmf.constraints import InvalidTripleError, satisfaction_flags, triple_distances
+from rprnmf.constraints import (
+    InvalidTripleError,
+    constrained_vectors,
+    satisfaction_flags,
+    triple_distances,
+)
 from rprnmf.exceptions import (
     CycleDetectedError,
     IndexOutOfRangeError,
@@ -33,7 +38,7 @@ from rprnmf.exceptions import (
     NoConstraintsError,
 )
 
-from oracles import euclidean_sq, is_satisfied, symmetric_divergence
+from oracles import euclidean_sq, is_satisfied, symmetric_divergence, widest_increasing_ordering
 
 
 def kl(x, y):
@@ -96,6 +101,46 @@ class TestDistances:
                      lambda: generate_chain_plan(m, Target.W_ROWS, [2], "div", seed=0)):
             with pytest.raises(InvalidConfigError, match="must be a Measure"):
                 call()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_triple_distances_is_one_stacked_call(self, data):
+        # overlapping triples on few vectors, and zero entries for the EPS clamp
+        n_vec, k = data.draw(st.integers(3, 8)), data.draw(st.integers(1, 20))
+        target, measure = data.draw(st.sampled_from(Target)), data.draw(st.sampled_from(Measure))
+        triple = st.lists(st.integers(1, n_vec), min_size=3, max_size=3, unique=True)
+        cset = ConstraintSet(target, data.draw(st.lists(triple, max_size=16)))
+        entry = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+        m = np.array(data.draw(st.lists(entry, min_size=n_vec * k, max_size=n_vec * k)))
+        m = m.reshape((n_vec, k) if target is Target.W_ROWS else (k, n_vec))
+        before = m.tobytes()
+        got = triple_distances(cset, m, measure)
+        assert m.tobytes() == before
+        assert got.dtype == np.float64 and got.shape == (2, len(cset)) and got.flags.c_contiguous
+        idx = cset.index_arrays()
+        assert idx.dtype == np.int64 and idx.shape == (3, len(cset))
+        assert idx.flags.c_contiguous and not idx.flags.writeable
+        q, r, s = idx
+        vectors = constrained_vectors(target, m)
+        want = np.stack([constraints._pair_distances(vectors, q, r, measure),
+                         constraints._pair_distances(vectors, q, s, measure)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_factor_bytes_unchanged(self):
+        # the in-place work of the distance stays inside its own gathers
+        rng = np.random.default_rng(13)
+        w, h = rng.uniform(0, 1, (30, 4)), rng.uniform(0, 1, (4, 30))
+        w[::3, 1] = h[2, ::4] = 0.0
+        before = w.tobytes(), h.tobytes()
+        set_w = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (2, 3, 1), (4, 2, 9)])
+        set_h = ConstraintSet(Target.H_COLS, [(5, 6, 7), (7, 5, 6)])
+        for measure in Measure:
+            triple_distances(set_w, w, measure)
+            triple_distances(set_h, h, measure)
+            csr(set_w, w, set_h, h, measure)
+            generate_chain_plan(w, Target.W_ROWS, [3, 4], measure, seed=1)
+            generate_chain_plan(h, Target.H_COLS, [5], measure, seed=2)
+            assert (w.tobytes(), h.tobytes()) == before
 
 
 class TestTriples:
@@ -257,6 +302,18 @@ class TestChainGeneration:
         for measure in Measure:
             s = generate_chain_constraints(gt, Target.H_COLS, 6, 8, measure, seed=4)
             assert csr(None, None, s, gt, measure) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_ordering_search_matches_brute_force(self, data):
+        # integer-valued distances make ties in both the hops and the gaps
+        n = data.draw(st.integers(2, 7))
+        value = st.integers(0, 4).map(float) if data.draw(st.booleans()) else st.floats(0.0, 10.0)
+        iu, ju = np.triu_indices(n, 1)
+        dist = np.zeros((n, n))
+        dist[iu, ju] = dist[ju, iu] = data.draw(st.lists(value, min_size=iu.size,
+                                                         max_size=iu.size))
+        assert constraints._increasing_ordering(dist) == widest_increasing_ordering(dist)
 
 
 class TestWeightConversion:

@@ -335,9 +335,11 @@ class TestOrderedSweep:
         rng = np.random.default_rng(12)
         dim = 200
         triples = [tuple(rng.choice(dim, 3, replace=False) + 1) for _ in range(300)]
-        prep = _PreparedSet(ConstraintSet(Target.W_ROWS, triples), dim)
+        cset = ConstraintSet(Target.W_ROWS, triples)
+        prep = _PreparedSet(cset, dim)
         want = np.array(triples).T - 1
         assert np.array_equal(prep.qrs, want)
+        assert prep.qrs is cset.index_arrays()  # the kernel reads the set's own table
         assert prep.touched.tolist() == sorted({x - 1 for t in triples for x in t})
         assert prep.first[0] == 0 and prep.first[-1] == 3 * len(triples)
         seen = []
@@ -610,7 +612,7 @@ class TestRun:
     def test_each_state_evaluated_once(self, monkeypatch, measure, rollback):
         # every sweep starts from its own factor's distances, bit for bit, and
         # the W-side terms from that state's W @ H; only the objective forms
-        # distances, two pairs per penalised side
+        # distances, one call per penalised side
         real_sweep, real_terms = solver._sweep, solver.masked_update_terms
         real_objective, real_pairs = solver._objective_value, constraints._pair_distances
         calls = {"pairs": 0, "pairs_in_sweep": 0, "objective": 0, "checked": 0}
@@ -658,8 +660,8 @@ class TestRun:
         assert (2 in rep.rollback_iters) == rollback
         assert calls["objective"] == rep.iterations + 1
         assert calls["checked"] == 2 * rep.iterations
-        # two pairs per penalised side per objective, then two per set for the CSR
-        assert calls["pairs"] == 4 * calls["objective"] + 4
+        # one call per penalised side per objective, then one per set for the CSR
+        assert calls["pairs"] == 2 * calls["objective"] + 2
         assert calls["pairs_in_sweep"] == 0
 
     def test_nan_objective_rolled_back(self, monkeypatch):
