@@ -2,16 +2,20 @@
 
 The library holds ``rpr_sweep``, the constrained walk of a sweep
 (:func:`rprnmf.solver._sweep`), ``rpr_model``, W @ H at the observed
-cells (:meth:`rprnmf.matrix.ObservedCells.model`), and ``rpr_read_ratings``,
+cells (:meth:`rprnmf.matrix.ObservedCells.model`), ``rpr_ordering``, the
+widest increasing ordering of a chain's points
+(:func:`rprnmf.constraints._increasing_ordering`), and ``rpr_read_ratings``,
 the whole-file ratings scan (:func:`rprnmf.io.read_ratings`).  ``rpr_model``
 reads the cells' int64 row pointer and int32 columns and walks a row's cells
 four at a time, one accumulator per cell, so each sum is bit for bit the
-one-cell loop's.  ``rpr_read_ratings`` returns -1 for any text it does not
-take whole, which the line loop then reads.  The three modules import this
-one, and the library is built and loaded once per process, so the first
-ratings read builds it too.  ``tests/mutate_kernels.py`` checks that the
-sweep, model and ratings tests fail on each of a list of mutants of the
-source.
+one-cell loop's.  ``rpr_ordering`` visits, prunes and breaks ties as the
+Python search in ``tests/oracles.py``, so it returns the same path and gap.
+``rpr_read_ratings`` returns -1 for any text it does not take whole, which
+the line loop then reads.  The four modules import this one, and the
+library is built and loaded once per process, so the first chain
+generation or ratings read builds it too.  ``tests/mutate_kernels.py``
+checks that the sweep, model, chain and ratings tests fail on each of a
+list of mutants of the source.
 """
 
 from __future__ import annotations
@@ -93,6 +97,8 @@ def _load() -> ctypes.CDLL:
     lib.rpr_sweep.restype = ctypes.c_int
     lib.rpr_model.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr]
     lib.rpr_model.restype = None
+    lib.rpr_ordering.argtypes = [ptr, i64, ptr]
+    lib.rpr_ordering.restype = f64
     lib.rpr_read_ratings.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p, i64, i64] + [ptr] * 3
     lib.rpr_read_ratings.restype = i64
     _compiled = lib

@@ -17,6 +17,12 @@
  *
  * rpr_model is W @ H at the observed cells (rprnmf.matrix.ObservedCells.model).
  *
+ * rpr_ordering is the widest increasing ordering of a chain's points
+ * (rprnmf.constraints._increasing_ordering), an exhaustive search that
+ * visits, prunes and breaks ties as the Python recursion
+ * pruned_increasing_ordering in tests/oracles.py does, so both return the
+ * same path and gap.
+ *
  * rpr_read_ratings parses a ratings file's bytes whole, in one pass
  * (rprnmf.io._ratings_whole).  It accepts a strict subset of what the line
  * loop rprnmf.io._ratings_by_line accepts, with the same values bit for
@@ -156,6 +162,62 @@ void rpr_model(const double *w, const double *ht, int64_t k, int64_t nrows,
             out[c] = acc;
         }
     }
+}
+
+/* The search state of rpr_ordering: the n x n distances, the path being
+ * built with its used points, and the best path so far with its gap. */
+struct ordering {
+    const double *dist;
+    int64_t n, *best, *path, *used;
+    double best_gap;
+};
+
+/* Extends path[0 .. depth - 1], whose last hop has distance last_d and whose
+ * consecutive distances rise by at least min_gap > best_gap, by every unused
+ * point in ascending order.  A hop whose gap is not positive, or not wider
+ * than the best path's, is pruned; so a whole path is always strictly wider
+ * than the best and replaces it, and of equally wide paths the first found,
+ * the lexicographically first, is kept.  The gap is min(min_gap, x) as
+ * Python's min forms it: x only when strictly smaller, so a NaN x is
+ * ignored. */
+static void extend(struct ordering *o, int64_t depth, double last_d, double min_gap)
+{
+    if (depth == o->n) {
+        o->best_gap = min_gap;
+        memcpy(o->best, o->path, (size_t)o->n * sizeof *o->best);
+        return;
+    }
+    const double *row = o->dist + o->path[depth - 1] * o->n;
+    for (int64_t cand = 0; cand < o->n; cand++) {
+        if (o->used[cand])
+            continue;
+        double x = row[cand] - last_d;
+        double gap = x < min_gap ? x : min_gap;
+        if (gap <= 0 || gap <= o->best_gap)
+            continue;
+        o->path[depth] = cand;
+        o->used[cand] = 1;
+        extend(o, depth + 1, row[cand], gap);
+        o->used[cand] = 0;
+    }
+}
+
+/* dist is n x n, C-contiguous, and work holds 3 * n zeros.  Writes to
+ * work[0 .. n - 1] the ordering of all n points whose consecutive distances
+ * strictly increase with the widest smallest rise between them, and returns
+ * that rise; returns -inf, with those entries unwritten, when no ordering
+ * increases.  A path starts at last distance -inf, so its first hop's gap
+ * is +inf.  The rest of work is the search's own. */
+double rpr_ordering(const double *dist, int64_t n, int64_t *work)
+{
+    struct ordering o = {dist, n, work, work + n, work + 2 * n, -INFINITY};
+    for (int64_t first = 0; first < n; first++) {
+        o.path[0] = first;
+        o.used[first] = 1;
+        extend(&o, 1, -INFINITY, INFINITY);
+        o.used[first] = 0;
+    }
+    return o.best_gap;
 }
 
 static int is_digit(char c) { return c >= '0' && c <= '9'; }

@@ -72,13 +72,14 @@ def _run_tasks(worker, tasks, threads):
 
 
 def _experiment(args, kind: str, worker, tasks, fields) -> int:
-    """Run ``tasks`` through ``worker`` and write the ``fields`` of each row to ``--out``.
+    """Run ``tasks`` through ``worker``, which returns a list of rows per task, and
+    write the ``fields`` of each row to ``--out``, in task order.
 
     The CSV has a header row, floats at 17 significant digits and a trailing
     comment with the tool version and the digest of the command and its flags,
     ``--out`` and ``--threads`` aside, since they change no row.
     """
-    rows = _run_tasks(worker, tasks, args.threads)
+    rows = [row for task_rows in _run_tasks(worker, tasks, args.threads) for row in task_rows]
     params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "threads")}
     blob = json.dumps({"kind": kind, "params": params}, sort_keys=True)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -161,12 +162,19 @@ def _chain_plan(n_triples: int, per_chain: int = 5) -> list[int]:
 # ---------------------------------------------------------------- factorize
 
 
-def cmd_factorize(args) -> int:
-    v = read_dense_csv(args.matrix)
+def _read_csv(flag: str, path, reader):
+    """``reader(path)``, with an error in the file's text or entries (exit code 2)
+    naming ``flag`` and ``path``, since a command may read two CSV files."""
     try:
-        mask = read_mask_csv(args.mask) if args.mask else None
-    except ShapeMismatchError as exc:  # an entry other than 0 or 1
-        raise UsageError(f"--mask {args.mask}: {exc}") from None
+        return reader(path)
+    except (UnicodeDecodeError, RaggedCsvError, NonNumericCsvError,
+            ShapeMismatchError) as exc:  # the last: a mask entry other than 0 or 1
+        raise UsageError(f"{flag} {path}: {exc}") from None
+
+
+def cmd_factorize(args) -> int:
+    v = _read_csv("--matrix", args.matrix, read_dense_csv)
+    mask = _read_csv("--mask", args.mask, read_mask_csv) if args.mask else None
     if mask is not None and mask.shape != v.a.shape:
         raise UsageError(f"--mask {args.mask} has shape {mask.shape}, "
                          f"--matrix {args.matrix} has shape {v.a.shape}")
@@ -194,29 +202,35 @@ def cmd_factorize(args) -> int:
 # ------------------------------------------------------ synthetic experiments
 
 
-def _synthetic_run(task: dict) -> dict:
-    """One synthetic factorisation: V = W0 @ H0, chains drawn on W0 and H0, solve.
+def _synthetic_run(task: dict) -> list[dict]:
+    """One synthetic problem, V = W0 @ H0 with chains drawn on W0 and H0, solved once per config.
 
     ``chains_w`` and ``chains_h`` are (chain lengths, seed) pairs; no lengths
-    leaves that side unconstrained.  Returns ``row`` plus error, CSR and wall time.
+    leaves that side unconstrained.  ``solves`` holds (config, row) pairs
+    that share k and measure, so they share the problem.  Returns each
+    ``row`` plus its error, CSR and wall time, in order.
     """
-    config = task["config"]
+    k, measure = task["solves"][0][0].k, task["solves"][0][0].measure
     rng = np.random.default_rng(task["data_seed"])
-    w0 = rng.uniform(0.0, 1.0, size=(task["n"], config.k))
-    h0 = rng.uniform(0.0, 1.0, size=(config.k, task["m"]))
+    w0 = rng.uniform(0.0, 1.0, size=(task["n"], k))
+    h0 = rng.uniform(0.0, 1.0, size=(k, task["m"]))
     v = DenseMatrix(w0 @ h0)
     sets = []
     for factor, target, (lens, seed) in ((w0, Target.W_ROWS, task["chains_w"]),
                                          (h0, Target.H_COLS, task["chains_h"])):
-        sets.append(generate_chain_plan(DenseMatrix(factor), target, lens, config.measure, seed)
+        sets.append(generate_chain_plan(DenseMatrix(factor), target, lens, measure, seed)
                     if lens else None)
-    report = run_solver(v, tuple(sets), config)
-    return dict(task["row"], msl_or_md=_err_metric(config.measure, v, report.w, report.h),
-                csr=report.csr, wall_time_s=report.wall_time_s)
+    rows = []
+    for config, row in task["solves"]:
+        report = run_solver(v, tuple(sets), config)
+        rows.append(dict(row, msl_or_md=_err_metric(measure, v, report.w, report.h),
+                         csr=report.csr, wall_time_s=report.wall_time_s))
+    return rows
 
 
 def _syn_tasks(args, shapes) -> list[dict]:
-    """syn1/syn2 tasks: chains on H only, each rep, measure and lambda_h in (0, --lambda-h).
+    """syn1/syn2 tasks: chains on H only, one problem per group, rep and measure,
+    solved at lambda_h 0 and then at --lambda-h.
 
     ``shapes`` holds one (group, n, m, k, triples, triples per chain) per group.
     """
@@ -226,17 +240,19 @@ def _syn_tasks(args, shapes) -> list[dict]:
         lens = [t + 1 for t in _chain_plan(n_constraints, per_chain)]
         for rep in range(args.reps):
             for meas in args.measures.split(","):
+                solves = []
                 for lam in (0.0, args.lambda_h):
                     config = SolverConfig(
                         k=k, measure=Measure(meas), lambda_h=lam, max_iters=args.max_iters,
                         rel_tol=args.rel_tol, seed=_derive_seed(args.seed, group, rep, 3),
                     )
-                    tasks.append({
-                        "config": config, "n": n, "m": m, "data_seed": [args.seed, group, rep, 1],
-                        "chains_w": ([], None), "chains_h": (lens, [args.seed, group, rep, 2]),
-                        "row": {"algorithm": "rprnmf" if lam > 0 else "nmf", "measure": meas,
-                                "n": n, "m": m, "n_constraints": n_constraints, "repetition": rep},
-                    })
+                    solves.append((config, {
+                        "algorithm": "rprnmf" if lam > 0 else "nmf", "measure": meas,
+                        "n": n, "m": m, "n_constraints": n_constraints, "repetition": rep}))
+                tasks.append({
+                    "solves": solves, "n": n, "m": m, "data_seed": [args.seed, group, rep, 1],
+                    "chains_w": ([], None), "chains_h": (lens, [args.seed, group, rep, 2]),
+                })
     return tasks
 
 
@@ -297,11 +313,10 @@ def cmd_param_sweep(args) -> int:
                     seed=_derive_seed(args.seed, rep, 4),
                 )
                 tasks.append({
-                    "config": config, "n": args.n, "m": args.m,
-                    "data_seed": [args.seed, gi, rep, 1],
+                    "solves": [(config, {"lambda": lam, "measure": meas, "repetition": rep})],
+                    "n": args.n, "m": args.m, "data_seed": [args.seed, gi, rep, 1],
                     "chains_w": (lens, [args.seed, rep, 2]),
                     "chains_h": (lens, [args.seed, rep, 3]),
-                    "row": {"lambda": lam, "measure": meas, "repetition": rep},
                 })
     return _experiment(args, "param-sweep", _synthetic_run, tasks,
                        ["lambda", "measure", "repetition", "msl_or_md", "csr"])
@@ -335,14 +350,14 @@ def cmd_convert(args) -> int:
 # ----------------------------------------------------------- crossvalidate
 
 
-def _cv_task(task: dict) -> dict:
+def _cv_task(task: dict) -> list[dict]:
     """One fold's masked solve, trained on ``config.mask``; returns ``row`` plus its scores."""
     v, config, heldout = task["v"], task["config"], task["heldout"]
     report = run_solver(v, task["sets"], config)
     wh = report.w.a @ report.h.a
-    return dict(task["row"], msl_or_md=_err_metric(config.measure, v, report.w, report.h, config.mask),
-                csr=report.csr if report.csr is not None else "", rmse=rmse(v, wh, heldout),
-                f1=f1_score(v, wh, config.mask, heldout).f1)
+    return [dict(task["row"], msl_or_md=_err_metric(config.measure, v, report.w, report.h, config.mask),
+                 csr=report.csr if report.csr is not None else "", rmse=rmse(v, wh, heldout),
+                 f1=f1_score(v, wh, config.mask, heldout).f1)]
 
 
 def cmd_crossvalidate(args) -> int:

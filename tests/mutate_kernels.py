@@ -3,14 +3,15 @@
     python tests/mutate_kernels.py      # exits 0 when the gate holds
 
 Each mutant is one textual edit of ``_sweep.c``: a plausible slip in
-``rpr_sweep``, ``rpr_model`` or ``rpr_read_ratings``.  The unmutated source and then each mutant
-are written to a temporary directory, and a fresh Python process (a loaded
-library cannot be unloaded) points ``rprnmf._kernels._SOURCE`` at that copy,
-builds it and runs the sweep, model and ratings tests with pytest, hypothesis
-derandomised and without its example database.  The gate holds when the
-unmutated source passes and every mutant fails.  A mutant whose text is no
-longer in the source stops the script, so the list follows the kernels.  The
-list only grows: a surviving mutant needs a new test, or a note on why it is
+``rpr_sweep``, ``rpr_model``, ``rpr_ordering`` or ``rpr_read_ratings``.  The
+unmutated source and then each mutant are written to a temporary directory,
+and a fresh Python process (a loaded library cannot be unloaded) points
+``rprnmf._kernels._SOURCE`` at that copy, builds it and runs the sweep,
+model, chain and ratings tests with pytest, hypothesis derandomised and
+without its example database.  The gate holds when the unmutated source
+passes and every mutant fails.  A mutant whose text is no longer in the
+source stops the script, so the list follows the kernels.  The list only
+grows: a surviving mutant needs a new test, or a note on why it is
 equivalent.  Pytest does not collect this file.
 """
 
@@ -25,11 +26,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "rprnmf" / "_sweep.c"
 
-# the sweep, masked-terms, model and ratings tests, less those that build the
-# library another way (another compiler, a copy of the package, -Werror)
+# the sweep, masked-terms, model, chain and ratings tests, less those that
+# build the library another way (another compiler, a copy of the package, -Werror)
 TESTS = [str(ROOT / "tests" / t) for t in (
     "test_solver.py::TestEntryUpdates", "test_solver.py::TestOrderedSweep",
     "test_solver.py::TestUpdateTerms", "test_matrix.py::TestObservedModel",
+    "test_constraints.py::TestChainGeneration",
     "test_io.py::TestRatingsWholeFile", "test_io.py::TestRatings")]
 DESELECT = "not build and not compiles and not two_processes"
 
@@ -64,6 +66,18 @@ MUTANTS = [
     ("the tail loop dropped", TAIL_LOOP, ""),
     ("the tail skips the last latent index", "l < k; l++)\n", "l < k - 1; l++)\n"),
     ("the block sums in descending latent index", "l = 0; l < k; l++) {", "l = k - 1; l >= 0; l--) {"),
+    # rpr_ordering; its leaf takes every path it reaches, since the prune
+    # passes only strictly wider ones, so the tie rule is the prune's alone
+    ("a zero gap passes", "if (gap <= 0 ||", "if (gap < 0 ||"),
+    ("a gap as wide as the best passes: ties go to the later path", "gap <= o->best_gap)",
+     "gap < o->best_gap)"),
+    ("min keeps the wrong operand", "x < min_gap ? x : min_gap", "x < min_gap ? min_gap : x"),
+    ("the leaf keeps the path but not its gap", "        o->best_gap = min_gap;\n", ""),
+    ("the first hop starts at distance 0", "extend(&o, 1, -INFINITY, INFINITY)",
+     "extend(&o, 1, 0.0, INFINITY)"),
+    ("a point stays used after its subtree", "        o->used[cand] = 0;\n", ""),
+    ("the row offset misses its stride", "o->dist + o->path[depth - 1] * o->n",
+     "o->dist + o->path[depth - 1]"),
     # rpr_read_ratings
     ("the value fast path takes 20 digits", "digits(&t, end, 15, &u)", "digits(&t, end, 20, &u)"),
     ("an id's sign dropped", "int neg = t < end && *t == '-';", "int neg = 0;"),

@@ -5,8 +5,8 @@ speed: the two vector distances, the two penalty gradients, the
 triple-satisfaction test, the sequential entry rule of one constrained
 sweep, classic (lambda = 0) multiplicative NMF with an optional mask, the
 two data fits as plain array expressions, the two-reduction entry check of
-the data, the CSR layout of observed cells, W @ H at those cells and the
-widest-margin ordering of a chain.
+the data, the CSR layout of observed cells, W @ H at those cells, and the
+widest-margin ordering of a chain, by brute force and by the pruned search.
 The package itself applies each rule in one place only: the distances in
 ``constraints._pair_distances``, the entry rules in ``solver._sweep``, the
 fits in ``matrix.frobenius_sq_diff`` and ``matrix.matrix_divergence``, the
@@ -279,4 +279,48 @@ def widest_increasing_ordering(dist) -> tuple[list[int] | None, float]:
         gap = min([math.inf] + [d - c for c, d in zip(hops, hops[1:])])
         if gap > 0 and gap > best_gap:
             best, best_gap = list(path), gap
+    return best, best_gap
+
+
+def pruned_increasing_ordering(dist) -> tuple[list[int] | None, float]:
+    """The search ``constraints._increasing_ordering`` makes in compiled code,
+    as a Python recursion over the distances as Python floats (the same
+    doubles): the points in ascending order at every depth, a hop pruned when
+    the path's smallest gap is not positive or not wider than the best path's,
+    and a whole path kept only when strictly wider, so the lexicographically
+    first of equally wide paths wins.  A path starts at last distance -inf,
+    so its first hop's gap is +inf, and the gap is ``min(min_gap, x)``, which
+    keeps ``min_gap`` unless ``x`` is strictly smaller, so a NaN ``x`` is
+    ignored.  (None, -inf) when no ordering increases."""
+    dist = np.asarray(dist, dtype=np.float64).tolist()
+    n = len(dist)
+    path = [0] * n
+    used = [False] * n
+    best, best_gap = None, -math.inf
+
+    def extend(depth: int, last_d: float, min_gap: float) -> None:
+        nonlocal best, best_gap
+        if depth == n:
+            if min_gap > best_gap:
+                best_gap = min_gap
+                best = list(path)
+            return
+        row = dist[path[depth - 1]]
+        for cand in range(n):
+            if used[cand]:
+                continue
+            d = row[cand]
+            gap = min(min_gap, d - last_d)
+            if gap <= 0 or gap <= best_gap:
+                continue
+            path[depth] = cand
+            used[cand] = True
+            extend(depth + 1, d, gap)
+            used[cand] = False
+
+    for first in range(n):
+        path[0] = first
+        used[first] = True
+        extend(1, -math.inf, math.inf)
+        used[first] = False
     return best, best_gap

@@ -150,6 +150,25 @@ class TestSyn1:
         got = sorted({int(r["n_constraints"]) for r in rows})
         assert got == [3, 6, 9]
 
+    def test_each_syn_problem_drawn_once(self, tmp_path, monkeypatch):
+        # one data draw and chain plan per (group, rep, measure), solved for
+        # its nmf row and then its rprnmf row
+        plans = []
+
+        def counted(*args):
+            plans.append(args[4])  # the chain seed
+            return generate_chain_plan(*args)
+
+        monkeypatch.setattr("rprnmf.cli.generate_chain_plan", counted)
+        out = tmp_path / "syn1.csv"
+        assert run_cli("syn1", "--out", out, "--groups", 2, "--reps", 2, "--n", 20, "--m", 20,
+                       "--k", 3, "--triples-per-group", 2, "--max-iters", 3) == 0
+        rows = read_rows(out)
+        assert plans == [[0, g, rep, 2] for g in (1, 2) for rep in (0, 1) for _ in range(2)]
+        keys = [(r["n_constraints"], r["repetition"], r["measure"], r["algorithm"]) for r in rows]
+        assert keys == [(str(2 * g), str(rep), meas, alg) for g in (1, 2) for rep in (0, 1)
+                        for meas in ("euc", "div") for alg in ("nmf", "rprnmf")]
+
 
 class TestSyn2:
     def test_row_count_and_columns(self, tmp_path):
@@ -426,6 +445,7 @@ class TestThreads:
         run_cli("syn1", "--out", seq, *args, "--threads", 1)
         run_cli("syn1", "--out", par, *args, "--threads", 2)
         rows_s, rows_p = read_rows(seq), read_rows(par)
+        assert len(rows_s) == len(rows_p) == 8  # 2 reps x 2 measures x {nmf, rprnmf}
         for r1, r2 in zip(rows_s, rows_p):
             r1.pop("wall_time_s"), r2.pop("wall_time_s")
             assert r1 == r2
@@ -567,6 +587,20 @@ class TestUsageErrors:
         write_dense_csv(mask, DenseMatrix(np.array([[1.0, 0.5], [1.0, 1.0]])))
         err = self._exit_2_naming(capsys, "--mask", "factorize", "--matrix", matrix, "--mask", mask)
         assert str(mask) in err and "0 or 1" in err
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--mask"])
+    @pytest.mark.parametrize("text, message", [
+        (b"1,1\n1\n", "line 2: expected 2 fields, got 1"), (b"", "line 1: empty file"),
+        (b"1,x\n1,1\n", "line 1: non-numeric value 'x'"), (b"\xff\xfe\n", "can't decode")])
+    def test_malformed_csv_names_its_flag_and_file(self, tmp_path, capsys, flag, text, message):
+        # with two CSV inputs, the message says which one is bad
+        files = {"--matrix": tmp_path / "v.csv", "--mask": tmp_path / "m.csv"}
+        write_dense_csv(files["--matrix"], DenseMatrix(np.ones((2, 2))))
+        write_dense_csv(files["--mask"], DenseMatrix(np.ones((2, 2))))
+        files[flag].write_bytes(text)
+        err = self._exit_2_naming(capsys, flag, "factorize", "--matrix", files["--matrix"],
+                                  "--mask", files["--mask"])
+        assert err.startswith(f"error: {flag} {files[flag]}: ") and message in err
 
     def test_folds_above_ratings_count(self, tmp_path, capsys):
         # a duplicate pair counts once

@@ -38,7 +38,13 @@ from rprnmf.exceptions import (
     NoConstraintsError,
 )
 
-from oracles import euclidean_sq, is_satisfied, symmetric_divergence, widest_increasing_ordering
+from oracles import (
+    euclidean_sq,
+    is_satisfied,
+    pruned_increasing_ordering,
+    symmetric_divergence,
+    widest_increasing_ordering,
+)
 
 
 def kl(x, y):
@@ -314,6 +320,22 @@ class TestChainGeneration:
         dist[iu, ju] = dist[ju, iu] = data.draw(st.lists(value, min_size=iu.size,
                                                          max_size=iu.size))
         assert constraints._increasing_ordering(dist) == widest_increasing_ordering(dist)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_compiled_search_matches_python_search(self, data):
+        # up to 9 points, symmetric or not; integer values tie hops and gaps,
+        # and an inf entry makes an inf - inf hop, whose NaN gap is ignored
+        n = data.draw(st.integers(0, 9))
+        value = st.integers(0, 4).map(float) if data.draw(st.booleans()) else st.floats(0.0, 10.0)
+        dist = np.array(data.draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+        if data.draw(st.booleans()):
+            dist = np.triu(dist, 1) + np.triu(dist, 1).T
+        if n:
+            cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            for i, j in data.draw(st.lists(cell, max_size=3)):
+                dist[i, j] = np.inf
+        assert constraints._increasing_ordering(dist) == pruned_increasing_ordering(dist)
 
 
 class TestWeightConversion:

@@ -377,8 +377,8 @@ class TestOrderedSweep:
     @pytest.mark.parametrize("compiler", ["no-such-cc", "false"])
     def test_failed_build_raises_typed_error(self, tmp_path, monkeypatch, compiler):
         # a missing compiler, and one that exits non-zero, met by a penalised
-        # sweep, by a masked run with no penalty and by a clean ratings read,
-        # which does not fall back to the line loop
+        # sweep, by a masked run with no penalty, by chain generation and by
+        # a clean ratings read, which does not fall back to the line loop
         cc = str(tmp_path / compiler) if compiler == "no-such-cc" else compiler
         ratings = tmp_path / "r.dat"
         ratings.write_text("1::2::3::4\n")
@@ -392,6 +392,8 @@ class TestOrderedSweep:
         config = SolverConfig(k=1, measure=Measure.EUCLIDEAN, max_iters=1, mask=np.ones((3, 3)))
         for call in (lambda: _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN, dist),
                      lambda: run(np.ones((3, 3)), None, config),
+                     lambda: constraints.generate_chain_plan(w, Target.W_ROWS, [2],
+                                                             Measure.EUCLIDEAN, 0),
                      lambda: read_ratings(ratings)):
             monkeypatch.setattr(_kernels, "_compiled", None)
             with pytest.raises(SweepBuildError, match=cc) as exc:
