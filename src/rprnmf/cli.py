@@ -35,14 +35,7 @@ from .constraints import (
     read_constraints,
     write_constraints,
 )
-from .exceptions import (
-    MalformedLineError,
-    NonNumericCsvError,
-    RaggedCsvError,
-    RprNmfError,
-    ShapeMismatchError,
-    TooFewPointsError,
-)
+from .exceptions import MalformedLineError, RprNmfError, ShapeMismatchError, TooFewPointsError
 from .io import (
     make_cv_split,
     read_dense_csv,
@@ -162,25 +155,46 @@ def _chain_plan(n_triples: int, per_chain: int = 5) -> list[int]:
 # ---------------------------------------------------------------- factorize
 
 
-def _read_csv(flag: str, path, reader):
-    """``reader(path)``, with an error in the file's text or entries (exit code 2)
-    naming ``flag`` and ``path``, since a command may read two CSV files."""
+def _read(flag: str, path, reader, *args):
+    """``reader(path, *args)``, with a file that cannot be read or whose text is
+    bad (exit code 2) named by ``flag`` and ``path``, since a command may read
+    two files."""
     try:
-        return reader(path)
-    except (UnicodeDecodeError, RaggedCsvError, NonNumericCsvError,
+        return reader(path, *args)
+    except FileNotFoundError:
+        reason = "file not found"
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except (UnicodeDecodeError, MalformedLineError,
             ShapeMismatchError) as exc:  # the last: a mask entry other than 0 or 1
-        raise UsageError(f"{flag} {path}: {exc}") from None
+        reason = str(exc)
+    raise UsageError(f"{flag} {path}: {reason}")
+
+
+def _read_constraints(args, shape, data: str):
+    """The (W, H) sets of ``--constraints``, or (None, None) without it.  A W
+    index must name a row and an H index a column of the ``shape`` data read
+    from ``data`` (exit code 2)."""
+    if not args.constraints:
+        return None, None
+    sets = _read("--constraints", args.constraints, read_constraints)
+    for cset, dim, noun in zip(sets, shape, ("rows", "columns")):
+        if cset is not None and cset.max_index() > dim:
+            raise UsageError(f"--constraints {args.constraints}: {cset.target.value} index "
+                             f"{cset.max_index()} exceeds the {dim} {noun} of {data}, "
+                             f"shape {shape}")
+    return sets
 
 
 def cmd_factorize(args) -> int:
-    v = _read_csv("--matrix", args.matrix, read_dense_csv)
-    mask = _read_csv("--mask", args.mask, read_mask_csv) if args.mask else None
+    v = _read("--matrix", args.matrix, read_dense_csv)
+    mask = _read("--mask", args.mask, read_mask_csv) if args.mask else None
     if mask is not None and mask.shape != v.a.shape:
         raise UsageError(f"--mask {args.mask} has shape {mask.shape}, "
                          f"--matrix {args.matrix} has shape {v.a.shape}")
     if args.treat_zero_as_missing:
         mask = zeros_as_missing(v)
-    set_w, set_h = read_constraints(args.constraints) if args.constraints else (None, None)
+    set_w, set_h = _read_constraints(args, v.a.shape, f"--matrix {args.matrix}")
     measure = Measure(args.measure)
     config = SolverConfig(
         k=args.k, measure=measure, lambda_w=args.lambda_w, lambda_h=args.lambda_h,
@@ -326,7 +340,7 @@ def cmd_param_sweep(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    set_w, set_h = read_constraints(args.constraints)
+    set_w, set_h = _read("--constraints", args.constraints, read_constraints)
     cset = set_h if set_h is not None else set_w
     if cset is None:
         raise UsageError(f"--constraints {args.constraints}: no constraints in the file")
@@ -361,12 +375,12 @@ def _cv_task(task: dict) -> list[dict]:
 
 
 def cmd_crossvalidate(args) -> int:
-    table = read_ratings(args.ratings, args.format)
+    table = _read("--ratings", args.ratings, read_ratings, args.format)
     if table.ratings.size < args.folds:
         raise UsageError(f"--folds {args.folds} is more than the {table.ratings.size} "
                          f"distinct ratings in --ratings {args.ratings}")
     v, observed = ratings_to_matrix(table)
-    set_w, set_h = read_constraints(args.constraints) if args.constraints else (None, None)
+    set_w, set_h = _read_constraints(args, v.a.shape, f"--ratings {args.ratings}")
     split = make_cv_split(observed, args.folds, args.seed)
     empty = [f for f, heldout in enumerate(split.fold_masks) if not heldout.count]
     if empty:
@@ -397,7 +411,7 @@ def cmd_crossvalidate(args) -> int:
 
 
 def cmd_extract_constraints(args) -> int:
-    labels = read_labels_file(args.labels)
+    labels = _read("--labels", args.labels, read_labels_file)
     rng = np.random.default_rng(args.seed)
     by_class: dict[int, list[int]] = {}
     for idx, lab in enumerate(labels, start=1):
@@ -547,11 +561,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError, RaggedCsvError, NonNumericCsvError, MalformedLineError,
-            UsageError) as exc:
+    except (OSError, UsageError) as exc:  # an --out write, or a usage or input file error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RprNmfError as exc:

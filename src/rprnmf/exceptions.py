@@ -91,19 +91,6 @@ class NoObservedRatingsError(RprNmfError, ValueError):
         super().__init__(f"user {user} has no observed ratings; threshold undefined")
 
 
-class RaggedCsvError(RprNmfError, ValueError):
-    def __init__(self, line: int, message: str = "ragged row"):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
-class NonNumericCsvError(RprNmfError, ValueError):
-    def __init__(self, line: int, token: str):
-        self.line = line
-        self.token = token
-        super().__init__(f"line {line}: non-numeric value {token!r}")
-
-
 class MalformedLineError(RprNmfError, ValueError):
     def __init__(self, line: int, message: str):
         self.line = line

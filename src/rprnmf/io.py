@@ -1,10 +1,10 @@
 """File formats: dense CSV matrices, ratings tables, CV splits, JSON reports.
 
-Readers reject malformed input rather than coercing it, and error messages
-carry 1-based line numbers.  A ratings file goes first to the compiled
-``rpr_read_ratings``, so a ratings read builds the compiled kernels; a file
-that scan does not take whole goes through the line loop, which names the
-first bad line.  Splitters are deterministic functions of their seed.
+Readers reject malformed input rather than coercing it: a bad line raises
+:class:`MalformedLineError`, which carries its 1-based line number.  A
+ratings file goes first to the compiled ``rpr_read_ratings``, so a ratings
+read builds the compiled kernels; a file that scan does not take whole goes
+through the line loop, which names the first bad line.  Splitters are deterministic functions of their seed.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from ._kernels import _load
 from .exceptions import (
     InvalidRangeError,
     MalformedLineError,
-    NonNumericCsvError,
-    RaggedCsvError,
     TooSparseError,
 )
 from .matrix import DenseMatrix, MaskMatrix, as_array, as_mask
@@ -53,14 +51,14 @@ def read_dense_csv(path) -> DenseMatrix:
             if width is None:
                 width = len(tokens)
             elif len(tokens) != width:
-                raise RaggedCsvError(lineno, f"expected {width} fields, got {len(tokens)}")
+                raise MalformedLineError(lineno, f"expected {width} fields, got {len(tokens)}")
             try:
                 rows.append([float(t) for t in tokens])
             except ValueError:
                 bad = next(t for t in tokens if not _is_float(t))
-                raise NonNumericCsvError(lineno, bad) from None
+                raise MalformedLineError(lineno, f"non-numeric value {bad!r}") from None
     if not rows:
-        raise RaggedCsvError(1, "empty file")
+        raise MalformedLineError(1, "empty file")
     return DenseMatrix(rows)
 
 
@@ -317,10 +315,3 @@ def write_report(path, report: FactorisationReport, config: SolverConfig | None 
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise MalformedLineError(1, f"unexpected report schema {doc.get('schema')!r}")
-    return doc

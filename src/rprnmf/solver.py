@@ -220,35 +220,30 @@ def _objective_value(va, wa, ha, set_w, set_h, lam_w, lam_h, measure, cells):
     else:
         total = matrix_divergence(v, wh)
     dist_w = dist_h = None
+    # looked up at each call, so a wrapper set on the module is the one that runs
+    penalty = euc_penalty_value if measure is Measure.EUCLIDEAN else div_penalty_value
     if set_w is not None and lam_w > 0:
         dist_w = triple_distances(set_w, wa, measure)
-        total += lam_w * penalty_value(dist_w, measure)
+        total += lam_w * penalty(dist_w)
     if set_h is not None and lam_h > 0:
         dist_h = triple_distances(set_h, ha, measure)
-        total += lam_h * penalty_value(dist_h, measure)
+        total += lam_h * penalty(dist_h)
     return float(total), (wh, dist_w, dist_h)
 
 
-def penalty_value(dist: np.ndarray, measure: Measure) -> float:
-    """Sum over the triples of ``dist = triple_distances(...)`` of exp(d1) + exp(-d2)
-    (Euclidean), or of the hinge max(0, d1 - d2) (divergence)."""
+def euc_penalty_value(dist: np.ndarray) -> float:
+    """Sum over the triples of ``dist = triple_distances(...)`` of exp(d1) + exp(-d2)."""
     d1, d2 = dist
-    if measure is Measure.EUCLIDEAN:
-        top = float(np.max(d1, initial=0.0))
-        if top > MAX_EXP:
-            raise PenaltyOverflowError(top)
-        return float(np.sum(np.exp(d1) + np.exp(-d2)))
+    top = float(np.max(d1, initial=0.0))
+    if top > MAX_EXP:
+        raise PenaltyOverflowError(top)
+    return float(np.sum(np.exp(d1) + np.exp(-d2)))
+
+
+def div_penalty_value(dist: np.ndarray) -> float:
+    """Sum over the triples of ``dist = triple_distances(...)`` of the hinge max(0, d1 - d2)."""
+    d1, d2 = dist
     return float(np.sum(np.maximum(0.0, d1 - d2)))
-
-
-def euc_penalty_value(factor, cset: ConstraintSet) -> float:
-    """Sum over triples of exp(E(q,r)) + exp(-E(q,s))."""
-    return penalty_value(triple_distances(cset, factor, Measure.EUCLIDEAN), Measure.EUCLIDEAN)
-
-
-def div_penalty_value(factor, cset: ConstraintSet) -> float:
-    """Sum over triples of the hinge max(0, SD(q,r) - SD(q,s))."""
-    return penalty_value(triple_distances(cset, factor, Measure.DIVERGENCE), Measure.DIVERGENCE)
 
 
 class _PreparedSet:

@@ -88,7 +88,8 @@ def euc_penalty_grad(factor, cset: ConstraintSet, a: int, b: int) -> EucPenaltyG
     ``a`` indexes the constrained axis (0-based), ``b`` the latent axis.  Both
     parts are sums of exponential-weighted non-negative entries, and
     2*(positive_part - negative_part) is the derivative of
-    ``euc_penalty_value`` with respect to that entry.
+    ``euc_penalty_value`` of the set's ``triple_distances`` with respect to
+    that entry.
     """
     vec = _vectors(factor, cset, a, b)
     pos = neg = 0.0
@@ -125,7 +126,8 @@ def div_penalty_grad(factor, cset: ConstraintSet, a: int, b: int) -> float:
     skipped entirely; for the rest the q-anchored contribution is
     g(q,r) - g(q,s), the r-anchored one +g(r,q) and the s-anchored one
     -g(s,q), all evaluated on the latent-b entries.  P/2 is the derivative of
-    ``div_penalty_value`` wherever the hinge is strictly active.
+    ``div_penalty_value`` of the set's ``triple_distances`` wherever the hinge
+    is strictly active.
     """
     vec = _vectors(factor, cset, a, b)
     p = 0.0

@@ -32,6 +32,7 @@ from rprnmf import (
     run,
 )
 from rprnmf.cli import main as cli_main
+from rprnmf.constraints import triple_distances
 from rprnmf.metrics import clustering_accuracy
 
 from oracles import div_penalty_grad, euc_penalty_grad, lee_seung, symmetric_divergence
@@ -97,7 +98,7 @@ def test_criterion_2_gradient_correctness():
         a = int(rng.choice(touched))
         b = int(rng.integers(k))
         pos, neg = euc_penalty_grad(DenseMatrix(f), cset, a, b)
-        fd = _fd(lambda m: euc_penalty_value(DenseMatrix(m), cset), f, a, b)
+        fd = _fd(lambda m: euc_penalty_value(triple_distances(cset, m, Measure.EUCLIDEAN)), f, a, b)
         if abs(fd) < 1e-8:
             continue
         assert abs(2 * (pos - neg) - fd) / abs(fd) <= 1e-5
@@ -116,7 +117,7 @@ def test_criterion_2_gradient_correctness():
         a = int(rng.choice(touched))
         b = int(rng.integers(k))
         p = div_penalty_grad(DenseMatrix(f), cset, a, b)
-        fd = _fd(lambda m: div_penalty_value(DenseMatrix(m), cset), f, a, b)
+        fd = _fd(lambda m: div_penalty_value(triple_distances(cset, m, Measure.DIVERGENCE)), f, a, b)
         if abs(fd) < 1e-7:
             continue
         assert abs(0.5 * p - fd) / abs(fd) <= 1e-4

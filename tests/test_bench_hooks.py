@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps module attributes by name and drops, without
 a word, the metrics of a layer whose function is gone; it also reads
 ``solver._sweep``'s arguments by position.  These tests read that file's
-text, never import it, and hold the package to what it names.
+text, never import it, and hold the package to what it names: each name
+resolves, and each layer the tracer times per round is called by ``run()``.
 """
 
 import ast
@@ -11,20 +12,31 @@ import importlib
 import inspect
 from pathlib import Path
 
-from rprnmf import constraints, solver
+import numpy as np
+import pytest
+
+from rprnmf import ConstraintSet, Measure, SolverConfig, Target, constraints, solver
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _layers() -> dict[str, list[tuple[str, str]]]:
-    """``tracing.LAYERS`` as layer -> (module path, attribute) pairs, from the file's text."""
+def _tracing() -> tuple[dict, dict]:
+    """The file's imported ``rprnmf`` modules by local name, and its top-level
+    assignments by target name."""
     tree = ast.parse(TRACING.read_text(encoding="utf-8"))
-    modules = {}
+    modules, assigned = {}, {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "rprnmf":
             modules.update({a.asname or a.name: f"rprnmf.{a.name}" for a in node.names})
-    [layers] = [node.value for node in tree.body if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]]
+        elif isinstance(node, ast.Assign):
+            assigned.update({t.id: node.value for t in node.targets if isinstance(t, ast.Name)})
+    return modules, assigned
+
+
+def _layers() -> dict[str, list[tuple[str, str]]]:
+    """``tracing.LAYERS`` as layer -> (module path, attribute) pairs, from the file's text."""
+    modules, assigned = _tracing()
+    layers = assigned["LAYERS"]
     return {ast.literal_eval(key): [(modules[pair.elts[0].id], ast.literal_eval(pair.elts[1]))
                                     for pair in value.elts]
             for key, value in zip(layers.keys, layers.values)}
@@ -48,3 +60,24 @@ def test_sweep_arguments_keep_their_positions():
 def test_synthetic_setup_entry_point_exists():
     # the synthetic workload's set-up calls it beside generate_chain_plan
     assert callable(constraints.generate_chain_constraints)
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+def test_every_round_layer_is_called(monkeypatch, measure):
+    # a round layer whose functions run() never calls reads 0 in every traced round
+    layers = _layers()
+    calls = dict.fromkeys(ast.literal_eval(_tracing()[1]["ROUND_LAYERS"]), 0)
+    for layer in calls:
+        for module, attr in layers[layer]:
+            module = importlib.import_module(module)
+
+            def counted(*args, _fn=getattr(module, attr), _layer=layer, **kwargs):
+                calls[_layer] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+    v = np.random.default_rng(0).uniform(0.1, 1.0, (6, 5))
+    sets = (ConstraintSet(Target.W_ROWS, [(1, 2, 3)]), ConstraintSet(Target.H_COLS, [(3, 4, 5)]))
+    solver.run(v, sets, SolverConfig(k=2, measure=measure, lambda_w=0.5, lambda_h=0.5,
+                                     max_iters=3))
+    assert [layer for layer, count in calls.items() if not count] == []

@@ -43,6 +43,38 @@ def toy_constraints(tmp_path):
     return path
 
 
+# every command's file flags, a readable 3 x 3 input for each flag (the
+# constraints fit a 3 x 3 matrix), a malformed line for each, and each
+# command's other arguments bar --out
+FILE_FLAGS = [("factorize", "--matrix"), ("factorize", "--mask"), ("factorize", "--constraints"),
+              ("crossvalidate", "--ratings"), ("crossvalidate", "--constraints"),
+              ("convert", "--constraints"), ("extract-constraints", "--labels")]
+GOOD_FILES = {"--matrix": b"1,2,3\n4,5,6\n7,8,9\n", "--mask": b"1,1,1\n1,0,1\n1,1,1\n",
+              "--constraints": b"H 1 2 3\nW 3 2 1\n",
+              "--ratings": b"".join(b"%d::%d::%d\n" % (u, i, u + i) for u in (1, 2, 3)
+                                    for i in (1, 2, 3)),
+              "--labels": b"1\n1\n2\n2\n"}
+MALFORMED = {"--matrix": b"1,2,3\n4,5\n", "--mask": b"1,x,1\n", "--constraints": b"H 1 2\n",
+             "--ratings": b"1::1\n", "--labels": b"1\nx\n"}
+OTHER_ARGV = {"factorize": ["--k", 1, "--max-iters", 1],
+              "crossvalidate": ["--folds", 2, "--k", 1, "--max-iters", 1],
+              "convert": ["--to", "weights"], "extract-constraints": []}
+
+
+def _file_argv(tmp_path, command, bad_flag=None):
+    """``command``'s argv with each file flag's good file, ``bad_flag``'s path
+    left to the caller to fill, and ``--out``; returns (argv, paths by flag)."""
+    paths = {}
+    argv = [command]
+    for cmd, flag in FILE_FLAGS:
+        if cmd == command:
+            paths[flag] = tmp_path / ("bad" if flag == bad_flag else flag[2:])
+            if flag != bad_flag:
+                paths[flag].write_bytes(GOOD_FILES[flag])
+            argv += [flag, paths[flag]]
+    return argv + OTHER_ARGV[command] + ["--out", tmp_path / "out"], paths
+
+
 class TestChainPlan:
     def test_exact_multiples(self):
         assert _chain_plan(10) == [5, 5]
@@ -602,6 +634,30 @@ class TestUsageErrors:
                                   "--mask", files["--mask"])
         assert err.startswith(f"error: {flag} {files[flag]}: ") and message in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable", "malformed"])
+    @pytest.mark.parametrize("command, flag", FILE_FLAGS)
+    def test_every_file_flag_names_itself(self, tmp_path, capsys, command, flag, kind):
+        argv, paths = _file_argv(tmp_path, command, flag)
+        if kind == "directory":
+            paths[flag].mkdir()
+        elif kind != "missing":
+            paths[flag].write_bytes(b"\xff\xfe" if kind == "undecodable" else MALFORMED[flag])
+        err = self._exit_2_naming(capsys, flag, *argv)
+        assert err.startswith(f"error: {flag} {paths[flag]}: ")
+
+    @pytest.mark.parametrize("command, data", [("factorize", "--matrix"),
+                                               ("crossvalidate", "--ratings")])
+    @pytest.mark.parametrize("line, reason", [("W 1 2 4", "W index 4 exceeds the 3 rows"),
+                                              ("H 4 2 1", "H index 4 exceeds the 3 columns")])
+    def test_constraints_that_do_not_fit_the_data(self, tmp_path, capsys, command, data,
+                                                  line, reason):
+        argv, paths = _file_argv(tmp_path, command)
+        paths["--constraints"].write_text(f"H 1 2 3\n{line}\n")
+        err = self._exit_2_naming(capsys, "--constraints", *argv)
+        assert err.startswith(f"error: --constraints {paths['--constraints']}: {reason} "
+                              f"of {data} {paths[data]}, shape (3, 3)")
+        assert not (tmp_path / "out").exists()
+
     def test_folds_above_ratings_count(self, tmp_path, capsys):
         # a duplicate pair counts once
         ratings = tmp_path / "r.dat"
@@ -624,6 +680,13 @@ class TestUsageErrors:
                   else ("--ratings", tmp_path / "r.dat", "--out", tmp_path / "cv.csv"))
         err = self._exit_2_naming(capsys, flag, command, *inputs, flag, 0.5)
         assert "--constraints" in err
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_ARGV))
+def test_file_flag_inputs_are_readable(tmp_path, command):
+    # the inputs that TestUsageErrors spoils one file at a time
+    argv, _ = _file_argv(tmp_path, command)
+    assert run_cli(*argv) == 0
 
 
 def _ratings_lines(sep, stamp):

@@ -13,8 +13,6 @@ from rprnmf.exceptions import (
     DegenerateMaskError,
     InvalidRangeError,
     MalformedLineError,
-    NonNumericCsvError,
-    RaggedCsvError,
     TooSparseError,
 )
 from rprnmf import io as rio
@@ -24,11 +22,19 @@ from rprnmf.io import (
     ratings_to_matrix,
     read_dense_csv,
     read_ratings,
-    read_report,
     write_dense_csv,
     write_report,
     zeros_as_missing,
 )
+
+
+def read_report(path) -> dict:
+    """A JSON report written by ``write_report``, refused unless its schema is REPORT_SCHEMA."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("schema") != REPORT_SCHEMA:
+        raise MalformedLineError(1, f"unexpected report schema {doc.get('schema')!r}")
+    return doc
 
 
 def loop_cv_folds(bits, folds, seed):
@@ -95,16 +101,24 @@ class TestDenseCsv:
     def test_ragged_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3\n")
-        with pytest.raises(RaggedCsvError) as exc:
+        with pytest.raises(MalformedLineError) as exc:
             read_dense_csv(path)
         assert exc.value.line == 2
+        assert str(exc.value) == "line 2: expected 2 fields, got 1"
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,x\n")
-        with pytest.raises(NonNumericCsvError) as exc:
+        with pytest.raises(MalformedLineError) as exc:
             read_dense_csv(path)
         assert exc.value.line == 2
+        assert str(exc.value) == "line 2: non-numeric value 'x'"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n")
+        with pytest.raises(MalformedLineError, match="^line 1: empty file$"):
+            read_dense_csv(path)
 
     def test_zeros_as_missing(self):
         m = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])

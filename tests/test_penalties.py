@@ -12,6 +12,7 @@ from rprnmf import (
     div_penalty_value,
     euc_penalty_value,
 )
+from rprnmf.constraints import triple_distances
 from rprnmf.exceptions import IndexOutOfRangeError, PenaltyOverflowError
 
 from oracles import div_penalty_grad, euc_penalty_grad, g_kernel, symmetric_divergence
@@ -33,28 +34,31 @@ def fd_derivative(value_fn, factor, a, b, h=1e-6):
 class TestEucValue:
     def test_empty_set_zero(self):
         f = DenseMatrix(np.ones((4, 3)))
-        assert euc_penalty_value(f, ConstraintSet(Target.W_ROWS, [])) == 0.0
+        dist = triple_distances(ConstraintSet(Target.W_ROWS, []), f, Measure.EUCLIDEAN)
+        assert euc_penalty_value(dist) == 0.0
 
     def test_identical_rows_give_two_per_triple(self):
         f = DenseMatrix(np.ones((6, 3)))
         s = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (4, 5, 6), (2, 4, 6)])
-        assert euc_penalty_value(f, s) == pytest.approx(2 * len(s))
+        assert euc_penalty_value(triple_distances(s, f, Measure.EUCLIDEAN)) == pytest.approx(2 * len(s))
 
     def test_single_triple_direct(self):
         f = DenseMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
         s = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
-        assert euc_penalty_value(f, s) == pytest.approx(math.e + math.exp(-9), rel=1e-12)
+        dist = triple_distances(s, f, Measure.EUCLIDEAN)
+        assert euc_penalty_value(dist) == pytest.approx(math.e + math.exp(-9), rel=1e-12)
 
     def test_overflow_rejected(self):
         f = DenseMatrix(np.array([[0.0], [30.0], [1.0]]))
         s = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
         with pytest.raises(PenaltyOverflowError):
-            euc_penalty_value(f, s)
+            euc_penalty_value(triple_distances(s, f, Measure.EUCLIDEAN))
 
     def test_column_target_orientation(self):
         h = DenseMatrix(np.array([[0.0, 1.0, 3.0], [0.0, 0.0, 0.0]]))
         s = ConstraintSet(Target.H_COLS, [(1, 2, 3)])
-        assert euc_penalty_value(h, s) == pytest.approx(math.e + math.exp(-9), rel=1e-12)
+        dist = triple_distances(s, h, Measure.EUCLIDEAN)
+        assert euc_penalty_value(dist) == pytest.approx(math.e + math.exp(-9), rel=1e-12)
 
 
 class TestEucGrad:
@@ -95,7 +99,8 @@ class TestEucGrad:
             a = int(rng.integers(n))
             b = int(rng.integers(k))
             pos, neg = euc_penalty_grad(DenseMatrix(f), s, a, b)
-            fd = fd_derivative(lambda m: euc_penalty_value(DenseMatrix(m), s), f, a, b)
+            fd = fd_derivative(
+                lambda m: euc_penalty_value(triple_distances(s, m, Measure.EUCLIDEAN)), f, a, b)
             if abs(fd) > 1e-9:
                 assert 2 * (pos - neg) == pytest.approx(fd, rel=1e-5)
                 s_checked += 1
@@ -112,10 +117,12 @@ class TestDivValue:
     def test_all_satisfied_zero(self):
         f = DenseMatrix(np.array([[1.0, 1.0], [1.1, 1.0], [9.0, 4.0]]))
         s = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
-        assert div_penalty_value(f, s) == 0.0
+        assert div_penalty_value(triple_distances(s, f, Measure.DIVERGENCE)) == 0.0
 
     def test_empty_set_zero(self):
-        assert div_penalty_value(DenseMatrix(np.ones((3, 2))), ConstraintSet(Target.W_ROWS, [])) == 0.0
+        dist = triple_distances(ConstraintSet(Target.W_ROWS, []), DenseMatrix(np.ones((3, 2))),
+                                Measure.DIVERGENCE)
+        assert div_penalty_value(dist) == 0.0
 
     def test_single_violation_equals_direct_recompute(self):
         rng = np.random.default_rng(4)
@@ -125,14 +132,15 @@ class TestDivValue:
             d1 = symmetric_divergence(f[0], f[1])
             d2 = symmetric_divergence(f[0], f[2])
             want = max(0.0, d1 - d2)
-            assert div_penalty_value(DenseMatrix(f), s) == pytest.approx(want, abs=1e-12)
+            dist = triple_distances(s, DenseMatrix(f), Measure.DIVERGENCE)
+            assert div_penalty_value(dist) == pytest.approx(want, abs=1e-12)
 
     def test_zero_iff_full_csr(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             f = DenseMatrix(rng.uniform(0.1, 2, (7, 4)))
             s = random_set(rng, 7, 5)
-            value = div_penalty_value(f, s)
+            value = div_penalty_value(triple_distances(s, f, Measure.DIVERGENCE))
             full = csr(s, f, None, None, Measure.DIVERGENCE) == 1.0
             if full:
                 assert value == 0.0
@@ -170,7 +178,8 @@ class TestDivGrad:
             a = int(rng.integers(6))
             b = int(rng.integers(3))
             p = div_penalty_grad(DenseMatrix(f), s, a, b)
-            fd = fd_derivative(lambda m: div_penalty_value(DenseMatrix(m), s), f, a, b)
+            fd = fd_derivative(
+                lambda m: div_penalty_value(triple_distances(s, m, Measure.DIVERGENCE)), f, a, b)
             if abs(fd) > 1e-7:
                 assert 0.5 * p == pytest.approx(fd, rel=1e-4)
                 checked += 1

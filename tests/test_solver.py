@@ -497,13 +497,13 @@ class TestObjective:
         set_h = ConstraintSet(Target.H_COLS, [(2, 4, 6)])
         cfg = SolverConfig(k=4, measure=Measure.EUCLIDEAN, lambda_w=0.3, lambda_h=0.9)
         want = (frobenius_sq_diff(v, w @ h)
-                + 0.3 * euc_penalty_value(w, set_w)
-                + 0.9 * euc_penalty_value(h, set_h))
+                + 0.3 * euc_penalty_value(triple_distances(set_w, w, Measure.EUCLIDEAN))
+                + 0.9 * euc_penalty_value(triple_distances(set_h, h, Measure.EUCLIDEAN)))
         assert objective(v, w, h, (set_w, set_h), cfg) == pytest.approx(want, rel=1e-12)
         cfg = SolverConfig(k=4, measure=Measure.DIVERGENCE, lambda_w=0.3, lambda_h=0.9)
         want = (matrix_divergence(v, w @ h)
-                + 0.3 * div_penalty_value(w, set_w)
-                + 0.9 * div_penalty_value(h, set_h))
+                + 0.3 * div_penalty_value(triple_distances(set_w, w, Measure.DIVERGENCE))
+                + 0.9 * div_penalty_value(triple_distances(set_h, h, Measure.DIVERGENCE)))
         assert objective(v, w, h, (set_w, set_h), cfg) == pytest.approx(want, rel=1e-12)
 
 
