@@ -35,7 +35,8 @@ from .constraints import (
     read_constraints,
     write_constraints,
 )
-from .exceptions import MalformedLineError, RprNmfError, ShapeMismatchError, TooFewPointsError
+from .exceptions import (DegenerateMaskError, MalformedLineError, NegativeEntryError,
+                         NonFiniteEntryError, RprNmfError, ShapeMismatchError)
 from .io import (
     make_cv_split,
     read_dense_csv,
@@ -47,7 +48,7 @@ from .io import (
     write_report,
     zeros_as_missing,
 )
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, ObservedCells, check_data
 from .metrics import f1_score, md, msl, rmse
 from .solver import SolverConfig, run as run_solver
 
@@ -171,6 +172,17 @@ def _read(flag: str, path, reader, *args):
     raise UsageError(f"{flag} {path}: {reason}")
 
 
+def _check_values(flag: str, path, v: DenseMatrix, place) -> None:
+    """:func:`check_data` of ``v``, read from ``path`` by ``flag``, with a bad
+    entry named by ``place(i, j)`` of its 0-based cell (exit code 2)."""
+    try:
+        check_data(v)
+    except (NegativeEntryError, NonFiniteEntryError) as exc:
+        kind = "negative" if exc.value < 0 else "non-finite"
+        raise UsageError(f"{flag} {path}: {kind} value {exc.value!r} at "
+                         f"{place(*divmod(exc.index, v.cols))}") from None
+
+
 def _read_constraints(args, shape, data: str):
     """The (W, H) sets of ``--constraints``, or (None, None) without it.  A W
     index must name a row and an H index a column of the ``shape`` data read
@@ -188,12 +200,22 @@ def _read_constraints(args, shape, data: str):
 
 def cmd_factorize(args) -> int:
     v = _read("--matrix", args.matrix, read_dense_csv)
+    _check_values("--matrix", args.matrix, v, lambda i, j: f"row {i + 1}, column {j + 1}")
     mask = _read("--mask", args.mask, read_mask_csv) if args.mask else None
     if mask is not None and mask.shape != v.a.shape:
         raise UsageError(f"--mask {args.mask} has shape {mask.shape}, "
                          f"--matrix {args.matrix} has shape {v.a.shape}")
     if args.treat_zero_as_missing:
         mask = zeros_as_missing(v)
+    try:  # the solver's coverage rule, met before any solve
+        if mask is not None:
+            ObservedCells(v, mask).require_coverage()
+    except DegenerateMaskError as exc:
+        rows, cols = exc.args
+        empty = f"row {rows[0] + 1}" if rows else f"column {cols[0] + 1}"
+        raise UsageError(f"--mask {args.mask}: {empty} observes no entry" if args.mask else
+                         f"--matrix {args.matrix}: {empty} is all zeros, so "
+                         "--treat-zero-as-missing observes no entry of it") from None
     set_w, set_h = _read_constraints(args, v.a.shape, f"--matrix {args.matrix}")
     measure = Measure(args.measure)
     config = SolverConfig(
@@ -344,8 +366,6 @@ def cmd_convert(args) -> int:
     cset = set_h if set_h is not None else set_w
     if cset is None:
         raise UsageError(f"--constraints {args.constraints}: no constraints in the file")
-    if cset.target is not Target.H_COLS:
-        cset = ConstraintSet(Target.H_COLS, cset.triples)
     if args.m is not None and args.m < cset.max_index():
         raise UsageError(f"--m {args.m} is below the largest index {cset.max_index()} "
                          f"in {args.constraints}")
@@ -380,6 +400,8 @@ def cmd_crossvalidate(args) -> int:
         raise UsageError(f"--folds {args.folds} is more than the {table.ratings.size} "
                          f"distinct ratings in --ratings {args.ratings}")
     v, observed = ratings_to_matrix(table)
+    _check_values("--ratings", args.ratings, v,
+                  lambda i, j: f"user {table.user_ids[i]}, item {table.item_ids[j]}")
     set_w, set_h = _read_constraints(args, v.a.shape, f"--ratings {args.ratings}")
     split = make_cv_split(observed, args.folds, args.seed)
     empty = [f for f, heldout in enumerate(split.fold_masks) if not heldout.count]
@@ -418,13 +440,14 @@ def cmd_extract_constraints(args) -> int:
         by_class.setdefault(lab, []).append(idx)
     classes = sorted(by_class)
     if len(classes) < 2:
-        raise TooFewPointsError("need at least two classes to build triples")
+        raise UsageError(f"--labels {args.labels}: need at least two classes to build "
+                         f"triples, got {len(classes)}")
     triples = []
     for lab in classes:
         members = by_class[lab]
         if len(members) < args.per_class:
-            raise TooFewPointsError(
-                f"class {lab} has {len(members)} members, need {args.per_class}")
+            raise UsageError(f"--labels {args.labels}: class {lab} has {len(members)} members, "
+                             f"fewer than --per-class {args.per_class}")
         chosen = sorted(rng.choice(len(members), size=args.per_class, replace=False).tolist())
         picked = [members[i] for i in chosen]
         other_classes = [c for c in classes if c != lab]
@@ -525,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert constraints to a weight or label matrix")
     p.add_argument("--constraints", required=True)
     p.add_argument("--to", choices=("weights", "labels"), required=True)
-    p.add_argument("--m", type=int, default=None, help="column dimension (default: max index)")
+    p.add_argument("--m", type=int, default=None, help="vectors of the constrained side (default: max index)")
     p.add_argument("--mins", type=float, default=0.0)
     p.add_argument("--maxs", type=float, default=1.0)
     p.add_argument("--out", required=True)

@@ -24,6 +24,7 @@ from .exceptions import (
     NoConstraintsError,
     RprNmfError,
 )
+from .io import data_lines
 from .matrix import EPS, DenseMatrix, as_array
 
 
@@ -288,11 +289,11 @@ def constraints_to_weight_matrix(m: int, cset: ConstraintSet, mins: float, maxs:
     index pairs; pair depth is the longest path to a sink (sinks have depth 1)
     and weights interpolate linearly from ``mins`` at depth 1 to ``maxs`` at
     the maximum depth.  A cyclic pair graph has no depth and is rejected.
+    The matrix depends on the indices alone, so ``cset`` may target either
+    side; ``m`` is the number of its side's vectors.
     """
     if mins > maxs:
         raise InvalidRangeError(f"need mins <= maxs, got {mins} > {maxs}")
-    if cset.target is not Target.H_COLS:
-        raise InvalidConfigError("weight conversion expects a column-target constraint set")
     cset.check_bounds(m)
 
     def pair(i: int, j: int) -> tuple[int, int]:
@@ -389,16 +390,13 @@ def write_constraints(path, set_w: ConstraintSet | None = None, set_h: Constrain
 
 
 def read_constraints(path) -> tuple[ConstraintSet | None, ConstraintSet | None]:
-    """Inverse of :func:`write_constraints`; ``#`` comments and blank lines allowed."""
+    """Inverse of :func:`write_constraints`, under the line rule of :func:`rprnmf.io.data_lines`."""
     by_target: dict[Target, list[ConstraintTriple]] = {Target.W_ROWS: [], Target.H_COLS: []}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(fh):
             parts = line.split()
             if len(parts) != 4:
-                raise MalformedLineError(lineno, f"expected 'target q r s', got {raw.rstrip()!r}")
+                raise MalformedLineError(lineno, f"expected 'target q r s', got {line!r}")
             tag = parts[0].upper()
             if tag not in ("W", "H"):
                 raise MalformedLineError(lineno, f"unknown target {parts[0]!r}")

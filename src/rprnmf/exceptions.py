@@ -82,7 +82,11 @@ class EmptyMaskError(RprNmfError, ValueError):
 
 
 class DegenerateMaskError(RprNmfError, ValueError):
-    """A mask used for factorisation has an all-zero row or column."""
+    """A mask used for factorisation has an all-zero row or column; ``args``
+    are the lists of such rows and of such columns, 0-based."""
+
+    def __str__(self) -> str:
+        return "mask has empty rows {} / columns {}".format(*self.args)
 
 
 class NoObservedRatingsError(RprNmfError, ValueError):

@@ -1,6 +1,7 @@
 """File formats: dense CSV matrices, ratings tables, CV splits, JSON reports.
 
-Readers reject malformed input rather than coercing it: a bad line raises
+Every text reader takes its lines from :func:`data_lines` and rejects
+malformed input rather than coercing it: a bad line raises
 :class:`MalformedLineError`, which carries its 1-based line number.  A
 ratings file goes first to the compiled ``rpr_read_ratings``, so a ratings
 read builds the compiled kernels; a file that scan does not take whole goes
@@ -13,6 +14,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +25,9 @@ from .exceptions import (
     TooSparseError,
 )
 from .matrix import DenseMatrix, MaskMatrix, as_array, as_mask
-from .solver import FactorisationReport, SolverConfig
+
+if TYPE_CHECKING:  # at run time, solver imports constraints, which imports data_lines
+    from .solver import FactorisationReport, SolverConfig
 
 log = logging.getLogger(__name__)
 
@@ -39,19 +43,22 @@ def write_dense_csv(path, m) -> None:
             fh.write(",".join(format(x, ".17g") for x in row) + "\n")
 
 
+def data_lines(lines):
+    """Each line of ``lines`` that holds more than blanks and a ``#`` comment,
+    as its 1-based number and its stripped text without the comment."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def read_dense_csv(path) -> DenseMatrix:
     rows: list[list[float]] = []
-    width = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(fh):
             tokens = line.split(",")
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise MalformedLineError(lineno, f"expected {width} fields, got {len(tokens)}")
+            if rows and len(tokens) != len(rows[0]):
+                raise MalformedLineError(lineno, f"expected {len(rows[0])} fields, got {len(tokens)}")
             try:
                 rows.append([float(t) for t in tokens])
             except ValueError:
@@ -80,13 +87,10 @@ def zeros_as_missing(m) -> MaskMatrix:
 
 
 def read_labels_file(path) -> list[int]:
-    """One integer label per line; blank lines and ``#`` lines are skipped."""
+    """One integer label per line."""
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(fh):
             try:
                 labels.append(int(line))
             except ValueError:
@@ -120,10 +124,9 @@ def read_ratings(path, fmt: str = "ml1m") -> RatingsTable:
     """Parse ``user::item::rating[::timestamp]`` lines or the CSV equivalent.
 
     A timestamp must read as a number and is then dropped; lines with and
-    without one may mix.  Blank lines and lines starting with ``#`` are
-    skipped.  Duplicate (user, item) pairs keep the last occurrence; ids are
-    densified to contiguous 1-based indices in ascending raw-id order, which
-    drops any user/item that no surviving rating references.
+    without one may mix.  Duplicate (user, item) pairs keep the last
+    occurrence; ids are densified to contiguous 1-based indices in ascending
+    raw-id order, which drops any user/item that no surviving rating references.
     """
     if fmt not in ("ml1m", "csv"):
         raise InvalidRangeError(f"unknown ratings format {fmt!r}")
@@ -147,6 +150,7 @@ def _ratings_whole(data: bytes, sep: str):
     by spaces and tabs, int64 ids and values that ``strtod_l`` reads whole
     in the C locale, less empty ones, hex and ``nan(...)``: ``float()``'s
     grammar less underscores.  A timestamp is checked as a value and dropped.
+    A file with a ``#`` anywhere is left to the loop, which owns comments.
     """
     # one row per line at most; a text with lone \r line ends may have more
     # lines, and is then left to the loop
@@ -164,10 +168,7 @@ def _ratings_by_line(text: str, sep: str):
     raises :class:`MalformedLineError` naming the first bad line.  A
     timestamp is checked by ``float()`` and dropped."""
     rows: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text.split("\n")):
         parts = line.split(sep)
         if len(parts) not in (3, 4):
             raise MalformedLineError(lineno, f"expected 3 or 4 fields, got {len(parts)}")

@@ -174,9 +174,7 @@ class ObservedCells:
         row_gap = np.flatnonzero(np.diff(self.indptr) == 0)
         col_gap = np.flatnonzero(np.bincount(self.cols, minlength=self.shape[1]) == 0)
         if row_gap.size or col_gap.size:
-            raise DegenerateMaskError(
-                f"mask has empty rows {row_gap.tolist()} / columns {col_gap.tolist()}"
-            )
+            raise DegenerateMaskError(row_gap.tolist(), col_gap.tolist())
 
     def csr(self, values) -> sp.csr_matrix:
         """N x M sparse matrix holding ``values`` (one per cell) at the cells.

@@ -172,16 +172,20 @@ def _checked_data(v, sets, mask):
     """The entry checks of ``run`` and ``objective``: (V array, W set, H set, cells).
 
     V passes :func:`check_data`, masked cells included; each constraint set
-    must target its own side.  An empty set comes back as None, so a set is
+    must target its own side and, whatever its coefficient, name only V's
+    rows (W) or columns (H).  An empty set comes back as None, so a set is
     either absent or has triples.  ``cells`` is the :class:`ObservedCells` of
     V under ``mask``, or None when unmasked.
     """
     va = check_data(v)
     set_w, set_h = sets if sets is not None else (None, None)
-    for cset, side, target in ((set_w, "W", Target.W_ROWS), (set_h, "H", Target.H_COLS)):
-        if cset is not None and cset.target is not target:
-            raise InvalidConfigError(f"the {side}-side constraint set targets "
-                                     f"{cset.target.name}, not {target.name}")
+    for cset, side, target, dim in ((set_w, "W", Target.W_ROWS, va.shape[0]),
+                                    (set_h, "H", Target.H_COLS, va.shape[1])):
+        if cset is not None:
+            if cset.target is not target:
+                raise InvalidConfigError(f"the {side}-side constraint set targets "
+                                         f"{cset.target.name}, not {target.name}")
+            cset.check_bounds(dim)
     cells = None if mask is None else ObservedCells(va, mask)
     return va, set_w or None, set_h or None, cells
 
@@ -253,13 +257,12 @@ class _PreparedSet:
     cuts ``tri``/``role`` into each one's links, in triple order, where role
     0/1/2 means the vector is its triple's q/r/s.  ``qrs`` is the set's own
     3 x n table of each triple's q, r and s.  ``args`` are these tables as
-    the compiled sweep takes them.
+    the compiled sweep takes them.  :func:`run` has checked the set's bounds.
     """
 
     __slots__ = ("touched", "n", "qrs", "first", "tri", "role", "args")
 
-    def __init__(self, cset: ConstraintSet, dim: int):
-        cset.check_bounds(dim)
+    def __init__(self, cset: ConstraintSet):
         n = self.n = len(cset)
         self.qrs = cset.index_arrays()
         # one link per entry role * n + triple of qrs, by vector, then triple
@@ -270,20 +273,6 @@ class _PreparedSet:
         self.first = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.args = (self.touched.size, self.touched.ctypes.data, self.first.ctypes.data,
                      self.tri.ctypes.data, self.role.ctypes.data, n, self.qrs.ctypes.data)
-
-
-def _prepare(cset: ConstraintSet | None, dim: int, lam: float) -> _PreparedSet | None:
-    """The sweep plan of a set with a positive coefficient, else None.
-
-    Coefficients only scale, so a side that starts at 0 stays unpenalised and
-    needs no plan; its set's bounds are still checked before any iteration.
-    """
-    if cset is None:
-        return None
-    if lam == 0:
-        cset.check_bounds(dim)
-        return None
-    return _PreparedSet(cset, dim)
 
 
 def _strides(a: np.ndarray) -> tuple[int, int]:
@@ -352,8 +341,10 @@ def run(v, sets: tuple[ConstraintSet | None, ConstraintSet | None], config: Solv
     h = rng.uniform(INIT_LOW, INIT_HIGH, size=(config.k, m))
     lam_w, lam_h = config.lambda_w, config.lambda_h
     measure = config.measure
-    prep_w = _prepare(set_w, n, lam_w)
-    prep_h = _prepare(set_h, m, lam_h)
+    # coefficients only scale, so a side that starts at 0 stays unpenalised
+    # and needs no sweep plan
+    prep_w = _PreparedSet(set_w) if set_w is not None and lam_w > 0 else None
+    prep_h = _PreparedSet(set_h) if set_h is not None and lam_h > 0 else None
 
     def current_objective():
         return _objective_value(va, w, h, set_w, set_h, lam_w, lam_h, measure, cells)

@@ -81,3 +81,28 @@ def test_every_round_layer_is_called(monkeypatch, measure):
     solver.run(v, sets, SolverConfig(k=2, measure=measure, lambda_w=0.5, lambda_h=0.5,
                                      max_iters=3))
     assert [layer for layer, count in calls.items() if not count] == []
+
+
+def test_sweep_plans_carry_what_the_tracer_reads(monkeypatch):
+    # the tracer counts a sweep's entries from its plan's touched and n, and
+    # silently counts 0 where either is missing
+    plans = []
+    sweep = solver._sweep
+
+    def recording(fac, num, den, prep, *args):
+        plans.append((fac.shape[0], prep))
+        return sweep(fac, num, den, prep, *args)
+
+    monkeypatch.setattr(solver, "_sweep", recording)
+    v = np.random.default_rng(1).uniform(0.1, 1.0, (6, 5))
+    sets = (ConstraintSet(Target.W_ROWS, [(1, 2, 3), (4, 5, 6)]),
+            ConstraintSet(Target.H_COLS, [(1, 2, 3), (3, 4, 5), (5, 1, 2)]))
+    solver.run(v, sets, SolverConfig(k=2, measure=Measure.DIVERGENCE, lambda_w=0.5, lambda_h=0.5,
+                                     max_iters=3))
+    # W is swept as its 6 rows, H as its 5 columns
+    length = {6: len(sets[0]), 5: len(sets[1])}
+    assert sorted({rows for rows, prep in plans if prep is not None}) == [5, 6]
+    for rows, prep in plans:
+        if prep is not None:
+            assert prep.touched.ndim == 1 and np.issubdtype(prep.touched.dtype, np.integer)
+            assert isinstance(prep.n, int) and prep.n == length[rows]

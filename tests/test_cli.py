@@ -453,11 +453,24 @@ class TestExtractConstraints:
         run_cli("extract-constraints", "--labels", lfile, "--seed", 5, "--out", out2)
         assert out1.read_text() == out2.read_text()
 
-    def test_class_too_small_exit_1(self, tmp_path):
+    def test_class_too_small_exit_2(self, tmp_path, capsys):
         lfile = self._labels(tmp_path, [1, 1, 2])
         out = tmp_path / "c.txt"
         assert run_cli("extract-constraints", "--labels", lfile, "--per-class", 2,
-                       "--seed", 0, "--out", out) == 1
+                       "--seed", 0, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: --labels {lfile}: class 2 has 1 members, "
+                                           "fewer than --per-class 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels", [[], [4, 4, 4]], ids=["empty", "one-class"])
+    def test_fewer_than_two_classes_exit_2(self, tmp_path, capsys, labels):
+        lfile = tmp_path / "labels.txt"
+        lfile.write_text("".join(f"{lab}\n" for lab in labels))
+        out = tmp_path / "c.txt"
+        assert run_cli("extract-constraints", "--labels", lfile, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: --labels {lfile}: need at least two classes "
+                                           f"to build triples, got {len(set(labels))}\n")
+        assert not out.exists()
 
 
 class TestThreads:
@@ -657,6 +670,43 @@ class TestUsageErrors:
         assert err.startswith(f"error: --constraints {paths['--constraints']}: {reason} "
                               f"of {data} {paths[data]}, shape (3, 3)")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, data, good, bad, reason", [
+        ("factorize", "--matrix", "4,5,6", "4,-1,6", "negative value -1.0 at row 2, column 2"),
+        ("factorize", "--matrix", "7,8,9", "7,8,nan", "non-finite value nan at row 3, column 3"),
+        ("crossvalidate", "--ratings", "2::3::5", "2::3::-1", "negative value -1.0 at user 2, item 3"),
+        ("crossvalidate", "--ratings", "3::1::4", "3::1::inf", "non-finite value inf at user 3, item 1"),
+    ], ids=["matrix-negative", "matrix-nan", "ratings-negative", "ratings-inf"])
+    def test_bad_value_names_its_cell(self, tmp_path, capsys, command, data, good, bad, reason):
+        argv, paths = _file_argv(tmp_path, command)
+        text = paths[data].read_text()
+        assert good in text
+        paths[data].write_text(text.replace(good, bad))
+        err = self._exit_2_naming(capsys, data, *argv)
+        assert err == f"error: {data} {paths[data]}: {reason}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mask, empty", [("1,1\n0,0\n", "row 2"), ("0,1\n0,1\n", "column 1")],
+                             ids=["row", "column"])
+    def test_mask_that_empties_a_row_or_column(self, tmp_path, capsys, mask, empty):
+        matrix, mfile, out = tmp_path / "v.csv", tmp_path / "m.csv", tmp_path / "r.json"
+        matrix.write_text("1,2\n3,4\n")
+        mfile.write_text(mask)
+        err = self._exit_2_naming(capsys, "--mask", "factorize", "--matrix", matrix, "--mask", mfile,
+                                  "--k", 1, "--out", out)
+        assert err == f"error: --mask {mfile}: {empty} observes no entry\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("v, empty", [("1,2\n0,0\n", "row 2"), ("0,1\n0,2\n", "column 1")],
+                             ids=["row", "column"])
+    def test_zero_as_missing_that_empties_a_row_or_column(self, tmp_path, capsys, v, empty):
+        matrix, out = tmp_path / "v.csv", tmp_path / "r.json"
+        matrix.write_text(v)
+        err = self._exit_2_naming(capsys, "--treat-zero-as-missing", "factorize", "--matrix", matrix,
+                                  "--treat-zero-as-missing", "--k", 1, "--out", out)
+        assert err == (f"error: --matrix {matrix}: {empty} is all zeros, so "
+                       "--treat-zero-as-missing observes no entry of it\n")
+        assert not out.exists()
 
     def test_folds_above_ratings_count(self, tmp_path, capsys):
         # a duplicate pair counts once

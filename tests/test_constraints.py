@@ -399,6 +399,14 @@ class TestWeightConversion:
             constraints_to_weight_matrix(4, s, 0.0, 1.0)
         assert sorted(exc.value.edges) == [((1, 2), (1, 3)), ((1, 3), (1, 4)), ((1, 4), (1, 2))]
 
+    def test_either_side(self):
+        # the matrix depends on the indices alone
+        triples = [(2, 1, 3), (3, 2, 4), (1, 5, 6)]
+        w_side = constraints_to_weight_matrix(7, ConstraintSet(Target.W_ROWS, triples), 0.1, 0.9)
+        h_side = constraints_to_weight_matrix(7, ConstraintSet(Target.H_COLS, triples), 0.1, 0.9)
+        assert np.array_equal(w_side.s.a, h_side.s.a)
+        assert (w_side.max_depth, w_side.step) == (h_side.max_depth, h_side.step)
+
 
 class TestLabelConversion:
     def test_two_disjoint_classes(self):

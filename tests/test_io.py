@@ -16,11 +16,14 @@ from rprnmf.exceptions import (
     TooSparseError,
 )
 from rprnmf import io as rio
+from rprnmf.constraints import read_constraints
 from rprnmf.io import (
     REPORT_SCHEMA,
     make_cv_split,
     ratings_to_matrix,
     read_dense_csv,
+    read_labels_file,
+    read_mask_csv,
     read_ratings,
     write_dense_csv,
     write_report,
@@ -318,6 +321,51 @@ class TestRatingsWholeFile:
             assert got == want
         else:
             assert_same_table(got, want)
+
+
+def _table(t):
+    return (t.users.tolist(), t.items.tolist(), t.ratings.tolist(), t.user_ids, t.item_ids)
+
+
+# each text reader: how to call it, its data lines, a line it refuses, and
+# what of its result to compare
+LINE_RULE_READERS = {
+    "dense": (read_dense_csv, ["1,2.5", "0,4"], "1,2,3", lambda m: m.a.tolist()),
+    "mask": (read_mask_csv, ["1,0", "0,1"], "1,x", lambda m: (m.shape, m.flat.tolist())),
+    "labels": (read_labels_file, ["3", "1", "3"], "x", list),
+    "constraints": (read_constraints, ["W 1 2 3", "H 4 5 6"], "H 1 2", tuple),
+    "ratings-ml1m": (lambda p: read_ratings(p, "ml1m"), ["1::2::3.5", "2::1::4::978300760"],
+                     "1::2", _table),
+    "ratings-csv": (lambda p: read_ratings(p, "csv"), ["1,2,3.5", "2,1,4,978300760"], "1,2", _table),
+}
+
+
+class TestLineRule:
+    """Every text reader skips blank lines and ``#`` comments alike, and counts
+    a bad line by its place in the file."""
+
+    @staticmethod
+    def _dressed(lines):
+        return ["# a leading comment", "", lines[0] + "  # a trailing comment", " \t ",
+                *lines[1:], "   # an indented comment", ""]
+
+    @pytest.mark.parametrize("name", sorted(LINE_RULE_READERS))
+    def test_comments_and_blank_lines_read_as_the_bare_file(self, tmp_path, name):
+        reader, lines, _, key = LINE_RULE_READERS[name]
+        bare, dressed = tmp_path / "bare", tmp_path / "dressed"
+        bare.write_text("\n".join(lines) + "\n")
+        dressed.write_text("\n".join(self._dressed(lines)) + "\n")
+        assert key(reader(dressed)) == key(reader(bare))
+
+    @pytest.mark.parametrize("name", sorted(LINE_RULE_READERS))
+    def test_bad_line_keeps_its_physical_number(self, tmp_path, name):
+        reader, lines, bad, _ = LINE_RULE_READERS[name]
+        text = self._dressed(lines) + [bad + " # a comment"]
+        path = tmp_path / "dressed"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(MalformedLineError) as exc:
+            reader(path)
+        assert exc.value.line == len(text)
 
 
 class TestCvSplit:

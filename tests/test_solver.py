@@ -25,6 +25,7 @@ from rprnmf import (
 )
 from rprnmf.constraints import generate_chain_constraints, triple_distances
 from rprnmf.exceptions import (
+    IndexOutOfRangeError,
     InvalidConfigError,
     NegativeEntryError,
     NonFiniteEntryError,
@@ -163,10 +164,10 @@ def sweep_side(v, w, h, cset, lam, measure, side):
     fac = w if side == "w" else h
     dist = triple_distances(cset, fac, measure) if cset is not None else None
     if side == "w":
-        prep = _PreparedSet(cset, w.shape[0]) if cset is not None else None
+        prep = _PreparedSet(cset) if cset is not None else None
         _sweep(w, num, den, prep, lam, measure, dist)
     else:
-        prep = _PreparedSet(cset, h.shape[1]) if cset is not None else None
+        prep = _PreparedSet(cset) if cset is not None else None
         _sweep(h.T, num.T, den.T, prep, lam, measure, dist)
 
 
@@ -260,7 +261,7 @@ class TestOrderedSweep:
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (3, 4, 5), (5, 2, 7), (8, 9, 1)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
             fast = w.copy()
-            _sweep(fast, num, den, _PreparedSet(cset, 12), 0.7, measure,
+            _sweep(fast, num, den, _PreparedSet(cset), 0.7, measure,
                    triple_distances(cset, w, measure))
             slow = w.copy()
             reference_ordered_sweep(slow, np.asarray(num), np.asarray(den), cset, 0.7, measure)
@@ -289,7 +290,7 @@ class TestOrderedSweep:
             slow = start.copy()
             reference_ordered_sweep(orient(slow), orient(num), orient(den), cset, lam, measure)
             fast = start.copy()
-            _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset, dim), lam,
+            _sweep(orient(fast), orient(num), orient(den), _PreparedSet(cset), lam,
                    measure, triple_distances(cset, start, measure))
             assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
 
@@ -305,7 +306,7 @@ class TestOrderedSweep:
         cset = ConstraintSet(target, [tuple(rng.choice(300, 3, replace=False) + 1)
                                       for _ in range(400)])
         for measure in Measure:
-            prep = _PreparedSet(cset, 300)
+            prep = _PreparedSet(cset)
             num, den = masked_update_terms(v, None, w, h, measure, side)
             fast, slow = start.copy(), start.copy()
             _sweep(orient(fast), orient(num), orient(den), prep, 0.7, measure,
@@ -326,7 +327,7 @@ class TestOrderedSweep:
         num, den = masked_update_terms(v, None, w, h, Measure.DIVERGENCE, "h")
         slow, fast = h.copy(), h.copy()
         reference_ordered_sweep(slow.T, num.T, den.T, cset, 2.0, Measure.DIVERGENCE)
-        _sweep(fast.T, num.T, den.T, _PreparedSet(cset, 7), 2.0, Measure.DIVERGENCE, (d1, d2))
+        _sweep(fast.T, num.T, den.T, _PreparedSet(cset), 2.0, Measure.DIVERGENCE, (d1, d2))
         plain = h[0, 0] * num[0, 0] / den[0, 0]
         assert abs(slow[0, 0] - plain) > 1e-3 * plain  # the hinge term moved r
         assert np.max(np.abs(fast - slow) / np.maximum(np.abs(slow), 1e-30)) < 1e-10
@@ -336,7 +337,7 @@ class TestOrderedSweep:
         dim = 200
         triples = [tuple(rng.choice(dim, 3, replace=False) + 1) for _ in range(300)]
         cset = ConstraintSet(Target.W_ROWS, triples)
-        prep = _PreparedSet(cset, dim)
+        prep = _PreparedSet(cset)
         want = np.array(triples).T - 1
         assert np.array_equal(prep.qrs, want)
         assert prep.qrs is cset.index_arrays()  # the kernel reads the set's own table
@@ -357,7 +358,7 @@ class TestOrderedSweep:
         w = np.array([[0.0], [30.0], [1.0]])
         num = den = np.ones_like(w)
         cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
-        prep = _PreparedSet(cset, 3)
+        prep = _PreparedSet(cset)
         with pytest.raises(PenaltyOverflowError, match="exp argument 900 exceeds 700") as exc:
             _sweep(w, num, den, prep, 1.0, Measure.EUCLIDEAN,
                    triple_distances(cset, w, Measure.EUCLIDEAN))
@@ -366,7 +367,7 @@ class TestOrderedSweep:
     def test_operands_that_do_not_fit_are_refused(self):
         # checked before the compiled walk reads or writes through them
         cset = ConstraintSet(Target.W_ROWS, [(1, 2, 4)])
-        prep = _PreparedSet(cset, 4)
+        prep = _PreparedSet(cset)
         w = np.ones((4, 2))
         dist = triple_distances(cset, w, Measure.EUCLIDEAN)
         for fac, num, d in ((np.ones((3, 2)), np.ones((3, 2)), dist), (w.astype(np.float32), w, dist),
@@ -387,7 +388,7 @@ class TestOrderedSweep:
         before = set(cache.glob("*.so"))
         w = np.ones((3, 1))
         cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])
-        prep = _PreparedSet(cset, 3)
+        prep = _PreparedSet(cset)
         dist = triple_distances(cset, w, Measure.EUCLIDEAN)
         config = SolverConfig(k=1, measure=Measure.EUCLIDEAN, max_iters=1, mask=np.ones((3, 3)))
         for call in (lambda: _sweep(w, w.copy(), w.copy(), prep, 1.0, Measure.EUCLIDEAN, dist),
@@ -411,7 +412,7 @@ class TestOrderedSweep:
                   "from rprnmf.solver import _PreparedSet, _sweep\n"
                   "w = np.ones((3, 2))\n"
                   "cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])\n"
-                  "_sweep(w, w.copy(), w.copy(), _PreparedSet(cset, 3), 1.0, Measure.DIVERGENCE,\n"
+                  "_sweep(w, w.copy(), w.copy(), _PreparedSet(cset), 1.0, Measure.DIVERGENCE,\n"
                   "       triple_distances(cset, w, Measure.DIVERGENCE))\n"
                   "cells = ObservedCells(np.ones((3, 3)), np.eye(3))\n"
                   "print(w.sum(), cells.model(w, w.T).sum())\n")
@@ -437,7 +438,7 @@ class TestOrderedSweep:
                   "from rprnmf.solver import _PreparedSet, _sweep\n"
                   "w = np.ones((3, 2))\n"
                   "cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3)])\n"
-                  "_sweep(w, w.copy(), w.copy(), _PreparedSet(cset, 3), 1.0, Measure.EUCLIDEAN,\n"
+                  "_sweep(w, w.copy(), w.copy(), _PreparedSet(cset), 1.0, Measure.EUCLIDEAN,\n"
                   "       triple_distances(cset, w, Measure.EUCLIDEAN))\n")
         env = dict(os.environ, PYTHONPATH=str(tmp_path))
         proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
@@ -458,7 +459,7 @@ class TestOrderedSweep:
             v, w, h = random_instance(rng)
             cset = ConstraintSet(Target.W_ROWS, [(1, 2, 3), (4, 5, 6)])
             num, den = masked_update_terms(v, None, w, h, measure, "w")
-            _sweep(w, num, den, _PreparedSet(cset, 12), 1.0, measure,
+            _sweep(w, num, den, _PreparedSet(cset), 1.0, measure,
                    triple_distances(cset, w, measure))
             assert np.all(w >= 0.0)
 
@@ -505,6 +506,18 @@ class TestObjective:
                 + 0.3 * div_penalty_value(triple_distances(set_w, w, Measure.DIVERGENCE))
                 + 0.9 * div_penalty_value(triple_distances(set_h, h, Measure.DIVERGENCE)))
         assert objective(v, w, h, (set_w, set_h), cfg) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sets", [(ConstraintSet(Target.W_ROWS, [(1, 2, 9)]), None),
+                                      (None, ConstraintSet(Target.H_COLS, [(9, 2, 1)]))],
+                             ids=["w", "h"])
+    def test_out_of_range_set_refused_at_zero_coefficient(self, sets):
+        # as run() refuses it: bounds do not depend on the coefficient
+        v, w, h = random_instance(np.random.default_rng(11), 8, 8, 2)
+        cfg = SolverConfig(k=2, measure=Measure.EUCLIDEAN)
+        with pytest.raises(IndexOutOfRangeError, match="index 9 exceeds dimension 8"):
+            objective(v, w, h, sets, cfg)
+        with pytest.raises(IndexOutOfRangeError, match="index 9 exceeds dimension 8"):
+            run(v, sets, cfg)
 
 
 # -------------------------------------------------------------------- run
@@ -588,7 +601,7 @@ class TestRun:
         set_w = generate_chain_constraints(DenseMatrix(w0), Target.W_ROWS, 2, 2, Measure.DIVERGENCE, seed=4)
         num, den = masked_update_terms(v, None, w0, h0, Measure.DIVERGENCE, "w")
         w1 = w0.copy()
-        prep = _PreparedSet(set_w, 8)
+        prep = _PreparedSet(set_w)
         _sweep(w1, np.asarray(num), np.asarray(den), prep, 5.0, Measure.DIVERGENCE,
                triple_distances(set_w, w1, Measure.DIVERGENCE))
         assert np.max(np.abs(w1 - w0) / np.abs(w0)) < 1e-10
