@@ -4,18 +4,20 @@ The library holds ``rpr_sweep``, the constrained walk of a sweep
 (:func:`rprnmf.solver._sweep`), ``rpr_model``, W @ H at the observed
 cells (:meth:`rprnmf.matrix.ObservedCells.model`), ``rpr_ordering``, the
 widest increasing ordering of a chain's points
-(:func:`rprnmf.constraints._increasing_ordering`), and ``rpr_read_ratings``,
-the whole-file ratings scan (:func:`rprnmf.io.read_ratings`).  ``rpr_model``
+(:func:`rprnmf.constraints._increasing_ordering`), ``rpr_read_ratings``,
+the whole-file ratings scan (:func:`rprnmf.io.read_ratings`), and
+``rpr_read_dense``, the whole-file dense CSV scan
+(:func:`rprnmf.io.read_dense_csv`).  ``rpr_model``
 reads the cells' int64 row pointer and int32 columns and walks a row's cells
 four at a time, one accumulator per cell, so each sum is bit for bit the
 one-cell loop's.  ``rpr_ordering`` visits, prunes and breaks ties as the
 Python search in ``tests/oracles.py``, so it returns the same path and gap.
-``rpr_read_ratings`` returns -1 for any text it does not take whole, which
-the line loop then reads.  The four modules import this one, and the
-library is built and loaded once per process, so the first chain
-generation or ratings read builds it too.  ``tests/mutate_kernels.py``
-checks that the sweep, model, chain and ratings tests fail on each of a
-list of mutants of the source.
+The two scans share one value grammar, and each returns -1 for any text it
+does not take whole, which its line loop then reads.  The four modules
+import this one, and the library is built and loaded once per process, so
+the first chain generation, ratings read or dense CSV read builds it too.
+``tests/mutate_kernels.py`` checks that the sweep, model, chain, ratings
+and dense CSV tests fail on each of a list of mutants of the source.
 """
 
 from __future__ import annotations
@@ -101,5 +103,7 @@ def _load() -> ctypes.CDLL:
     lib.rpr_ordering.restype = f64
     lib.rpr_read_ratings.argtypes = [ctypes.c_char_p, i64, ctypes.c_char_p, i64, i64] + [ptr] * 3
     lib.rpr_read_ratings.restype = i64
+    lib.rpr_read_dense.argtypes = [ctypes.c_char_p, i64, i64, ptr, ptr]
+    lib.rpr_read_dense.restype = i64
     _compiled = lib
     return lib

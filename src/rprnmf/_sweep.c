@@ -27,9 +27,14 @@
  * (rprnmf.io._ratings_whole).  It accepts a strict subset of what the line
  * loop rprnmf.io._ratings_by_line accepts, with the same values bit for
  * bit, and returns -1 for everything else, which that loop then reads.  A
- * timestamp is checked as a value and not kept.  strtod_l in the C locale
- * decides which value tokens are numbers, and their values, so the
- * process's locale cannot change either.
+ * timestamp is checked as a value and not kept.
+ *
+ * rpr_read_dense parses a dense CSV file's bytes whole, in one pass
+ * (rprnmf.io._dense_whole), by the same line, padding and value rules, and
+ * returns -1 for anything the line loop rprnmf.io._dense_by_line must
+ * decide.  In both scans strtod_l in the C locale decides which value
+ * tokens are numbers, and their values, so the process's locale cannot
+ * change either.
  */
 #define _GNU_SOURCE /* strtod_l */
 #include <locale.h>
@@ -65,7 +70,9 @@ int rpr_sweep(double *fac, int64_t f0, int64_t f1, int64_t kdim,
                         *exponent = dd[t];
                         return 1;
                     }
-                    double e1 = exp(dd[t]), e2 = exp(-dd[n + t]);
+                    /* role r reads only e1, role s only e2 */
+                    double e1 = role[j] != 2 ? exp(dd[t]) : 0.0,
+                           e2 = role[j] != 1 ? exp(-dd[n + t]) : 0.0;
                     if (role[j] == 0) {
                         pos += e1 * wq + e2 * ws;
                         neg += e1 * wr + e2 * wq;
@@ -351,6 +358,59 @@ int64_t rpr_read_ratings(const char *text, int64_t len, const char *sep, int64_t
             goto undecided;
         if (f != 3 && f != 4)
             goto undecided;
+        rows++;
+    }
+    freelocale(c_locale);
+    return rows > 0 ? rows : -1;
+undecided:
+    freelocale(c_locale);
+    return -1;
+}
+
+/* text is a dense CSV file's len bytes, with rpr_read_ratings' line ends: a
+ * line holds only spaces and tabs, or values separated by commas, each
+ * padded by spaces and tabs, read as rpr_read_ratings reads a rating.  The
+ * values go to out, which holds cap entries, row after row.
+ *
+ * Returns the number of rows, with *width set to their common width, or -1
+ * for a text without a row or with anything else: a '#', any other byte,
+ * rows of unequal width, an empty value (so a trailing comma), a value
+ * token 64 bytes or more long or not wholly read by strtod_l, more than
+ * cap values.  Those are left to the line loop. */
+int64_t rpr_read_dense(const char *text, int64_t len, int64_t cap, double *out, int64_t *width)
+{
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    const char *p = text, *end = text + len;
+    int64_t rows = 0, count = 0;
+    while (p < end) {
+        while (p < end && is_pad(*p))
+            p++;
+        if (p == end)
+            break;
+        if (is_eol(*p)) {
+            p++;
+            continue;
+        }
+        int64_t f = 0;
+        for (;;) {
+            if (count == cap || parse_value(&p, end, ',', c_locale, out + count))
+                goto undecided;
+            count++;
+            f++;
+            while (p < end && is_pad(*p))
+                p++;
+            if (p == end || is_eol(*p))
+                break;
+            if (*p++ != ',')
+                goto undecided;
+            while (p < end && is_pad(*p))
+                p++;
+        }
+        if (rows > 0 && f != *width)
+            goto undecided;
+        *width = f;
         rows++;
     }
     freelocale(c_locale);

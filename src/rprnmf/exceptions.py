@@ -3,6 +3,11 @@
 Everything derives from :class:`RprNmfError` so callers can catch the whole
 family; most types also derive from the closest builtin (``ValueError``,
 ``IndexError``, ...) so untargeted handling keeps working.
+
+An error that carries fields passes them to ``Exception.__init__``, keeps
+them as attributes and formats its message in ``__str__``.  Its ``args``
+are then its constructor's arguments, so it pickles and unpickles whole,
+and one raised in a worker process reaches the parent as it was raised.
 """
 
 
@@ -16,16 +21,20 @@ class ShapeMismatchError(RprNmfError, ValueError):
 
 class NegativeEntryError(RprNmfError, ValueError):
     def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(f"negative entry {value!r} at flat index {index}")
+        super().__init__(index, value)
+        self.index, self.value = index, value
+
+    def __str__(self) -> str:
+        return f"negative entry {self.value!r} at flat index {self.index}"
 
 
 class NonFiniteEntryError(RprNmfError, ValueError):
     def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(f"non-finite entry {value!r} at flat index {index}")
+        super().__init__(index, value)
+        self.index, self.value = index, value
+
+    def __str__(self) -> str:
+        return f"non-finite entry {self.value!r} at flat index {self.index}"
 
 
 class InvalidRangeError(RprNmfError, ValueError):
@@ -57,16 +66,20 @@ class CycleDetectedError(RprNmfError, ValueError):
 
     def __init__(self, edges):
         self.edges = list(edges)
-        super().__init__(f"constraint graph is cyclic; offending edges: {self.edges}")
+        super().__init__(self.edges)
+
+    def __str__(self) -> str:
+        return f"constraint graph is cyclic; offending edges: {self.edges}"
 
 
 class PenaltyOverflowError(RprNmfError, OverflowError):
     def __init__(self, exponent: float):
+        super().__init__(exponent)
         self.exponent = exponent
-        super().__init__(
-            f"exp argument {exponent:.3g} exceeds 700; rescale the input matrix "
-            "so squared row/column distances stay representable"
-        )
+
+    def __str__(self) -> str:
+        return (f"exp argument {self.exponent:.3g} exceeds 700; rescale the input matrix "
+                "so squared row/column distances stay representable")
 
 
 class NonPositiveModelEntryError(RprNmfError, ValueError):
@@ -91,14 +104,20 @@ class DegenerateMaskError(RprNmfError, ValueError):
 
 class NoObservedRatingsError(RprNmfError, ValueError):
     def __init__(self, user: int):
+        super().__init__(user)
         self.user = user
-        super().__init__(f"user {user} has no observed ratings; threshold undefined")
+
+    def __str__(self) -> str:
+        return f"user {self.user} has no observed ratings; threshold undefined"
 
 
 class MalformedLineError(RprNmfError, ValueError):
     def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(line, message)
+        self.line, self.message = line, message
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.message}"
 
 
 class TooSparseError(RprNmfError, ValueError):

@@ -3,9 +3,11 @@
 Every text reader takes its lines from :func:`data_lines` and rejects
 malformed input rather than coercing it: a bad line raises
 :class:`MalformedLineError`, which carries its 1-based line number.  A
-ratings file goes first to the compiled ``rpr_read_ratings``, so a ratings
-read builds the compiled kernels; a file that scan does not take whole goes
-through the line loop, which names the first bad line.  Splitters are deterministic functions of their seed.
+ratings file goes first to the compiled ``rpr_read_ratings`` and a dense or
+mask CSV to ``rpr_read_dense``, so either read builds the compiled kernels;
+both scans read values by one rule, and a file a scan does not take whole
+goes through its line loop, which names the first bad line.  Splitters are
+deterministic functions of their seed.
 """
 
 from __future__ import annotations
@@ -53,20 +55,57 @@ def data_lines(lines):
 
 
 def read_dense_csv(path) -> DenseMatrix:
+    """A comma-separated matrix, one row per line, read by the compiled scan
+    where it takes the file whole and by the line loop otherwise."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    a = _dense_whole(data)
+    if a is None:
+        # the lines open(path, encoding="utf-8") gives: universal newlines
+        return DenseMatrix(_dense_by_line(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
+    return DenseMatrix.wrap(a)
+
+
+def _dense_whole(data: bytes):
+    """The matrix in a dense CSV file's bytes, parsed whole by the compiled
+    ``rpr_read_dense``, or None where the line loop must decide.
+
+    This accepts a subset of what :func:`_dense_by_line` accepts, with the
+    same values: lines empty or of one common width, values padded by spaces
+    and tabs and read by the ratings scan's value rule.  A file with a ``#``
+    anywhere is left to the loop, which owns comments.
+    """
+    # every row has the first's width and there is one row per line at most,
+    # and n values take at least 2n - 1 bytes; a text with lone \r line ends
+    # may hold more, and is then left to the loop
+    head = data.lstrip(b" \t\r\n")  # the text itself unless it starts blank
+    eol = head.find(b"\n")
+    fields = head.count(b",", 0, eol if eol >= 0 else len(head)) + 1
+    cap = min((data.count(b"\n") + 1) * fields, (len(data) + 1) // 2)
+    del head
+    out, width = np.empty(cap), np.zeros(1, dtype=np.int64)
+    rows = _load().rpr_read_dense(data, len(data), cap, out.ctypes.data, width.ctypes.data)
+    if rows < 0:
+        return None
+    return out[:rows * width[0]].reshape(rows, width[0])
+
+
+def _dense_by_line(lines) -> list[list[float]]:
+    """The rows of a dense CSV file's lines; raises :class:`MalformedLineError`
+    naming the first bad line."""
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in data_lines(fh):
-            tokens = line.split(",")
-            if rows and len(tokens) != len(rows[0]):
-                raise MalformedLineError(lineno, f"expected {len(rows[0])} fields, got {len(tokens)}")
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError:
-                bad = next(t for t in tokens if not _is_float(t))
-                raise MalformedLineError(lineno, f"non-numeric value {bad!r}") from None
+    for lineno, line in data_lines(lines):
+        tokens = line.split(",")
+        if rows and len(tokens) != len(rows[0]):
+            raise MalformedLineError(lineno, f"expected {len(rows[0])} fields, got {len(tokens)}")
+        try:
+            rows.append([float(t) for t in tokens])
+        except ValueError:
+            bad = next(t for t in tokens if not _is_float(t))
+            raise MalformedLineError(lineno, f"non-numeric value {bad!r}") from None
     if not rows:
         raise MalformedLineError(1, "empty file")
-    return DenseMatrix(rows)
+    return rows
 
 
 def _is_float(token: str) -> bool:
@@ -186,9 +225,24 @@ def _ratings_by_line(text: str, sep: str):
     return tuple(np.array([row[c] for row in rows]) for c in range(3))
 
 
+def _densified(ids):
+    """``np.unique(ids, return_inverse=True)`` of an int64 id column: its
+    distinct ids ascending and each entry's place among them.  Where the ids
+    span at most ``4 * ids.size`` values, a presence map over that span gives
+    both without sorting."""
+    # Python ints, so hi - lo cannot overflow; an empty column takes np.unique
+    lo, hi = (int(ids.min()), int(ids.max())) if ids.size else (0, 0)
+    if hi - lo >= 4 * ids.size:
+        return np.unique(ids, return_inverse=True)
+    offset = ids - lo
+    seen = np.zeros(hi - lo + 1, dtype=bool)
+    seen[offset] = True
+    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[offset]
+
+
 def _ratings_table(users, items, ratings) -> RatingsTable:
-    user_ids, users = np.unique(users, return_inverse=True)
-    item_ids, items = np.unique(items, return_inverse=True)
+    user_ids, users = _densified(users)
+    item_ids, items = _densified(items)
     key = users * item_ids.size + items
     # a stable sort keeps each key's lines in file order, so the last line
     # of each run of equal keys is the one kept

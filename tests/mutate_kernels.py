@@ -3,16 +3,16 @@
     python tests/mutate_kernels.py      # exits 0 when the gate holds
 
 Each mutant is one textual edit of ``_sweep.c``: a plausible slip in
-``rpr_sweep``, ``rpr_model``, ``rpr_ordering`` or ``rpr_read_ratings``.  The
-unmutated source and then each mutant are written to a temporary directory,
-and a fresh Python process (a loaded library cannot be unloaded) points
-``rprnmf._kernels._SOURCE`` at that copy, builds it and runs the sweep,
-model, chain and ratings tests with pytest, hypothesis derandomised and
-without its example database.  The gate holds when the unmutated source
-passes and every mutant fails.  A mutant whose text is no longer in the
-source stops the script, so the list follows the kernels.  The list only
-grows: a surviving mutant needs a new test, or a note on why it is
-equivalent.  Pytest does not collect this file.
+``rpr_sweep``, ``rpr_model``, ``rpr_ordering``, ``rpr_read_ratings`` or
+``rpr_read_dense``.  The unmutated source and then each mutant are written
+to a temporary directory, and a fresh Python process (a loaded library
+cannot be unloaded) points ``rprnmf._kernels._SOURCE`` at that copy, builds
+it and runs the sweep, model, chain, ratings and dense CSV tests with
+pytest, hypothesis derandomised and without its example database.  The
+gate holds when the unmutated source passes and every mutant fails.  A
+mutant whose text is no longer in the source stops the script, so the list
+follows the kernels.  The list only grows: a surviving mutant needs a new
+test, or a note on why it is equivalent.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "rprnmf" / "_sweep.c"
 
-# the sweep, masked-terms, model, chain and ratings tests, less those that
-# build the library another way (another compiler, a copy of the package, -Werror)
+# the sweep, masked-terms, model, chain, ratings and dense CSV tests, less those
+# that build the library another way (another compiler, a copy of the package,
+# -Werror)
 TESTS = [str(ROOT / "tests" / t) for t in (
     "test_solver.py::TestEntryUpdates", "test_solver.py::TestOrderedSweep",
     "test_solver.py::TestUpdateTerms", "test_matrix.py::TestObservedModel",
     "test_constraints.py::TestChainGeneration",
-    "test_io.py::TestRatingsWholeFile", "test_io.py::TestRatings")]
+    "test_io.py::TestRatingsWholeFile", "test_io.py::TestRatings", "test_io.py::TestDenseCsv")]
 DESELECT = "not build and not compiles and not two_processes"
 
 TAIL_LOOP = """        for (; c < end; c++) {
@@ -92,6 +93,12 @@ MUTANTS = [
     ("nan(...) accepted: no ( refusal", "\n        || memchr(s, '(', len))", ")"),
     ("a line of two fields accepted", "if (f != 3 && f != 4)", "if (f < 2 || f > 4)"),
     ("the timestamp written over the rating", "c_locale, &stamp)", "c_locale, ratings + rows)"),
+    # rpr_read_dense
+    ("rows of unequal width accepted", "        if (rows > 0 && f != *width)\n            goto undecided;\n", ""),
+    ("a trailing comma accepted", "if (*p++ != ',')\n                goto undecided;\n",
+     "if (*p++ != ',')\n                goto undecided;\n            if (p == end || is_eol(*p))\n"
+     "                break;\n"),
+    ("no cap on the values written", "if (count == cap || parse_value", "if (parse_value"),
 ]
 
 RUNNER = """import sys

@@ -497,6 +497,24 @@ class TestThreads:
         # the digest ignores --out and --threads
         assert trailing_comment(seq) == trailing_comment(par)
 
+    def test_worker_error_matches_sequential(self, tmp_path, capsys):
+        # ratings near 1e5 overflow the Euclidean penalty's exp; the error
+        # raised in a worker process reaches the parent whole
+        ratings, cfile = tmp_path / "big.dat", tmp_path / "c.txt"
+        ratings.write_text("".join(f"{i}::{j}::{1e5 + 37 * i + 11 * j}\n"
+                                   for i in range(1, 9) for j in range(1, 9)))
+        cfile.write_text("W 1 2 3\nH 1 2 3\nH 4 5 6\n")
+        results = []
+        for threads in (1, 2):
+            code = run_cli("crossvalidate", "--ratings", ratings, "--constraints", cfile,
+                           "--lambda-w", 1, "--lambda-h", 1, "--folds", 2, "--k", 2,
+                           "--max-iters", 50, "--threads", threads, "--out", tmp_path / "cv.csv")
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("error: exp argument 3.12e+09 exceeds 700; ")
+
 
 class TestUsageErrors:
     """Flag values no command can use fail with exit code 2 before any task runs."""

@@ -1,3 +1,4 @@
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -15,7 +16,7 @@ from rprnmf.exceptions import (
     MalformedLineError,
     TooSparseError,
 )
-from rprnmf import io as rio
+from rprnmf import _kernels, io as rio
 from rprnmf.constraints import read_constraints
 from rprnmf.io import (
     REPORT_SCHEMA,
@@ -73,6 +74,70 @@ def loop_cv_folds(bits, folds, seed):
     return fold_bits, reassigned
 
 
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def dense_by_line(text):
+    """read_dense_csv's result with the whole-file parse left out: an array,
+    or the line number of the MalformedLineError."""
+    try:
+        return np.array(rio._dense_by_line(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")))
+    except MalformedLineError as exc:
+        return exc.line
+
+
+def read_dense_or_line(text):
+    """read_dense_csv of a file holding ``text``, as its shape and bytes, or
+    the line number of the MalformedLineError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m.csv")
+        path.write_bytes(text.encode())
+        try:
+            return _bytes_or_line(read_dense_csv(path).a)
+        except MalformedLineError as exc:
+            return exc.line
+
+
+def _bytes_or_line(a):
+    return a if isinstance(a, int) else (a.shape, a.tobytes())
+
+
+# repr, %.17g and exponent forms, integers past the scan's 15-digit exact
+# path, and the named values; the bad tokens include ones float() reads and
+# the scan leaves to the loop (underscores, 64 bytes, a trailing \v)
+_DENSE_VALUES = st.one_of(
+    st.floats().map(repr), st.floats().map(lambda x: f"{x:.17g}"),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.3e}"), st.floats(allow_nan=False).map(lambda x: f"{x:E}"),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "NaN", "+Infinity", "+0", "-0", ".5", "5.", "1E-2",
+                     "007", "\v5", "\f-1.5"]))
+_DENSE_BAD = st.sampled_from(["", "x", "1_0", "0x1p3", "nan(1)", "1e", "#3", "1 2", "\u0661", "9" * 64,
+                              "1\v", "--1"])
+
+
+@st.composite
+def dense_texts(draw):
+    """A dense CSV text and whether it is clean.  A clean text has only empty,
+    blank and well-formed lines of one width, ended by LF or CRLF; the others
+    may also have comment and mis-sized lines, lone CR line ends and
+    malformed values."""
+    clean = draw(st.booleans())
+    values = _DENSE_VALUES if clean else st.one_of(_DENSE_VALUES, _DENSE_BAD)
+    width = draw(st.integers(1, 4))
+    kinds = ["data"] * 4 + ["empty", "blank"] + ([] if clean else ["comment", "width"])
+    ends = st.sampled_from(["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"])
+    text = ""
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("data", "width"):
+            n = width if kind == "data" else draw(st.integers(1, 5).filter(lambda n: n != width))
+            text += ",".join(draw(_PAD) + draw(values) + draw(_PAD) for _ in range(n))
+        else:
+            text += {"empty": "", "blank": draw(_PAD) + " ", "comment": draw(_PAD) + "# 1,2"}[kind]
+        text += draw(ends)
+    return (text if draw(st.booleans()) else text.rstrip("\r\n")), clean
+
+
 class TestDenseCsv:
     def test_round_trip_bit_faithful(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -127,6 +192,80 @@ class TestDenseCsv:
         m = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
         mask = zeros_as_missing(m)
         assert np.array_equal(mask.bits, [[1.0, 0.0], [0.0, 1.0]])
+
+    # the whole-file parse of read_dense_csv, the compiled scan, against its line loop
+
+    def test_scan_writes_no_more_values_than_it_holds(self):
+        text = b"1,2\n3,4\n"
+        for cap, rows in ((3, -1), (4, 2)):
+            out, width = np.full(6, 7.0), np.zeros(1, dtype=np.int64)
+            assert _kernels._load().rpr_read_dense(text, len(text), cap, out.ctypes.data,
+                                                   width.ctypes.data) == rows
+            assert out[4:].tolist() == [7.0, 7.0]
+            if rows > 0:
+                assert width[0] == 2 and out[:4].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_texts())
+    def test_whole_file_parse_matches_line_loop(self, case):
+        text, clean = case
+        want = dense_by_line(text)
+        whole = rio._dense_whole(text.encode())
+        if clean and text.strip():
+            assert whole is not None
+        if whole is not None:
+            # nothing the loop refuses, and the same array
+            assert not isinstance(want, int), text
+            assert whole.shape == want.shape and whole.tobytes() == want.tobytes(), text
+        assert read_dense_or_line(text) == _bytes_or_line(want)
+
+    @pytest.mark.parametrize("text, decided", [
+        ("1,2\n3,4\n", True),
+        (" 1.5 ,\t-2e3\r\n\r\n \t\n3,4", True),  # padding, CRLF and blank lines
+        ("\n\n1,2\n", True),
+        ("-nan,inf,-0,+5,NaN,-Infinity,.5,5.,1E-2\n", True),
+        ("9007199254740993,-99999999999999999999,0000000000000009007199254740993e-3\n", True),
+        ("1." + "0" * 61 + "\n", True),  # a token of 63 bytes
+        ("\v5,\f-1.5\n", True),  # strtod skips \v and \f, float() strips them
+        ("# a comment\n1,2\n", False),
+        ("1,2 # a comment\n", False),
+        ("1,2\n3\n", False),  # rows of unequal width
+        ("1,2\n3,4,5\n", False),
+        ("1,,2\n", False),  # an empty token
+        ("1,2,\n3,4,\n", False),  # trailing commas
+        ("1,2 ,\t\n", False),
+        ("0x1p3\n", False),  # strtod reads these, float() does not
+        ("0X1P3\n", False),
+        ("nan(1)\n", False),
+        ("nan()\n", False),
+        ("1_000,2\n", False),  # float() reads it, strtod does not
+        ("9" * 64 + "\n", False),  # a token of 64 bytes, which float() reads
+        ("1,2\r3,4\r5,6\r", False),  # more values than the output holds
+        ("1,2\n3,x\n", False),
+        ("1\v,2\n", False),  # float() strips a trailing \v, strtod stops at it
+        ("1,\u00e92\n", False),
+        ("", False),
+        ("\n \t\n", False),
+    ], ids=["plain", "padding-crlf-blank", "leading-blank-lines", "named-values", "digit-limits",
+            "token-63-bytes", "leading-vt-ff", "comment-line", "trailing-comment", "short-row",
+            "long-row", "empty-token", "trailing-comma", "padded-trailing-comma", "hex", "hex-upper",
+            "nan-payload", "nan-empty-payload", "underscore", "token-64-bytes", "lone-cr",
+            "other-byte", "trailing-vt", "non-ascii", "empty", "blank"])
+    def test_decided_or_left_to_the_loop(self, text, decided):
+        assert (rio._dense_whole(text.encode()) is not None) == decided
+        assert read_dense_or_line(text) == _bytes_or_line(dense_by_line(text))
+
+    def test_savetxt_file_is_read_by_the_scan(self, tmp_path, monkeypatch):
+        def refuse(lines):
+            raise AssertionError("left to the line loop")
+        monkeypatch.setattr(rio, "_dense_by_line", refuse)
+        a = np.random.default_rng(5).uniform(0, 1, (30, 17)) * 10.0 ** np.arange(-8, 9)
+        path = tmp_path / "v.csv"
+        np.savetxt(path, a, fmt="%.17g", delimiter=",")
+        assert read_dense_csv(path).a.tobytes() == a.tobytes()
+        mask = tmp_path / "m.csv"
+        mask.write_text("1,0\n0,1\n")
+        assert read_mask_csv(mask).flat.tolist() == [0, 3]
 
 
 class TestRatings:
@@ -192,6 +331,42 @@ class TestRatings:
         assert mask.bits[0, 1] == 0.0
 
 
+_INT64 = (-2**63, 2**63 - 1)
+
+
+class TestDensifiedIds:
+    """_densified, by presence map or by sort, is np.unique with its inverse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-5, 20), min_size=1, max_size=60),  # dense, negative, duplicated
+        st.lists(st.integers(*_INT64), min_size=1, max_size=20),  # sparse over all of int64
+        st.lists(st.sampled_from([_INT64[0], _INT64[0] + 1, _INT64[1] - 1, _INT64[1]]), min_size=1,
+                 max_size=10),  # both ends, together or alone
+        st.integers(_INT64[0], _INT64[1] - 40).flatmap(
+            lambda lo: st.lists(st.integers(lo, lo + 40), min_size=10, max_size=40)),  # dense anywhere
+        st.just([])))
+    def test_matches_unique(self, ids):
+        a = np.array(ids, dtype=np.int64)
+        for got, want in zip(rio._densified(a), np.unique(a, return_inverse=True)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ids, sorts", [
+        ([7, 3, 7, 5], False),
+        ([_INT64[1], _INT64[1] - 2, _INT64[1]], False),
+        ([_INT64[0], _INT64[0] + 3], False),
+        ([_INT64[0], _INT64[1]], True),
+        ([0, 9], True),  # a span of 10 over 2 ids
+        ([], True),
+    ], ids=["dense", "top-end", "bottom-end", "both-ends", "sparse", "empty"])
+    def test_dense_ids_take_no_sort(self, monkeypatch, ids, sorts):
+        unique = np.unique
+        calls = []
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        rio._densified(np.array(ids, dtype=np.int64))
+        assert bool(calls) == sorts
+
+
 def by_line(text, sep):
     """read_ratings' result with the whole-file parse left out: a table, or
     the line number of the MalformedLineError."""
@@ -209,7 +384,6 @@ def assert_same_table(a, b):
                                                               b.duplicates_dropped)
 
 
-_PAD = st.sampled_from(["", " ", "  ", "\t"])
 # ids and values at the compiled scan's digit limits: int64's ends, and
 # values of 15 digits (its exact integer path), 16 and 20 digits
 _GOOD_IDS = st.one_of(st.integers(-3, 12).map(str),

@@ -34,7 +34,7 @@ from rprnmf.exceptions import (
     ShapeMismatchError,
     SweepBuildError,
 )
-from rprnmf.io import read_ratings
+from rprnmf.io import read_dense_csv, read_ratings
 from rprnmf.matrix import EPS, ObservedCells
 from rprnmf import _kernels, constraints, solver
 from rprnmf.solver import SolverConfig, _PreparedSet, _sweep
@@ -379,10 +379,12 @@ class TestOrderedSweep:
     def test_failed_build_raises_typed_error(self, tmp_path, monkeypatch, compiler):
         # a missing compiler, and one that exits non-zero, met by a penalised
         # sweep, by a masked run with no penalty, by chain generation and by
-        # a clean ratings read, which does not fall back to the line loop
+        # a clean ratings or dense CSV read, which does not fall back to its
+        # line loop
         cc = str(tmp_path / compiler) if compiler == "no-such-cc" else compiler
-        ratings = tmp_path / "r.dat"
+        ratings, matrix = tmp_path / "r.dat", tmp_path / "v.csv"
         ratings.write_text("1::2::3::4\n")
+        matrix.write_text("1,2\n3,4\n")
         monkeypatch.setattr(_kernels, "CC", cc)
         cache = _kernels._SOURCE.parent / "__pycache__"
         before = set(cache.glob("*.so"))
@@ -395,7 +397,7 @@ class TestOrderedSweep:
                      lambda: run(np.ones((3, 3)), None, config),
                      lambda: constraints.generate_chain_plan(w, Target.W_ROWS, [2],
                                                              Measure.EUCLIDEAN, 0),
-                     lambda: read_ratings(ratings)):
+                     lambda: read_ratings(ratings), lambda: read_dense_csv(matrix)):
             monkeypatch.setattr(_kernels, "_compiled", None)
             with pytest.raises(SweepBuildError, match=cc) as exc:
                 call()
